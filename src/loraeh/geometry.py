@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .hypergeom import hyp2f1_special
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, collision_fraction, ring_index, sf_for_distance
 
@@ -138,7 +139,7 @@ def coverage_profile(
             pieces.append(lo + step * (np.arange(points_per_ring) + 1))
         distances = np.concatenate(pieces)
     distances = np.asarray(distances, dtype=float)
-    rings = np.array([ring_index(d, cfg) for d in distances])
+    rings = ring_index(distances, cfg)
     snr = np.array([snr_success(d, cfg) for d in distances])
     sir = np.array([sir_success(d, p_ring[r], cfg) for d, r in zip(distances, rings)])
     lower = snr * sir
@@ -176,13 +177,15 @@ def sample_network(cfg: PhyConfig, seed: int = 0, n_devices: int | None = None) 
     The count is Poisson with mean density * disk area unless n_devices pins
     it. Distances are clamped away from the gateway singularity.
     """
+    if n_devices is not None and n_devices < 0:
+        raise ConfigError(f"device count must be non-negative, got {n_devices}")
     rng = np.random.default_rng(seed)
     if n_devices is None:
         n_devices = int(rng.poisson(cfg.density * np.pi * cfg.radius**2))
     radii = cfg.radius * np.sqrt(rng.uniform(size=n_devices))
     radii = np.maximum(radii, MIN_DISTANCE_M)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n_devices)
-    rings = np.array([ring_index(d, cfg) for d in radii], dtype=int)
+    rings = ring_index(radii, cfg)
     return NetworkRealization(
         distances=radii,
         angles=angles,

@@ -166,7 +166,8 @@ class StationaryDistribution:
         k = int(np.searchsorted(edges, v_op, side="right")) - 1
         total = float(u[:k].sum())
         frac = (v_op - edges[k]) / (edges[k + 1] - edges[k])
-        return total + float(u[k]) * frac
+        # rounding in the sum can leave the result just outside [0, 1]
+        return min(max(total + float(u[k]) * frac, 0.0), 1.0)
 
 
 def stationary_distribution(

@@ -14,12 +14,13 @@ fixed seed regardless of batching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .capacitor import build_model
-from .errors import StatisticsError
+from .errors import ConfigError, StatisticsError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
@@ -64,7 +65,6 @@ class SimReport:
     overall_rate: np.ndarray  # successes / cycles
     ci_half_width: np.ndarray  # 95% binomial half-width on overall_rate
     duty_mean: np.ndarray  # mean of airtime/(nu+airtime) over cycles
-    tx_time_fraction: np.ndarray  # completed airtime over counted wall time
     devices: DeviceStats | None = None
     traces: list | None = field(default=None, repr=False)
 
@@ -72,6 +72,114 @@ class SimReport:
 def _ratio(num, den):
     den = np.asarray(den, dtype=float)
     return np.where(den > 0, np.asarray(num, dtype=float) / np.where(den > 0, den, 1.0), 0.0)
+
+
+def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray, nu: np.ndarray) -> None:
+    """Fill nu (step-major) with one chunk of charging times; column i comes
+    from device i's stream. u is device-major scratch space."""
+    for row, g in zip(u, gens):
+        g.random(out=row)
+    if scheme.kind == "uniform":
+        u *= scheme.b - scheme.a
+        u += scheme.a
+    else:
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u **= 1.0 / scheme.k  # `**`, not np.power: numpy's `**` may special-case 0.5 and 2
+        u *= scheme.w
+    # transposed in blocks of devices: several times faster than u.T.copy()
+    for i in range(0, len(gens), 64):
+        nu[:, i : i + 64] = u[i : i + 64].T
+
+
+def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, collect_traces):
+    """Charge/transmit cycles of every device until its clock passes `duration`.
+
+    Returns the per-device counters (cycles, skips, aborts, completed, duty
+    sum), the completed-packet records (device, start, counted) in
+    cycle-major then ascending-device order, and the voltage traces.
+    """
+    n = v0.size
+    retention = np.exp(-airtimes / m.tau_on)
+    cycles = np.zeros(n, dtype=np.int64)
+    skips = np.zeros(n, dtype=np.int64)
+    aborts = np.zeros(n, dtype=np.int64)
+    completed = np.zeros(n, dtype=np.int64)
+    duty_sum = np.zeros(n)
+    rec_dev, rec_start, rec_counted = [], [], []
+    traces = [[] for _ in range(n)] if collect_traces else None
+
+    # step-major chunk storage: row 0 holds the state at the chunk start,
+    # row j + 1 the state after cycle j
+    v_hist = np.empty((_CHUNK + 1, n))
+    t_hist = np.empty((_CHUNK + 1, n))
+    charged = np.empty((_CHUNK, n), dtype=bool)  # post-charge voltage reaches the threshold
+    v_hist[0] = v0
+    t_hist[0] = 0.0
+    u = np.empty((n, _CHUNK))
+    nu = np.empty((_CHUNK, n))
+    decay = np.empty((_CHUNK, n))
+    discharged = np.empty(n)
+    air = np.empty(n)
+    sub, mul, add = np.subtract, np.multiply, np.add  # the loop below is call-bound
+    while t_hist[0].min() < duration:
+        _draw_charging_times(nu_gens, scheme, u, nu)
+        np.divide(nu, -m.tau_off, out=decay)
+        np.exp(decay, out=decay)
+
+        # The loop carries only the recurrence: charge, threshold test,
+        # discharge, clock. Devices are independent, so one past `duration`
+        # keeps stepping and its cycles are masked out below; its clock only
+        # grows, so it never becomes active again.
+        rows = zip(v_hist, v_hist[1:], t_hist, t_hist[1:], decay, nu, charged)
+        for j, (v, w, t, t_next, dec, nu_j, ok) in enumerate(rows):
+            sub(v, m.v_limit_off, w)
+            mul(w, dec, w)
+            add(w, m.v_limit_off, w)
+            np.greater_equal(w, cfg.v_operating, ok)
+            sub(w, m.v_limit_on, discharged)
+            mul(discharged, retention, discharged)
+            add(discharged, m.v_limit_on, discharged)
+            np.putmask(w, ok, discharged)
+            mul(airtimes, ok, air)  # 0.0 where the device skipped
+            add(t, nu_j, t_next)
+            add(t_next, air, t_next)
+            if j % 8 == 7 and t_next.min() >= duration:
+                break
+        steps = j + 1
+
+        active = t_hist[:steps] < duration
+        start = t_hist[:steps] + nu[:steps]
+        attempt = charged[:steps] & active
+        done = attempt & (v_hist[1 : steps + 1] >= cfg.v_operating)
+        counted = active & (start > warmup)
+        cycles += counted.sum(axis=0)
+        skips += (counted & ~attempt).sum(axis=0)
+        aborts += (counted & attempt & ~done).sum(axis=0)
+        completed += (counted & done).sum(axis=0)
+        # added in cycle order per device, as a running sum would
+        duty = np.add(nu[:steps], airtimes)
+        np.divide(airtimes, duty, out=duty)
+        np.putmask(duty, ~counted, 0.0)
+        duty[0] += duty_sum
+        np.add.accumulate(duty, axis=0, out=duty)
+        duty_sum = duty[-1].copy()
+        # every completed packet interferes, counted or not
+        flat = np.flatnonzero(done)
+        rec_dev.append((flat % n).astype(np.int32))
+        rec_start.append(start.ravel()[flat])
+        rec_counted.append(counted.ravel()[flat])
+        if collect_traces:
+            for d in range(n):
+                traces[d].append(v_hist[1 : steps + 1, d][active[:, d]])
+        v_hist[0] = v_hist[steps]
+        t_hist[0] = t_hist[steps]
+
+    records = (np.concatenate(rec_dev), np.concatenate(rec_start), np.concatenate(rec_counted))
+    if collect_traces:
+        traces = [np.concatenate(tr) for tr in traces]
+    return (cycles, skips, aborts, completed, duty_sum), records, traces
 
 
 def run_simulation(
@@ -93,19 +201,20 @@ def run_simulation(
     victim packet. Statistics start after the warm-up (default 100 mean
     charging times, capped at half the duration).
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigError(f"simulated duration must be finite and positive, got {duration}")
     if overlap not in ("full", "fractional"):
         raise ValueError(f"unknown overlap mode {overlap!r}")
     if warmup is None:
         warmup = min(100.0 * scheme.mean(), 0.5 * duration)
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ConfigError(f"warm-up must be finite and non-negative, got {warmup}")
     n = net.n_devices
     m = build_model(cfg, mode)
     rings = net.ring.astype(int)
-    airtimes = net.airtimes
+    # path_gain stays scalar on purpose: numpy's array power differs from the
+    # scalar one in the last bit for about 5% of distances
     gains = np.array([path_gain(d, cfg) for d in net.distances]) if n else np.empty(0)
-
-    retention = np.exp(-airtimes / m.tau_on) if n else np.empty(0)
 
     streams = np.random.SeedSequence(seed).spawn(2 * n) if n else []
     nu_gens = [np.random.Generator(np.random.PCG64(streams[2 * i])) for i in range(n)]
@@ -113,80 +222,42 @@ def run_simulation(
 
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens]) if n else np.empty(0)
-    t = np.zeros(n)
-    cycles = np.zeros(n, dtype=np.int64)
-    skips = np.zeros(n, dtype=np.int64)
-    aborts = np.zeros(n, dtype=np.int64)
-    completed_counted = np.zeros(n, dtype=np.int64)
-    duty_sum = np.zeros(n)
-    rec_dev: list[np.ndarray] = []
-    rec_start: list[np.ndarray] = []
-    rec_counted: list[np.ndarray] = []
-    traces: list[list[np.ndarray]] | None = [[] for _ in range(n)] if collect_traces else None
-
-    while n and (t < duration).any():
-        nu_chunk = np.stack([g.uniform(0.0, 1.0, _CHUNK) for g in nu_gens])
-        if scheme.kind == "uniform":
-            nu_chunk = scheme.a + (scheme.b - scheme.a) * nu_chunk
-        else:
-            nu_chunk = scheme.w * (-np.log1p(-nu_chunk)) ** (1.0 / scheme.k)
-        for j in range(_CHUNK):
-            active = t < duration
-            if not active.any():
-                break
-            nu = nu_chunk[:, j]
-            w = m.v_limit_off + (v - m.v_limit_off) * np.exp(-nu / m.tau_off)
-            attempt = (w >= cfg.v_operating) & active
-            v_next = np.where(attempt, m.v_limit_on + (w - m.v_limit_on) * retention, w)
-            done = attempt & (v_next >= cfg.v_operating)
-            start = t + nu
-            counted = active & (start > warmup)
-            cycles += counted
-            skips += counted & ~attempt
-            aborts += counted & attempt & ~done
-            completed_counted += counted & done
-            duty_sum += np.where(counted, airtimes / (nu + airtimes), 0.0)
-            sel = done  # all completed packets interfere, counted or not
-            if sel.any():
-                rec_dev.append(np.flatnonzero(sel).astype(np.int32))
-                rec_start.append(start[sel])
-                rec_counted.append(counted[sel])
-            if collect_traces:
-                for d in np.flatnonzero(active):
-                    traces[d].append(v_next[d])
-            v = np.where(active, v_next, v)
-            t = np.where(active, t + nu + np.where(attempt, airtimes, 0.0), t)
-
-    if rec_dev:
-        dev = np.concatenate(rec_dev)
-        start = np.concatenate(rec_start)
-        counted = np.concatenate(rec_counted)
+    if n:
+        counters, (dev, start, counted), traces = _energy_phase(
+            nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
+        )
     else:
-        dev = np.empty(0, dtype=np.int32)
-        start = np.empty(0)
-        counted = np.empty(0, dtype=bool)
+        counters = (np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)
+        dev, start, counted = np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
+        traces = []
+    cycles, skips, aborts, completed_counted, duty_sum = counters
 
-    # fading draws in per-device packet order (records are time-ordered per device)
+    # fading draws in per-device packet order; a device's records already come
+    # in increasing start time, so a stable sort by device gives that order
+    # (numpy radix-sorts 16-bit keys)
     h2 = np.empty(dev.size)
-    order = np.lexsort((start, dev))
-    bincounts = np.bincount(dev, minlength=n) if n else np.empty(0, dtype=int)
-    pos = 0
-    for d in range(n):
-        k = int(bincounts[d])
-        if k:
-            h2[order[pos : pos + k]] = h_gens[d].exponential(1.0, k)
-            pos += k
+    h2[np.argsort(dev.astype(np.uint16) if n <= 1 << 16 else dev, kind="stable")] = np.concatenate(
+        [np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, np.bincount(dev, minlength=n))]
+    )
 
-    success = np.zeros(dev.size, dtype=bool)
-    snr_fail = np.zeros(dev.size, dtype=bool)
+    succ_dev = np.zeros(n, dtype=np.int64)
+    snrf_dev = np.zeros(n, dtype=np.int64)
+    rec_ring = rings.astype(np.int8)[dev]
     for ring in range(N_RINGS):
-        mask = rings[dev] == ring if dev.size else np.empty(0, dtype=bool)
-        if not mask.any():
+        idx = np.flatnonzero(rec_ring == ring)
+        if not idx.size:
             continue
-        idx = np.flatnonzero(mask)
-        sub = idx[np.argsort(start[idx], kind="stable")]
-        s = start[sub]
-        pw = cfg.p_tx * h2[sub] * gains[dev[sub]]
+        s = start[idx]
+        by_start = np.argsort(s)
+        s = s[by_start]
+        if (s[1:] == s[:-1]).any():  # ties: keep record order among equal starts
+            by_start = np.argsort(start[idx], kind="stable")
+            s = start[idx][by_start]
+        sub = idx[by_start]
+        dev_sub = dev[sub]
+        h_sub = h2[sub]
+        g_sub = gains[dev_sub]
+        pw = cfg.p_tx * h_sub * g_sub
         tau = AIRTIMES_S[ring]
         lo = np.searchsorted(s, s - tau, side="right")
         hi = np.searchsorted(s, s + tau, side="left")
@@ -195,20 +266,17 @@ def run_simulation(
             interference = cp[hi] - cp[lo] - pw
         else:
             csp = np.concatenate([[0.0], np.cumsum(pw * s)])
-            rank = np.arange(s.size)
-            sum_l = cp[rank] - cp[lo]
-            sum_ls = csp[rank] - csp[lo]
-            sum_r = cp[hi] - cp[rank + 1]
-            sum_rs = csp[hi] - csp[rank + 1]
+            sum_l = cp[:-1] - cp[lo]
+            sum_ls = csp[:-1] - csp[lo]
+            sum_r = cp[hi] - cp[1:]
+            sum_rs = csp[hi] - csp[1:]
             interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
-        ok_snr = h2[sub] >= cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gains[dev[sub]])
+        ok_snr = h_sub >= cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * g_sub)
         ok_sir = pw >= cfg.sir_threshold * interference
-        success[sub] = ok_snr & ok_sir
-        snr_fail[sub] = ~ok_snr
+        evaluated = counted[sub]
+        succ_dev += np.bincount(dev_sub[evaluated & ok_snr & ok_sir], minlength=n)
+        snrf_dev += np.bincount(dev_sub[evaluated & ~ok_snr], minlength=n)
 
-    eval_mask = counted
-    succ_dev = np.bincount(dev[eval_mask & success], minlength=n) if dev.size else np.zeros(n, dtype=int)
-    snrf_dev = np.bincount(dev[eval_mask & snr_fail], minlength=n) if dev.size else np.zeros(n, dtype=int)
     attempts_dev = completed_counted
     sirf_dev = attempts_dev - succ_dev - snrf_dev
 
@@ -226,8 +294,6 @@ def run_simulation(
     r_duty = per_ring(duty_sum)
     q_hat = _ratio(r_succ, r_cycles)
     ci = 1.96 * np.sqrt(_ratio(q_hat * (1.0 - q_hat), r_cycles))
-    window = max(duration - warmup, 1e-300)
-    tx_frac = _ratio(r_attempts * AIRTIMES_S, r_ndev * window)
 
     devices = None
     if collect_devices:
@@ -243,7 +309,6 @@ def run_simulation(
             successes=succ_dev,
             duty_sum=duty_sum,
         )
-    trace_arrays = [np.array(tr) for tr in traces] if collect_traces else None
 
     return SimReport(
         duration=duration,
@@ -264,9 +329,8 @@ def run_simulation(
         overall_rate=q_hat,
         ci_half_width=ci,
         duty_mean=_ratio(r_duty, r_cycles),
-        tx_time_fraction=tx_frac,
         devices=devices,
-        traces=trace_arrays,
+        traces=traces if collect_traces else None,
     )
 
 

@@ -6,6 +6,7 @@ dB/dBm values are converted once when a config is built.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -172,12 +173,21 @@ class PhyConfig:
         return self.v_harvest**2 / self.p_harvest
 
 
-def ring_index(d: float, cfg: PhyConfig) -> int:
-    """Ring 0..5 containing distance d [m]; d in (l_{n-1}, l_n], d=0 maps to ring 0."""
-    if d < 0 or d > cfg.ring_radii[-1]:
-        raise ValueError(f"distance {d} m outside deployment range (0, {cfg.ring_radii[-1]} m]")
-    idx = int(np.searchsorted(cfg.ring_radii, d, side="left")) - 1
-    return max(idx, 0)
+def ring_index(d, cfg: PhyConfig):
+    """Ring 0..5 containing distance d [m]; d in (l_{n-1}, l_n], d=0 maps to ring 0.
+
+    A scalar d gives an int, an array d an int array of the same shape.
+    """
+    radii = cfg.ring_radii
+    if np.ndim(d) == 0:
+        if not 0 <= d <= radii[-1]:
+            raise ValueError(f"distance {d} m outside deployment range (0, {radii[-1]} m]")
+        return max(bisect.bisect_left(radii, d) - 1, 0)
+    d = np.asarray(d, dtype=float)
+    inside = (d >= 0) & (d <= radii[-1])
+    if not inside.all():
+        raise ValueError(f"distance {d[~inside][0]} m outside deployment range (0, {radii[-1]} m]")
+    return np.maximum(np.searchsorted(radii, d, side="left") - 1, 0)
 
 
 def sf_for_distance(d: float, cfg: PhyConfig) -> SfEntry:

@@ -1,10 +1,14 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loraeh
 from loraeh.capacitor import build_model, cycle_voltages
 from loraeh.cli import main
 from loraeh.phy import ChargingScheme
@@ -134,6 +138,43 @@ class TestExitCodes:
         bad = tmp_path / "unknown.ini"
         bad.write_text("[deployment]\nradius_miles = 3\n")
         assert run(["coverage", "--config", bad, "--out", tmp_path / "z"]) == 1
+
+
+    def test_coverage_fine_grid(self, tmp_path):
+        # the SF12 outage sums to 1 + 2e-16 on this grid; it must stay a probability
+        assert run(["coverage", "--bins", 600, "--points-per-ring", 4, "--out", tmp_path / "c"]) == 0
+        avail = column(tmp_path / "c" / "coverage.csv", "energy_avail")
+        assert np.all((avail >= 0.0) & (avail <= 1.0))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--duration", "nan"],
+            ["--duration", -5],
+            ["--duration", 0],
+            ["--devices", -1],
+            ["--warmup", -1],
+            ["--warmup", "nan"],
+            ["--warmup", "inf"],
+        ],
+        ids=lambda a: " ".join(map(str, a)),
+    )
+    def test_simulate_bad_input(self, tmp_path, capsys, args):
+        base = {"--devices": 5, "--duration": 1e3}
+        base.update(zip(args[::2], args[1::2]))
+        argv = ["simulate", "--out", tmp_path / "s"] + [x for kv in base.items() for x in kv]
+        assert run(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_simulate_infinite_duration(self, tmp_path):
+        src = str(Path(loraeh.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["simulate", "--duration", "inf", "--devices", "5", "--out", str(tmp_path / "inf")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "loraeh.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestSchemeComparison:

@@ -13,6 +13,7 @@ from loraeh.phy import (
     duty_cycle,
     mean_charging_time,
     charging_pdf,
+    ring_index,
     sf_for_distance,
 )
 
@@ -56,6 +57,32 @@ class TestSfForDistance:
     def test_out_of_range(self, fig2):
         with pytest.raises(ValueError):
             sf_for_distance(6000.1, fig2.phy)
+
+
+class TestRingIndex:
+    def test_array_matches_scalar(self, fig2):
+        cfg = fig2.phy
+        rng = np.random.default_rng(17)
+        points = np.concatenate(
+            [
+                np.asarray(cfg.ring_radii, dtype=float),
+                np.nextafter(np.asarray(cfg.ring_radii[1:]), 0.0),
+                np.nextafter(np.asarray(cfg.ring_radii[:-1]), np.inf),
+                [0.0, cfg.radius, 1.0],
+                rng.uniform(0.0, cfg.radius, 2000),
+            ]
+        )
+        got = ring_index(points, cfg)
+        assert isinstance(got, np.ndarray) and got.shape == points.shape
+        assert got.tolist() == [ring_index(float(d), cfg) for d in points]
+
+    def test_scalar_stays_int(self, fig2):
+        assert type(ring_index(3500.0, fig2.phy)) is int
+
+    def test_array_out_of_range(self, fig2):
+        for bad in ([-1.0, 10.0], [10.0, fig2.phy.radius * 1.001], [10.0, np.nan]):
+            with pytest.raises(ValueError):
+                ring_index(np.array(bad), fig2.phy)
 
 
 class TestChargingScheme:
