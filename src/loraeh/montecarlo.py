@@ -24,7 +24,8 @@ from .errors import ConfigError, StatisticsError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
-_CHUNK = 2048
+_CHUNK = 2048  # charging-time draws per device stream and refill
+_BLOCK = 256  # cycles stepped per (block x device) array; divides _CHUNK
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,8 @@ def _ratio(num, den):
     return np.where(den > 0, np.asarray(num, dtype=float) / np.where(den > 0, den, 1.0), 0.0)
 
 
-def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray, nu: np.ndarray) -> None:
-    """Fill nu (step-major) with one chunk of charging times; column i comes
-    from device i's stream. u is device-major scratch space."""
+def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray) -> None:
+    """Fill u with one chunk of charging times; row i comes from device i's stream."""
     for row, g in zip(u, gens):
         g.random(out=row)
     if scheme.kind == "uniform":
@@ -88,9 +88,6 @@ def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray, nu: np.nda
         np.negative(u, out=u)
         u **= 1.0 / scheme.k  # `**`, not np.power: numpy's `**` may special-case 0.5 and 2
         u *= scheme.w
-    # transposed in blocks of devices: several times faster than u.T.copy()
-    for i in range(0, len(gens), 64):
-        nu[:, i : i + 64] = u[i : i + 64].T
 
 
 def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, collect_traces):
@@ -110,21 +107,29 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     rec_dev, rec_start, rec_counted = [], [], []
     traces = [[] for _ in range(n)] if collect_traces else None
 
-    # step-major chunk storage: row 0 holds the state at the chunk start,
-    # row j + 1 the state after cycle j
-    v_hist = np.empty((_CHUNK + 1, n))
-    t_hist = np.empty((_CHUNK + 1, n))
-    charged = np.empty((_CHUNK, n), dtype=bool)  # post-charge voltage reaches the threshold
+    # Draws come a chunk at a time (device-major), cycles are stepped a block
+    # at a time on step-major (block x device) arrays: row 0 of v_hist/t_hist
+    # holds the state at the block start, row j + 1 the state after cycle j.
+    u = np.empty((n, _CHUNK))
+    nu = np.empty((_BLOCK, n))
+    decay = np.empty((_BLOCK, n))
+    v_hist = np.empty((_BLOCK + 1, n))
+    t_hist = np.empty((_BLOCK + 1, n))
+    charged = np.empty((_BLOCK, n), dtype=bool)  # post-charge voltage reaches the threshold
     v_hist[0] = v0
     t_hist[0] = 0.0
-    u = np.empty((n, _CHUNK))
-    nu = np.empty((_CHUNK, n))
-    decay = np.empty((_CHUNK, n))
     discharged = np.empty(n)
     air = np.empty(n)
     sub, mul, add = np.subtract, np.multiply, np.add  # the loop below is call-bound
+    col = _CHUNK  # next unused column of u
     while t_hist[0].min() < duration:
-        _draw_charging_times(nu_gens, scheme, u, nu)
+        if col == _CHUNK:
+            _draw_charging_times(nu_gens, scheme, u)
+            col = 0
+        # transposed in blocks of devices: several times faster than one .T copy
+        for i in range(0, n, 64):
+            nu[:, i : i + 64] = u[i : i + 64, col : col + _BLOCK].T
+        col += _BLOCK
         np.divide(nu, -m.tau_off, out=decay)
         np.exp(decay, out=decay)
 
@@ -234,9 +239,8 @@ def run_simulation(
 
     # fading draws in per-device packet order; a device's records already come
     # in increasing start time, so a stable sort by device gives that order
-    # (numpy radix-sorts 16-bit keys)
     h2 = np.empty(dev.size)
-    h2[np.argsort(dev.astype(np.uint16) if n <= 1 << 16 else dev, kind="stable")] = np.concatenate(
+    h2[np.argsort(dev, kind="stable")] = np.concatenate(
         [np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, np.bincount(dev, minlength=n))]
     )
 
@@ -247,13 +251,8 @@ def run_simulation(
         idx = np.flatnonzero(rec_ring == ring)
         if not idx.size:
             continue
-        s = start[idx]
-        by_start = np.argsort(s)
-        s = s[by_start]
-        if (s[1:] == s[:-1]).any():  # ties: keep record order among equal starts
-            by_start = np.argsort(start[idx], kind="stable")
-            s = start[idx][by_start]
-        sub = idx[by_start]
+        sub = idx[np.argsort(start[idx], kind="stable")]
+        s = start[sub]
         dev_sub = dev[sub]
         h_sub = h2[sub]
         g_sub = gains[dev_sub]

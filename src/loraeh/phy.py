@@ -6,7 +6,6 @@ dB/dBm values are converted once when a config is built.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -179,15 +178,12 @@ def ring_index(d, cfg: PhyConfig):
     A scalar d gives an int, an array d an int array of the same shape.
     """
     radii = cfg.ring_radii
-    if np.ndim(d) == 0:
-        if not 0 <= d <= radii[-1]:
-            raise ValueError(f"distance {d} m outside deployment range (0, {radii[-1]} m]")
-        return max(bisect.bisect_left(radii, d) - 1, 0)
     d = np.asarray(d, dtype=float)
-    inside = (d >= 0) & (d <= radii[-1])
+    inside = (d >= 0) & (d <= radii[-1])  # False for NaN
     if not inside.all():
         raise ValueError(f"distance {d[~inside][0]} m outside deployment range (0, {radii[-1]} m]")
-    return np.maximum(np.searchsorted(radii, d, side="left") - 1, 0)
+    idx = np.maximum(np.searchsorted(radii, d, side="left") - 1, 0)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def sf_for_distance(d: float, cfg: PhyConfig) -> SfEntry:

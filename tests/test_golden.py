@@ -17,9 +17,9 @@ import pytest
 from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.config import load_config
-from loraeh.geometry import path_gain, sample_network
+from loraeh.geometry import NetworkRealization, path_gain, sample_network
 from loraeh.montecarlo import run_simulation
-from loraeh.phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme
+from loraeh.phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, ring_index
 
 WEIBULL_HALF = "[scheme]\nk = 0.5\n"
 # mean charging time 1 s: one device crosses several 2048-cycle chunks in 1e4 s
@@ -134,7 +134,8 @@ def networks_digest():
 
 
 def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
-    """Per-device counters, duty sums and traces of the per-cycle simulator."""
+    """Per-device counters and duty sums, traces and packet start times of the
+    per-cycle simulator."""
     n, chunk = net.n_devices, 2048
     m = build_model(cfg, "thevenin")
     airtimes = net.airtimes
@@ -206,7 +207,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
         snr_fail[sub] = ~ok_snr
     out["successes"] = np.bincount(dev[counted & success], minlength=n)
     out["snr_fails"] = np.bincount(dev[counted & snr_fail], minlength=n)
-    return out, [np.array(tr) for tr in traces]
+    return out, [np.array(tr) for tr in traces], start
 
 
 @pytest.mark.parametrize(
@@ -221,14 +222,29 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
 )
 def test_matches_per_cycle_reference(fig2, scheme, overlap, n_devices, duration, warmup):
     net = sample_network(fig2.phy, seed=n_devices, n_devices=n_devices)
-    rep = run_simulation(
-        net, fig2.phy, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True
-    )
-    warmup = rep.warmup
-    want, traces = reference_simulation(net, fig2.phy, scheme, duration, 3, overlap, warmup)
+    assert_matches_reference(net, fig2.phy, scheme, duration, overlap, warmup)
+
+
+def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
+    rep = run_simulation(net, cfg, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
+    want, traces, start = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name
     assert all(np.array_equal(a, b) for a, b in zip(rep.traces, traces))
+    return start
+
+
+@pytest.mark.parametrize("overlap", ["full", "fractional"])
+def test_matches_reference_with_tied_starts(fig2, overlap):
+    """A ring whose packets tie in start time still matches the per-cycle reference."""
+    radii = fig2.phy.ring_radii
+    d = np.random.default_rng(2).uniform(radii[0] + 1.0, radii[1], 60)
+    rings = ring_index(d, fig2.phy)
+    net = NetworkRealization(d, np.zeros(60), rings, AIRTIMES_S[rings], seed=2)
+    # about 1.4e5 distinct doubles in the support, so start times collide
+    scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
+    start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
+    assert np.unique(start).size < start.size
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 
@@ -75,6 +76,8 @@ class TestRingIndex:
         got = ring_index(points, cfg)
         assert isinstance(got, np.ndarray) and got.shape == points.shape
         assert got.tolist() == [ring_index(float(d), cfg) for d in points]
+        # d in (l_{n-1}, l_n] is ring n - 1, and d = 0 is ring 0
+        assert got.tolist() == [max(bisect.bisect_left(cfg.ring_radii, d) - 1, 0) for d in points]
 
     def test_scalar_stays_int(self, fig2):
         assert type(ring_index(3500.0, fig2.phy)) is int
@@ -83,6 +86,9 @@ class TestRingIndex:
         for bad in ([-1.0, 10.0], [10.0, fig2.phy.radius * 1.001], [10.0, np.nan]):
             with pytest.raises(ValueError):
                 ring_index(np.array(bad), fig2.phy)
+        for bad in (-1.0, fig2.phy.radius * 1.001, math.nan):
+            with pytest.raises(ValueError):
+                ring_index(bad, fig2.phy)
 
 
 class TestChargingScheme:
