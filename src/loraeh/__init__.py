@@ -6,7 +6,7 @@ from .capacitor import CapacitorModel, CycleConstants, build_model, step_charge,
 from .config import RunConfig, load_config
 from .geometry import coverage_profile, sample_network, sir_success, snr_success
 from .hypergeom import hyp2f1_special
-from .markov import DecayFactorDistribution, StationaryDistribution, energy_outage, steady_state
+from .markov import DecayFactorDistribution, StationaryDistribution, steady_state
 from .montecarlo import SimReport, run_simulation
 from .phy import ChargingScheme, PhyConfig, SF_TABLE, collision_fraction, duty_cycle, sf_for_distance
 
@@ -27,7 +27,6 @@ __all__ = [
     "collision_fraction",
     "coverage_profile",
     "duty_cycle",
-    "energy_outage",
     "hyp2f1_special",
     "load_config",
     "run_simulation",

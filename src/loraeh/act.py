@@ -13,7 +13,7 @@ import numpy as np
 
 from .capacitor import CapacitorModel, CycleConstants, build_model, estimate_mean_voltage
 from .errors import InfeasibleError, NumericalError
-from .markov import DEFAULT_BINS, DecayFactorDistribution, steady_state
+from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import ChargingScheme, N_RINGS, PhyConfig, SF_TABLE, duty_cycle
 
 PARAM_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime
@@ -34,6 +34,7 @@ class ActPlan:
     stationary_mean_v: np.ndarray  # steady-state chain mean [V]
     stationary_std_v: np.ndarray  # steady-state chain spread [V]
     predicted_outage: np.ndarray  # steady-state outage at the operating threshold
+    stationary: tuple[StationaryDistribution, ...]  # steady-state voltage law per SF
     duty_simple: np.ndarray  # airtime/(E[nu]+airtime) per SF
     etsi_ok: np.ndarray  # duty_simple <= 1%
 
@@ -46,31 +47,42 @@ def _scheme_for(dist_kind: str, mean_nu: float) -> ChargingScheme:
     raise ValueError(f"unknown distribution kind {dist_kind!r}")
 
 
-def _achieved(
+def _plan(
+    kind: str,
+    dist_kind: str,
+    target: float,
     schemes: list[ChargingScheme],
     m: CapacitorModel,
     cfg: PhyConfig,
     n_bins: int,
-) -> tuple[np.ndarray, ...]:
-    mean_nu = np.array([s.mean() for s in schemes])
+) -> ActPlan:
+    """Evaluate the per-SF schemes: one steady-state solve per SF."""
     decay = np.empty(N_RINGS)
     mean_v = np.empty(N_RINGS)
-    st_mean = np.empty(N_RINGS)
-    st_std = np.empty(N_RINGS)
-    outage = np.empty(N_RINGS)
     duty = np.empty(N_RINGS)
+    sds = []
     for r, scheme in enumerate(schemes):
         airtime = SF_TABLE[r].airtime_s
         cc = CycleConstants.from_model(m, airtime)
-        dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
-        decay[r] = dist.mean()
+        decay[r] = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
         mean_v[r] = estimate_mean_voltage(cc, decay[r])
-        sd = steady_state(scheme, airtime, m, n_bins=n_bins)
-        st_mean[r] = sd.mean()
-        st_std[r] = sd.std()
-        outage[r] = sd.outage(cfg.v_operating)
+        sds.append(steady_state(scheme, airtime, m, n_bins=n_bins))
         duty[r] = duty_cycle(scheme, airtime).simple_ratio
-    return mean_nu, decay, mean_v, st_mean, st_std, outage, duty
+    return ActPlan(
+        kind=kind,
+        dist_kind=dist_kind,
+        target=target,
+        schemes=tuple(schemes),
+        mean_nu=np.array([s.mean() for s in schemes]),
+        mean_decay=decay,
+        predicted_mean_v=mean_v,
+        stationary_mean_v=np.array([sd.mean() for sd in sds]),
+        stationary_std_v=np.array([sd.std() for sd in sds]),
+        predicted_outage=np.array([sd.outage(cfg.v_operating) for sd in sds]),
+        stationary=tuple(sds),
+        duty_simple=duty,
+        etsi_ok=duty <= ETSI_DUTY_CAP + 1e-15,
+    )
 
 
 def plan_cdc(
@@ -85,21 +97,7 @@ def plan_cdc(
         raise InfeasibleError(f"duty multiplier must be positive, got {theta}")
     m = build_model(cfg, mode)
     schemes = [_scheme_for(dist_kind, theta * entry.airtime_s) for entry in SF_TABLE]
-    mean_nu, decay, mean_v, st_mean, st_std, outage, duty = _achieved(schemes, m, cfg, n_bins)
-    return ActPlan(
-        kind="cdc",
-        dist_kind=dist_kind,
-        target=theta,
-        schemes=tuple(schemes),
-        mean_nu=mean_nu,
-        mean_decay=decay,
-        predicted_mean_v=mean_v,
-        stationary_mean_v=st_mean,
-        stationary_std_v=st_std,
-        predicted_outage=outage,
-        duty_simple=duty,
-        etsi_ok=duty <= ETSI_DUTY_CAP + 1e-15,
-    )
+    return _plan("cdc", dist_kind, theta, schemes, m, cfg, n_bins)
 
 
 def _solve_mean_decay(dist_kind: str, target: float, tau_charge: float, sf: int) -> float:
@@ -162,18 +160,4 @@ def plan_cve(
                 sf=entry.sf,
             )
         schemes.append(_scheme_for(dist_kind, par / 2.0 if dist_kind == "uniform" else par))
-    mean_nu, decay, mean_v, st_mean, st_std, outage, duty = _achieved(schemes, m, cfg, n_bins)
-    return ActPlan(
-        kind="cve",
-        dist_kind=dist_kind,
-        target=vartheta,
-        schemes=tuple(schemes),
-        mean_nu=mean_nu,
-        mean_decay=decay,
-        predicted_mean_v=mean_v,
-        stationary_mean_v=st_mean,
-        stationary_std_v=st_std,
-        predicted_outage=outage,
-        duty_simple=duty,
-        etsi_ok=duty <= ETSI_DUTY_CAP + 1e-15,
-    )
+    return _plan("cve", dist_kind, vartheta, schemes, m, cfg, n_bins)

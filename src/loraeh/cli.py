@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -75,6 +76,8 @@ def _write_manifest(out_dir: str, subcommand: str, args: argparse.Namespace, run
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
+    if getattr(args, "bins", 1) < 1:
+        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     path = args.config or os.environ.get(ENV_CONFIG) or None
     overrides = {}
     if args.mode:
@@ -222,10 +225,8 @@ def cmd_act_plan(args) -> int:
             rows,
         )
     ]
-    model = build_model(run.phy, run.mode)
     pdf_rows = []
-    for r, entry in enumerate(SF_TABLE):
-        sd = markov.steady_state(plan.schemes[r], entry.airtime_s, model, n_bins=args.bins)
+    for entry, sd in zip(SF_TABLE, plan.stationary):
         centers, dens = markov.stationary_pdf(sd)
         keep = dens > 0
         pdf_rows.extend([entry.sf, c, d] for c, d in zip(centers[keep], dens[keep]))
@@ -311,7 +312,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later `main` calls."""
     parser = argparse.ArgumentParser(prog="loraeh", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file (INI); falls back to ${ENV_CONFIG}")

@@ -129,9 +129,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         radii = tuple(n * radius_m / N_RINGS for n in range(N_RINGS + 1))
 
     bandwidth = _getfloat(parser, "radio", "bandwidth_hz")
-    noise_raw = parser.get("radio", "noise_dbm").strip()
-    if noise_raw:
-        noise_w = _dbm_to_w(float(noise_raw))
+    if parser.get("radio", "noise_dbm").strip():
+        noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
     else:
         noise_w = _thermal_noise_w(bandwidth, _getfloat(parser, "radio", "noise_figure_db"))
 

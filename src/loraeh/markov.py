@@ -4,6 +4,10 @@ The end-of-cycle voltage obeys v' = v_after_full + retention*X*(v - ceiling)
 with X = exp(-nu/tau_off) a random decay factor, so the stationary law on a
 voltage grid follows from a row-normalized transition matrix built from the
 density of X.
+
+Each row of that matrix is nonzero on one contiguous band of target bins, so
+it is stored as a scipy CSR array and the stationary law is found by power
+iteration on its prebuilt transpose.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 
 from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
 from .errors import NumericalError
@@ -70,22 +74,49 @@ class DecayFactorDistribution:
         return val
 
 
-def expected_decay_factor(dist: DecayFactorDistribution) -> float:
-    """E[exp(-nu/tau_charge)] in (0, 1)."""
-    return dist.mean()
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic voltage-bin transition matrix."""
 
-    matrix: np.ndarray  # (M, M)
+    matrix: sparse.csr_array  # (M, M)
     bin_edges: np.ndarray  # (M+1,)
     self_loops: np.ndarray  # bool mask of rows with no feasible transition
 
     @property
     def n_bins(self) -> int:
         return self.matrix.shape[0]
+
+
+def _count_above(num: np.ndarray, denom: np.ndarray, t: float) -> np.ndarray:
+    """Per row i, the number of leading columns j with num[j] / denom[i] > t.
+
+    num is nondecreasing and denom[i] < 0, so num[j] / denom[i] is
+    nonincreasing in j (rounding is monotone too) and the cells above t form
+    a prefix; its length is found by bisection on that exact expression.
+    """
+    n = num.size
+    k = np.zeros(denom.size, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        cand = k + step
+        k = np.where((cand <= n) & (num[np.minimum(cand, n) - 1] / denom > t), cand, k)
+        step >>= 1
+    return k
+
+
+def _support_cells(num: np.ndarray, denom: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (row, column) of the cells with lo < num[j] / denom[i] <= hi and a positive ratio.
+
+    A row whose denom is not negative has no such cell: its ratios are +-inf
+    or nan.
+    """
+    start = _count_above(num, denom, hi)
+    stop = np.where(denom < 0.0, _count_above(num, denom, max(lo, 0.0)), start)
+    counts = np.maximum(stop - start, 0)
+    ends = np.cumsum(counts)
+    rows = np.repeat(np.arange(denom.size), counts)
+    cols = np.arange(ends[-1]) - np.repeat(ends - counts - start, counts)
+    return rows, cols
 
 
 def build_transition_matrix(
@@ -100,7 +131,9 @@ def build_transition_matrix(
     variant "density" evaluates the decay-factor density at bin-center pairs
     and row-normalizes; "mass" integrates exact probability mass per target
     bin via the decay-factor cdf. Both converge to the same chain as the grid
-    refines.
+    refines. The density variant evaluates only each row's support band,
+    where the decay factor mapping the row's center to a target center lies
+    in the support of X.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
@@ -110,23 +143,36 @@ def build_transition_matrix(
     denom = cc.retention * (centers - cc.ceiling)  # < 0 on the grid interior
     with np.errstate(divide="ignore", invalid="ignore"):
         if variant == "density":
-            x = (centers[None, :] - cc.v_after_full) / denom[:, None]
-            raw = np.where((x > lo) & (x <= hi) & (x > 0.0), dist.pdf(np.clip(x, 1e-300, None)), 0.0)
+            num = centers - cc.v_after_full
+            rows, cols = _support_cells(num, denom, lo, hi)
+            raw = dist.pdf(np.clip(num[cols] / denom[rows], 1e-300, None))
         elif variant == "mass":
             # target voltage decreases with the decay factor, so the mapped
             # edge decays are decreasing in bin index
             x_edges = np.clip((edges[None, :] - cc.v_after_full) / denom[:, None], 0.0, 1.0)
             cdfs = dist.cdf(x_edges)
-            raw = np.maximum(cdfs[:, :-1] - cdfs[:, 1:], 0.0)
+            dense = np.maximum(cdfs[:, :-1] - cdfs[:, 1:], 0.0)
+            rows, cols = np.nonzero(dense)
+            raw = dense[rows, cols]
         else:
             raise ValueError(f"unknown transition variant {variant!r}")
-    rowsum = raw.sum(axis=1)
+    rowsum = np.bincount(rows, weights=raw, minlength=n_bins)
     self_loops = rowsum <= 0.0
     if self_loops.all():
         raise NumericalError("no feasible transitions anywhere on the voltage grid")
-    mat = np.where(self_loops[:, None], 0.0, raw / np.where(rowsum[:, None] > 0, rowsum[:, None], 1.0))
-    idx = np.flatnonzero(self_loops)
-    mat[idx, idx] = 1.0
+    keep = raw > 0.0  # self-loop rows hold no positive cell
+    if not keep.all():
+        rows, cols, raw = rows[keep], cols[keep], raw[keep]
+    kept = np.bincount(rows, minlength=n_bins)
+    indptr = np.concatenate(([0], np.cumsum(kept + self_loops)))
+    # each self-loop row's diagonal 1 goes where its empty row starts
+    loops = np.flatnonzero(self_loops)
+    at = np.cumsum(kept)[loops]
+    idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64  # 32-bit: faster products
+    mat = sparse.csr_array(
+        (np.insert(raw / rowsum[rows], at, 1.0), np.insert(cols, at, loops).astype(idx), indptr.astype(idx)),
+        shape=(n_bins, n_bins),
+    )
     return TransitionMatrix(matrix=mat, bin_edges=edges, self_loops=self_loops)
 
 
@@ -179,16 +225,19 @@ def stationary_distribution(
 ) -> StationaryDistribution:
     """Left fixed point u = u S of the row-stochastic matrix, L1-normalized.
 
-    Power iteration by default; dense eigen-solve for small matrices. The
-    start vector excludes self-loop rows so unreachable padding states carry
-    no stationary mass; `start` overrides it (restricted to reachable states).
+    Power iteration by default, as products with the CSR transpose built
+    once; dense eigen-solve for small matrices. The start vector excludes
+    self-loop rows so unreachable padding states carry no stationary mass;
+    `start` overrides it (restricted to reachable states). tm.matrix may also
+    be a dense array.
     """
-    mat = tm.matrix
+    mat = sparse.csr_array(tm.matrix)
     n = tm.n_bins
     live = ~tm.self_loops
     if method == "auto":
         method = "eig" if n <= 512 else "power"
     if method == "eig":
+        mat = mat.toarray()
         vals, vecs = np.linalg.eig(mat.T)
         candidates = np.flatnonzero(np.abs(vals - 1.0) < 1e-6)
         best = None
@@ -206,6 +255,7 @@ def stationary_distribution(
             raise NumericalError("eigen-solve found no stationary vector on reachable states")
         u = best[1]
     elif method == "power":
+        mat_t = mat.T.tocsr()
         if start is None:
             u = np.where(live, 1.0, 0.0)
         else:
@@ -215,7 +265,7 @@ def stationary_distribution(
         u /= u.sum()
         res = math.inf
         for _ in range(max_iter):
-            nxt = u @ mat
+            nxt = mat_t @ u
             s = nxt.sum()
             if s <= 0:
                 raise NumericalError("power iteration collapsed to zero mass")
@@ -224,18 +274,13 @@ def stationary_distribution(
             u = nxt
             if res < tol * 1e-2:
                 break
-        if np.abs(u @ mat - u).max() > tol:
+        if np.abs(mat_t @ u - u).max() > tol:
             raise NumericalError(f"power iteration did not reach residual {tol}")
     else:
         raise ValueError(f"unknown stationary method {method!r}")
     u = np.maximum(u, 0.0)
     u /= u.sum()
     return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
-
-
-def energy_outage(sd: StationaryDistribution, v_op: float) -> float:
-    """Stationary probability that the end-of-cycle voltage is at or below v_op."""
-    return sd.outage(v_op)
 
 
 def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:

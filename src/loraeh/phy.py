@@ -124,6 +124,8 @@ class ChargingScheme:
 
 def _thermal_noise_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     # -174 dBm/Hz floor plus receiver noise figure
+    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
+        raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth_hz}")
     dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
     return 10.0 ** (dbm / 10.0) * 1e-3
 
@@ -158,6 +160,10 @@ class PhyConfig:
             raise ConfigError("operating threshold must lie below the harvester voltage")
         if self.eta < 2.0:
             raise ConfigError("path-loss exponent must be >= 2")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ConfigError(f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if not (math.isfinite(self.density) and self.density >= 0):
+            raise ConfigError(f"device density must be finite and non-negative, got {self.density} per m^2")
         if len(self.ring_radii) != N_RINGS + 1:
             raise ConfigError(f"ring_radii needs {N_RINGS + 1} values, got {len(self.ring_radii)}")
         r = np.asarray(self.ring_radii)

@@ -3,8 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import loraeh.act
+import loraeh.markov
 from loraeh.act import plan_cdc, plan_cve
 from loraeh.capacitor import build_model
+from loraeh.cli import main
 from loraeh.errors import InfeasibleError
 from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import ChargingScheme, SF_TABLE
@@ -97,3 +100,32 @@ class TestSchemeSpread:
         ud_plan = plan_cdc(150.0, "uniform", cfg40, n_bins=1000)
         wd_plan = plan_cdc(150.0, "weibull", cfg40, n_bins=1000)
         assert np.all(wd_plan.stationary_std_v > ud_plan.stationary_std_v)
+
+
+@pytest.fixture
+def steady_state_calls(monkeypatch):
+    """Airtime of every steady-state solve, through act or through markov."""
+    calls = []
+    solve = loraeh.markov.steady_state
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(loraeh.act, "steady_state", counted)
+    monkeypatch.setattr(loraeh.markov, "steady_state", counted)
+    return calls
+
+
+class TestSolves:
+    @pytest.mark.parametrize("plan, target", [(plan_cdc, 150.0), (plan_cve, 1.0)], ids=["cdc", "cve"])
+    def test_one_steady_state_per_sf(self, fig2, steady_state_calls, plan, target):
+        result = plan(target, "uniform", fig2.phy, n_bins=300)
+        assert steady_state_calls == [entry.airtime_s for entry in SF_TABLE]
+        assert len(result.stationary) == len(SF_TABLE)
+        for r, sd in enumerate(result.stationary):
+            assert sd.outage(fig2.phy.v_operating) == result.predicted_outage[r]
+
+    def test_cli_writes_pdfs_from_the_plan(self, tmp_path, steady_state_calls):
+        assert main(["act-plan", "--act", "cdc", "--bins", "300", "--out", str(tmp_path)]) == 0
+        assert steady_state_calls == [entry.airtime_s for entry in SF_TABLE]

@@ -10,7 +10,7 @@ import pytest
 
 import loraeh
 from loraeh.capacitor import build_model, cycle_voltages
-from loraeh.cli import main
+from loraeh.cli import build_parser, main
 from loraeh.phy import ChargingScheme
 
 
@@ -115,6 +115,22 @@ class TestDeterminism:
             if name.endswith(".csv"):
                 assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
+    def test_parser_reuse_keeps_no_state(self, tmp_path):
+        # main builds its parser once; a second subcommand must not see the first one's options
+        first = ["outage-sweep", "--bins", 200, "--mode", "literal", "--scheme", "wd"]
+        second = ["steady-state", "--bins", 200]
+        assert run(first + ["--out", tmp_path / "a1"]) == 0
+        assert run(second + ["--out", tmp_path / "a2"]) == 0
+        for args, out in ((first, "b1"), (second, "b2")):
+            build_parser.cache_clear()
+            assert run(args + ["--out", tmp_path / out]) == 0
+        assert build_parser() is build_parser()
+        for a, b in (("a1", "b1"), ("a2", "b2")):
+            names = sorted(p.name for p in (tmp_path / a).glob("*.csv"))
+            assert names and names == sorted(p.name for p in (tmp_path / b).glob("*.csv"))
+            for name in names:
+                assert filecmp.cmp(tmp_path / a / name, tmp_path / b / name, shallow=False), name
+
     def test_seed_only_affects_stochastic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         for seed, out in ((1, out1), (2, out2)):
@@ -164,6 +180,39 @@ class TestExitCodes:
         base.update(zip(args[::2], args[1::2]))
         argv = ["simulate", "--out", tmp_path / "s"] + [x for kv in base.items() for x in kv]
         assert run(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["steady-state", "--bins", 0],
+            ["outage-sweep", "--bins", -5],
+            ["coverage", "--bins", 0],
+            ["act-plan", "--act", "cdc", "--bins", 0],
+        ],
+        ids=lambda a: " ".join(map(str, a)),
+    )
+    def test_bad_bins(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path / "b"]) == 1
+        assert "--bins" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ini, command",
+        [
+            ("[deployment]\ndensity_per_km2 = -1\n", ["simulate", "--devices", 5, "--duration", 1e3]),
+            ("[deployment]\ndensity_per_km2 = -1\n", ["coverage", "--bins", 100, "--points-per-ring", 2]),
+            ("[deployment]\ndensity_per_km2 = nan\n", ["coverage", "--bins", 100, "--points-per-ring", 2]),
+            ("[radio]\nbandwidth_hz = 0\n", ["steady-state", "--bins", 100]),
+            ("[radio]\nbandwidth_hz = 0\nnoise_dbm = -120\n", ["steady-state", "--bins", 100]),
+            ("[radio]\nbandwidth_hz = inf\nnoise_dbm = -120\n", ["steady-state", "--bins", 100]),
+            ("[radio]\nnoise_dbm = oops\n", ["steady-state", "--bins", 100]),
+        ],
+        ids=["density-simulate", "density-coverage", "density-nan", "bandwidth-0", "bandwidth-0-noise", "bandwidth-inf", "noise"],
+    )
+    def test_bad_radio_config(self, tmp_path, capsys, ini, command):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        assert run(command + ["--config", cfg, "--out", tmp_path / "r"]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_simulate_infinite_duration(self, tmp_path):

@@ -11,8 +11,6 @@ from loraeh.markov import (
     StationaryDistribution,
     TransitionMatrix,
     build_transition_matrix,
-    energy_outage,
-    expected_decay_factor,
     mean_voltage_estimate,
     stationary_distribution,
     stationary_pdf,
@@ -47,13 +45,13 @@ class TestDecayFactorDistribution:
 
     def test_closed_form_means(self):
         exp50 = DecayFactorDistribution(scheme=ChargingScheme.weibull(1, 50), tau_charge=6000.0)
-        assert expected_decay_factor(exp50) == pytest.approx(6000 / 6050, rel=1e-12)
+        assert exp50.mean() == pytest.approx(6000 / 6050, rel=1e-12)
         uni = DecayFactorDistribution(scheme=ChargingScheme.uniform(0, 100), tau_charge=6000.0)
-        assert expected_decay_factor(uni) == pytest.approx(60 * (1 - math.exp(-1 / 60.0)), rel=1e-12)
+        assert uni.mean() == pytest.approx(60 * (1 - math.exp(-1 / 60.0)), rel=1e-12)
 
     def test_degenerate_short_charging(self):
         d = DecayFactorDistribution(scheme=ChargingScheme.uniform(0, 1e-9), tau_charge=6000.0)
-        assert expected_decay_factor(d) == pytest.approx(1.0, abs=1e-12)
+        assert d.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_matches_sampling(self, model):
         scheme = ChargingScheme.weibull(2.0, 40.0)
@@ -69,7 +67,7 @@ class TestTransitionMatrix:
         d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
         cc = CycleConstants.from_model(model, 0.204)
         tm = build_transition_matrix(d, cc, model, n_bins=1)
-        assert tm.matrix.tolist() == [[1.0]]
+        assert tm.matrix.toarray().tolist() == [[1.0]]
 
     def test_rows_stochastic(self, ud, model):
         d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
@@ -87,7 +85,7 @@ class TestTransitionMatrix:
         x = (centers - cc.v_after_full) / (cc.retention * (centers[i] - cc.ceiling))
         outside = (x <= lo) | (x > hi)
         assert not tm.self_loops[i]
-        assert np.all(tm.matrix[i, outside] == 0.0)
+        assert np.all(tm.matrix.toarray()[i, outside] == 0.0)
 
     def test_density_and_mass_variants_agree(self, ud, model, fig2):
         d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
@@ -152,12 +150,12 @@ class TestStationary:
 class TestOutage:
     def test_boundaries(self, steady_cache, model):
         sd = steady_cache("ud", 0.204)
-        assert energy_outage(sd, model.v_limit_on) == 0.0
-        assert energy_outage(sd, model.v_limit_off) == 1.0
+        assert sd.outage(model.v_limit_on) == 0.0
+        assert sd.outage(model.v_limit_off) == 1.0
 
     def test_reference_outages(self, steady_cache):
-        assert energy_outage(steady_cache("ud", 0.204), 1.8) == pytest.approx(0.08, abs=0.05)
-        assert energy_outage(steady_cache("wd", 0.204), 1.8) == pytest.approx(0.22, abs=0.05)
+        assert steady_cache("ud", 0.204).outage(1.8) == pytest.approx(0.08, abs=0.05)
+        assert steady_cache("wd", 0.204).outage(1.8) == pytest.approx(0.22, abs=0.05)
 
     def test_straddle_interpolation(self, steady_cache):
         sd = steady_cache("ud", 0.204)
