@@ -120,35 +120,43 @@ def simulate_trajectory(
 
     Intra-phase points are cosmetic subdivisions of the closed-form curve;
     end-of-phase voltages are exact. Deterministic for a fixed seed.
+
+    After the initial sample each cycle contributes samples_per_phase charge
+    samples then samples_per_phase tx samples. Only the phase start voltages
+    are a recurrence; every sample is the closed form from its phase start,
+    evaluated on (cycle x sample) arrays.
     """
+    if n_cycles < 0:
+        raise ConfigError(f"cycle count must be non-negative, got {n_cycles}")
+    if samples_per_phase < 1:
+        raise ConfigError(f"samples per phase must be at least 1, got {samples_per_phase}")
     rng = np.random.default_rng(seed)
-    times = [0.0]
-    volts = [float(v0)]
-    phases = ["charge"]
-    cyc = [0]
-    t = 0.0
+    nu = np.asarray(scheme.sample(rng, n_cycles), dtype=float)
+    fracs = np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase)
+    # phase start times: one running sum over nu_0, airtime, nu_1, airtime, ...
+    ends = np.cumsum(np.column_stack([nu, np.full(n_cycles, float(airtime))]).ravel())
+    starts = np.concatenate(([0.0], ends))[:-1].reshape(n_cycles, 2)
+    # phase start voltages: the scalar recurrence of step_charge then step_discharge
+    v_start = np.empty((n_cycles, 2))
+    decay = np.exp(-nu / m.tau_off).tolist()
+    retention = float(np.exp(-float(airtime) / m.tau_on))
     v = float(v0)
     for j in range(n_cycles):
-        nu = float(scheme.sample(rng))
-        for frac in np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase):
-            times.append(t + frac * nu)
-            volts.append(float(step_charge(v, frac * nu, m)))
-            phases.append("charge")
-            cyc.append(j)
-        v = float(step_charge(v, nu, m))
-        t += nu
-        for frac in np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase):
-            times.append(t + frac * airtime)
-            volts.append(float(step_discharge(v, frac * airtime, m)))
-            phases.append("tx")
-            cyc.append(j)
-        v = float(step_discharge(v, airtime, m))
-        t += airtime
+        v_start[j, 0] = v
+        v = v_start[j, 1] = m.v_limit_off + (v - m.v_limit_off) * decay[j]
+        v = m.v_limit_on + (v - m.v_limit_on) * retention
+    times = np.empty((n_cycles, 2, samples_per_phase))
+    volts = np.empty_like(times)
+    times[:, 0] = starts[:, :1] + fracs * nu[:, None]
+    times[:, 1] = starts[:, 1:] + fracs * airtime
+    volts[:, 0] = step_charge(v_start[:, :1], fracs * nu[:, None], m)
+    volts[:, 1] = step_discharge(v_start[:, 1:], fracs * airtime, m)
+    labels = np.repeat(np.array(["charge", "tx"], dtype=object), samples_per_phase)
     return VoltageTrajectory(
-        times=np.asarray(times),
-        voltages=np.asarray(volts),
-        phases=np.asarray(phases, dtype=object),
-        cycle_index=np.asarray(cyc),
+        times=np.concatenate(([0.0], times.ravel())),
+        voltages=np.concatenate(([float(v0)], volts.ravel())),
+        phases=np.concatenate((np.array(["charge"], dtype=object), np.tile(labels, n_cycles))),
+        cycle_index=np.concatenate(([0], np.repeat(np.arange(n_cycles), 2 * samples_per_phase))),
     )
 
 

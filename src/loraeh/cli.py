@@ -27,12 +27,17 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError, StatisticsError
 from .geometry import coverage_profile, sample_network
 from .montecarlo import run_simulation
-from .phy import N_RINGS, SF_TABLE
+from .phy import AIRTIMES_S, N_RINGS, SF_TABLE
 
 ENV_CONFIG = "LORAEH_CONFIG"
+_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
+_SFS = np.array([e.sf for e in SF_TABLE])
 
 
-def _fmt(x) -> str:
+def _cell_text(x) -> str:
+    """One cell of an object column, by the cell's own type (the rules of _column_text)."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -42,12 +47,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows) -> str:
+def _column_text(values: np.ndarray) -> list[str]:
+    """Cells of one column, formatted once by its dtype: floats %.10g, integers
+    in decimal, booleans 1/0, strings verbatim; object cells by their own type."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return list(map("%.10g".__mod__, values.tolist()))  # the same text as format(x, ".10g"), faster
+    if kind == "b":
+        return ["1" if x else "0" for x in values.tolist()]
+    if kind in "iuUS":
+        return list(map(str, values.tolist()))
+    return list(map(_cell_text, values))
+
+
+def _write_csv(path: str, columns: dict) -> str:
+    """Write {header: column} as CSV; columns are equal-length arrays or sequences."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    n_rows = len(arrays[0]) if arrays else 0
+    if any(len(a) != n_rows for a in arrays):
+        raise ValueError(f"columns of {path} differ in length: {[len(a) for a in arrays]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(columns)
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            writer.writerows(zip(*(_column_text(a[lo : lo + _BLOCK_ROWS]) for a in arrays)))
     return path
 
 
@@ -102,14 +125,8 @@ def cmd_capacitor_trace(args) -> int:
         traj = simulate_trajectory(
             run.v_initial, scheme, airtime, args.cycles, model, seed=args.seed, samples_per_phase=args.samples_per_phase
         )
-        rows = zip(traj.times, traj.voltages, traj.phases, traj.cycle_index)
-        outputs.append(
-            _write_csv(
-                os.path.join(args.out, f"trace_{label}.csv"),
-                ["time_s", "voltage_V", "phase", "cycle_index"],
-                rows,
-            )
-        )
+        columns = {"time_s": traj.times, "voltage_V": traj.voltages, "phase": traj.phases, "cycle_index": traj.cycle_index}
+        outputs.append(_write_csv(os.path.join(args.out, f"trace_{label}.csv"), columns))
     _write_manifest(args.out, "capacitor-trace", args, run, outputs)
     return 0
 
@@ -122,35 +139,25 @@ def cmd_steady_state(args) -> int:
     ring = args.ring - 1
     airtime = SF_TABLE[ring].airtime_s
     outputs = []
-    summary_rows = []
-    conv_rows = []
+    summary = {"scheme": [], "bins": [], "mean_V": [], "std_V": [], "outage": []}
+    conv = {"scheme": [], "bins": [], "outage": []}
     for label, scheme in _scheme_pair(run):
         sd = markov.steady_state(scheme, airtime, model, n_bins=args.bins)
         centers, dens = markov.stationary_pdf(sd)
         cdf = np.cumsum(sd.probabilities)
         outputs.append(
-            _write_csv(
-                os.path.join(args.out, f"steady_{label}.csv"),
-                ["voltage_V", "pdf", "cdf"],
-                zip(centers, dens, cdf),
-            )
+            _write_csv(os.path.join(args.out, f"steady_{label}.csv"), {"voltage_V": centers, "pdf": dens, "cdf": cdf})
         )
         outage = sd.outage(run.phy.v_operating)
-        summary_rows.append([label, args.bins, sd.mean(), sd.std(), outage])
+        for column, value in zip(summary.values(), (label, args.bins, sd.mean(), sd.std(), outage)):
+            column.append(value)
         sd2 = markov.steady_state(scheme, airtime, model, n_bins=2 * args.bins)
-        conv_rows.append([label, args.bins, outage])
-        conv_rows.append([label, 2 * args.bins, sd2.outage(run.phy.v_operating)])
+        conv["scheme"] += [label, label]
+        conv["bins"] += [args.bins, 2 * args.bins]
+        conv["outage"] += [outage, sd2.outage(run.phy.v_operating)]
         print(f"{label}: energy outage at {run.phy.v_operating} V = {outage * 100:.2f}%")
-    outputs.append(
-        _write_csv(
-            os.path.join(args.out, "outage_summary.csv"),
-            ["scheme", "bins", "mean_V", "std_V", "outage"],
-            summary_rows,
-        )
-    )
-    outputs.append(
-        _write_csv(os.path.join(args.out, "convergence.csv"), ["scheme", "bins", "outage"], conv_rows)
-    )
+    outputs.append(_write_csv(os.path.join(args.out, "outage_summary.csv"), summary))
+    outputs.append(_write_csv(os.path.join(args.out, "convergence.csv"), conv))
     _write_manifest(args.out, "steady-state", args, run, outputs)
     return 0
 
@@ -158,16 +165,13 @@ def cmd_steady_state(args) -> int:
 def cmd_outage_sweep(args) -> int:
     run = _load(args)
     model = build_model(run.phy, run.mode)
-    rows = []
-    for entry in SF_TABLE:
-        row = [entry.sf, entry.airtime_s]
-        for _, scheme in _scheme_pair(run):
-            sd = markov.steady_state(scheme, entry.airtime_s, model, n_bins=args.bins)
-            row.append(sd.outage(run.phy.v_operating))
-        rows.append(row)
-    out = _write_csv(
-        os.path.join(args.out, "outage_sweep.csv"), ["sf", "airtime_s", "outage_ud", "outage_wd"], rows
-    )
+    columns = {"sf": _SFS, "airtime_s": AIRTIMES_S}
+    for label, scheme in _scheme_pair(run):
+        columns[f"outage_{label}"] = [
+            markov.steady_state(scheme, e.airtime_s, model, n_bins=args.bins).outage(run.phy.v_operating)
+            for e in SF_TABLE
+        ]
+    out = _write_csv(os.path.join(args.out, "outage_sweep.csv"), columns)
     _write_manifest(args.out, "outage-sweep", args, run, [out])
     return 0
 
@@ -186,20 +190,16 @@ def cmd_coverage(args) -> int:
         points_per_ring=args.points_per_ring,
         collision_variant=args.collision_variant,
     )
-    rows = zip(
-        profile.distances / 1e3,
-        [SF_TABLE[r].sf for r in profile.ring],
-        profile.snr_success,
-        profile.sir_success,
-        profile.conn_lower,
-        profile.energy_avail,
-        profile.overall,
-    )
-    out = _write_csv(
-        os.path.join(args.out, "coverage.csv"),
-        ["distance_km", "sf", "snr_success", "sir_success", "conn_lower", "energy_avail", "overall_Q"],
-        rows,
-    )
+    columns = {
+        "distance_km": profile.distances / 1e3,
+        "sf": _SFS[profile.ring],
+        "snr_success": profile.snr_success,
+        "sir_success": profile.sir_success,
+        "conn_lower": profile.conn_lower,
+        "energy_avail": profile.energy_avail,
+        "overall_Q": profile.overall,
+    }
+    out = _write_csv(os.path.join(args.out, "coverage.csv"), columns)
     _write_manifest(args.out, "coverage", args, run, [out])
     return 0
 
@@ -211,26 +211,26 @@ def cmd_act_plan(args) -> int:
         plan = act_mod.plan_cdc(args.theta, dist_kind, run.phy, mode=run.mode, n_bins=args.bins)
     else:
         plan = act_mod.plan_cve(args.vartheta, dist_kind, run.phy, mode=run.mode, n_bins=args.bins)
-    rows = []
-    for r, entry in enumerate(SF_TABLE):
-        s = plan.schemes[r]
-        p1, p2 = (s.a, s.b) if s.kind == "uniform" else (s.k, s.w)
-        rows.append(
-            [entry.sf, s.kind, p1, p2, plan.mean_nu[r], plan.duty_simple[r], plan.predicted_mean_v[r], plan.predicted_outage[r]]
-        )
-    outputs = [
-        _write_csv(
-            os.path.join(args.out, "act_plan.csv"),
-            ["sf", "dist_kind", "param_a_or_k", "param_b_or_w", "mean_nu_s", "duty_cycle", "predicted_mean_V", "predicted_outage"],
-            rows,
-        )
-    ]
-    pdf_rows = []
-    for entry, sd in zip(SF_TABLE, plan.stationary):
-        centers, dens = markov.stationary_pdf(sd)
-        keep = dens > 0
-        pdf_rows.extend([entry.sf, c, d] for c, d in zip(centers[keep], dens[keep]))
-    outputs.append(_write_csv(os.path.join(args.out, "act_pdfs.csv"), ["sf", "voltage_V", "pdf"], pdf_rows))
+    params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
+    columns = {
+        "sf": _SFS,
+        "dist_kind": [s.kind for s in plan.schemes],
+        "param_a_or_k": [p for p, _ in params],
+        "param_b_or_w": [p for _, p in params],
+        "mean_nu_s": plan.mean_nu,
+        "duty_cycle": plan.duty_simple,
+        "predicted_mean_V": plan.predicted_mean_v,
+        "predicted_outage": plan.predicted_outage,
+    }
+    outputs = [_write_csv(os.path.join(args.out, "act_plan.csv"), columns)]
+    pdfs = [markov.stationary_pdf(sd) for sd in plan.stationary]
+    keep = [dens > 0 for _, dens in pdfs]
+    columns = {
+        "sf": np.repeat(_SFS, [k.sum() for k in keep]),
+        "voltage_V": np.concatenate([c[k] for (c, _), k in zip(pdfs, keep)]),
+        "pdf": np.concatenate([d[k] for (_, d), k in zip(pdfs, keep)]),
+    }
+    outputs.append(_write_csv(os.path.join(args.out, "act_pdfs.csv"), columns))
     _write_manifest(args.out, "act-plan", args, run, outputs)
     if not plan.etsi_ok.all():
         bad = [SF_TABLE[r].sf for r in range(N_RINGS) if not plan.etsi_ok[r]]
@@ -251,63 +251,35 @@ def cmd_simulate(args) -> int:
         overlap=args.overlap,
         warmup=args.warmup,
     )
-    rows = []
-    for r in range(N_RINGS):
-        rows.append(
-            [
-                r + 1,
-                report.attempts[r],
-                report.energy_skips[r],
-                report.energy_aborts[r],
-                report.snr_fails[r],
-                report.sir_fails[r],
-                report.successes[r],
-                report.energy_avail[r],
-                report.conn_rate[r],
-                report.overall_rate[r],
-                report.ci_half_width[r],
-            ]
-        )
-    outputs = [
-        _write_csv(
-            os.path.join(args.out, "sim_report.csv"),
-            [
-                "ring",
-                "attempts",
-                "energy_skips",
-                "energy_aborts",
-                "snr_fails",
-                "sir_fails",
-                "successes",
-                "E_hat",
-                "C_hat",
-                "Q_hat",
-                "ci_half_width",
-            ],
-            rows,
-        )
-    ]
+    columns = {
+        "ring": np.arange(1, N_RINGS + 1),
+        "attempts": report.attempts,
+        "energy_skips": report.energy_skips,
+        "energy_aborts": report.energy_aborts,
+        "snr_fails": report.snr_fails,
+        "sir_fails": report.sir_fails,
+        "successes": report.successes,
+        "E_hat": report.energy_avail,
+        "C_hat": report.conn_rate,
+        "Q_hat": report.overall_rate,
+        "ci_half_width": report.ci_half_width,
+    }
+    outputs = [_write_csv(os.path.join(args.out, "sim_report.csv"), columns)]
     if args.per_device:
         dv = report.devices
-        rows = zip(
-            range(dv.ring.size),
-            dv.ring + 1,
-            dv.distance / 1e3,
-            dv.cycles,
-            dv.energy_skips,
-            dv.energy_aborts,
-            dv.attempts,
-            dv.snr_fails,
-            dv.sir_fails,
-            dv.successes,
-        )
-        outputs.append(
-            _write_csv(
-                os.path.join(args.out, "sim_devices.csv"),
-                ["device", "ring", "distance_km", "cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes"],
-                rows,
-            )
-        )
+        columns = {
+            "device": np.arange(dv.ring.size),
+            "ring": dv.ring + 1,
+            "distance_km": dv.distance / 1e3,
+            "cycles": dv.cycles,
+            "energy_skips": dv.energy_skips,
+            "energy_aborts": dv.energy_aborts,
+            "attempts": dv.attempts,
+            "snr_fails": dv.snr_fails,
+            "sir_fails": dv.sir_fails,
+            "successes": dv.successes,
+        }
+        outputs.append(_write_csv(os.path.join(args.out, "sim_devices.csv"), columns))
     _write_manifest(args.out, "simulate", args, run, outputs)
     return 0
 

@@ -4,8 +4,9 @@ Sections and keys (all optional, defaults below):
 
   [harvester]  voltage_v, power_w
   [capacitor]  capacitance_f, r_off_ohm, r_on_ohm, v_operating_v, v_initial_v, mode
-  [radio]      tx_power_dbm, overhead_power_dbm, bandwidth_hz, sir_threshold_db,
-               noise_dbm (blank = thermal floor + noise figure), noise_figure_db
+  [radio]      tx_power_dbm, overhead_power_dbm (accepted, unused), bandwidth_hz,
+               sir_threshold_db, noise_dbm (blank = thermal floor + noise figure),
+               noise_figure_db
   [deployment] radius_km, density_per_km2, path_loss_exponent, wavelength_cm,
                ring_radii_km (comma list of 7, blank = equal-width rings)
   [scheme]     kind (uniform|weibull), a_s, b_s, k, w_s
@@ -58,13 +59,6 @@ class RunConfig:
     mode: str  # "thevenin" | "literal"
     v_initial: float  # trajectory start voltage [V]
     raw: dict  # resolved key/value snapshot (manifest)
-
-    def second_scheme(self) -> ChargingScheme:
-        """The other distribution of the configured pair (for UD-vs-WD outputs)."""
-        raw = self.raw["scheme"]
-        if self.scheme.kind == "uniform":
-            return ChargingScheme.weibull(float(raw["k"]), float(raw["w_s"]))
-        return ChargingScheme.uniform(float(raw["a_s"]), float(raw["b_s"]))
 
     def scheme_by_kind(self, kind: str) -> ChargingScheme:
         raw = self.raw["scheme"]
@@ -129,6 +123,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         radii = tuple(n * radius_m / N_RINGS for n in range(N_RINGS + 1))
 
     bandwidth = _getfloat(parser, "radio", "bandwidth_hz")
+    _getfloat(parser, "radio", "overhead_power_dbm")  # accepted and checked for compatibility; no model reads it
     if parser.get("radio", "noise_dbm").strip():
         noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
     else:
@@ -142,7 +137,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         r_load_on=_getfloat(parser, "capacitor", "r_on_ohm"),
         v_operating=_getfloat(parser, "capacitor", "v_operating_v"),
         p_tx=_dbm_to_w(_getfloat(parser, "radio", "tx_power_dbm")),
-        p_overhead=_dbm_to_w(_getfloat(parser, "radio", "overhead_power_dbm")),
         bandwidth=bandwidth,
         eta=_getfloat(parser, "deployment", "path_loss_exponent"),
         wavelength=_getfloat(parser, "deployment", "wavelength_cm") * 1e-2,

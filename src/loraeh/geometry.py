@@ -130,6 +130,8 @@ def coverage_profile(
         ]
     )
     if distances is None:
+        if points_per_ring < 1:
+            raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
         pieces = []
         for r in range(N_RINGS):
             lo, hi = cfg.ring_radii[r], cfg.ring_radii[r + 1]

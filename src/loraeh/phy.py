@@ -141,7 +141,6 @@ class PhyConfig:
     r_load_on: float  # load resistance, radio on [ohm]
     v_operating: float  # radio operating threshold [V]
     p_tx: float  # transmit power [W]
-    p_overhead: float  # transmit-chain overhead [W]
     bandwidth: float  # [Hz]
     eta: float  # path-loss exponent, >= 2
     wavelength: float  # carrier wavelength [m]
@@ -195,16 +194,6 @@ def ring_index(d, cfg: PhyConfig):
 def sf_for_distance(d: float, cfg: PhyConfig) -> SfEntry:
     """Spreading-factor table entry for a device d meters from the gateway."""
     return SF_TABLE[ring_index(d, cfg)]
-
-
-def charging_pdf(scheme: ChargingScheme, x) -> float:
-    """Charging-time density at x seconds (0 outside support)."""
-    return scheme.pdf(x)
-
-
-def mean_charging_time(scheme: ChargingScheme) -> float:
-    """E[nu] in seconds."""
-    return scheme.mean()
 
 
 class DutyCycle(NamedTuple):

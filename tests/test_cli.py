@@ -197,6 +197,22 @@ class TestExitCodes:
         assert "--bins" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["coverage", "--bins", 100, "--points-per-ring", 0],
+            ["coverage", "--bins", 100, "--points-per-ring", -1],
+            ["capacitor-trace", "--cycles", -1],
+            ["capacitor-trace", "--cycles", 5, "--samples-per-phase", 0],
+            ["capacitor-trace", "--cycles", 5, "--samples-per-phase", -2],
+        ],
+        ids=lambda a: " ".join(map(str, a)),
+    )
+    def test_bad_grid_sizes(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path / "g"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "g").glob("*.csv"))
+
+    @pytest.mark.parametrize(
         "ini, command",
         [
             ("[deployment]\ndensity_per_km2 = -1\n", ["simulate", "--devices", 5, "--duration", 1e3]),

@@ -60,7 +60,17 @@ def test_diagnostics(tmp_path):
 
 
 def test_scheme_pair(fig2):
-    other = fig2.second_scheme()
+    other = fig2.scheme_by_kind("weibull")
     assert other.kind == "weibull"
     assert other.w == 50.0
     assert fig2.scheme_by_kind("uniform").b == 100.0
+
+
+def test_overhead_power_key_still_accepted(tmp_path):
+    # no model reads it, but older config files carry it
+    path = tmp_path / "run.ini"
+    path.write_text("[radio]\noverhead_power_dbm = 10\n")
+    assert load_config(str(path)).raw["radio"]["overhead_power_dbm"] == "10"
+    path.write_text("[radio]\noverhead_power_dbm = loud\n")
+    with pytest.raises(ConfigError, match="overhead_power_dbm"):
+        load_config(str(path))

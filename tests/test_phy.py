@@ -12,8 +12,6 @@ from loraeh.phy import (
     SF_TABLE,
     collision_fraction,
     duty_cycle,
-    mean_charging_time,
-    charging_pdf,
     ring_index,
     sf_for_distance,
 )
@@ -94,14 +92,14 @@ class TestRingIndex:
 class TestChargingScheme:
     def test_uniform_pdf(self):
         s = ChargingScheme.uniform(0, 100)
-        assert charging_pdf(s, 50.0) == pytest.approx(0.01, rel=1e-12)
-        assert charging_pdf(s, -1.0) == 0.0
-        assert charging_pdf(s, 101.0) == 0.0
+        assert s.pdf(50.0) == pytest.approx(0.01, rel=1e-12)
+        assert s.pdf(-1.0) == 0.0
+        assert s.pdf(101.0) == 0.0
 
     def test_weibull_pdf(self):
-        assert charging_pdf(ChargingScheme.weibull(1, 50), 0.0) == pytest.approx(0.02, rel=1e-12)
+        assert ChargingScheme.weibull(1, 50).pdf(0.0) == pytest.approx(0.02, rel=1e-12)
         expected = (2 / 50) * math.exp(-1)
-        assert charging_pdf(ChargingScheme.weibull(2, 50), 50.0) == pytest.approx(expected, rel=1e-12)
+        assert ChargingScheme.weibull(2, 50).pdf(50.0) == pytest.approx(expected, rel=1e-12)
 
     def test_pdf_normalization_random_params(self):
         rng = np.random.default_rng(42)
@@ -116,13 +114,13 @@ class TestChargingScheme:
             assert abs(total - 1.0) < 1e-9
 
     def test_means(self):
-        assert mean_charging_time(ChargingScheme.uniform(0, 100)) == pytest.approx(50.0)
-        assert mean_charging_time(ChargingScheme.weibull(1, 50)) == pytest.approx(50.0)
+        assert ChargingScheme.uniform(0, 100).mean() == pytest.approx(50.0)
+        assert ChargingScheme.weibull(1, 50).mean() == pytest.approx(50.0)
         # Gamma(1.5) cross-checked by direct quadrature of x * pdf
         s = ChargingScheme.weibull(2, 1)
         oracle, _ = integrate.quad(lambda x: x * s.pdf(x), 0, np.inf)
-        assert mean_charging_time(s) == pytest.approx(math.gamma(1.5), rel=1e-12)
-        assert mean_charging_time(s) == pytest.approx(oracle, rel=1e-9)
+        assert s.mean() == pytest.approx(math.gamma(1.5), rel=1e-12)
+        assert s.mean() == pytest.approx(oracle, rel=1e-9)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
