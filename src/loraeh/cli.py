@@ -22,7 +22,7 @@ import numpy as np
 
 from . import act as act_mod
 from . import markov
-from .capacitor import CycleConstants, build_model, simulate_trajectory
+from .capacitor import CapacitorModel, build_model, simulate_trajectory
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError, StatisticsError
 from .geometry import coverage_profile, sample_network
@@ -60,7 +60,7 @@ def _column_text(values: np.ndarray) -> list[str]:
     return list(map(_cell_text, values))
 
 
-def _write_csv(path: str, columns: dict) -> str:
+def _write_csv(path: str, columns: dict) -> None:
     """Write {header: column} as CSV; columns are equal-length arrays or sequences."""
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0]) if arrays else 0
@@ -71,7 +71,6 @@ def _write_csv(path: str, columns: dict) -> str:
         writer.writerow(columns)
         for lo in range(0, n_rows, _BLOCK_ROWS):
             writer.writerows(zip(*(_column_text(a[lo : lo + _BLOCK_ROWS]) for a in arrays)))
-    return path
 
 
 def _tool_version() -> str:
@@ -81,19 +80,18 @@ def _tool_version() -> str:
         return "unknown"
 
 
-def _write_manifest(out_dir: str, subcommand: str, args: argparse.Namespace, run: RunConfig, outputs: list[str]):
+def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]):
     manifest = {
         "tool": "loraeh",
         "version": _tool_version(),
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "seed": args.seed,
         "config": run.raw,
         "mode": run.mode,
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": outputs,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -101,12 +99,14 @@ def _write_manifest(out_dir: str, subcommand: str, args: argparse.Namespace, run
 def _load(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
+    if getattr(args, "points_per_ring", 1) < 1:
+        raise ConfigError(f"--points-per-ring must be at least 1, got {args.points_per_ring}")
     path = args.config or os.environ.get(ENV_CONFIG) or None
     overrides = {}
     if args.mode:
         overrides["capacitor.mode"] = args.mode
     if args.scheme:
-        overrides["scheme.kind"] = {"ud": "uniform", "wd": "weibull"}[args.scheme]
+        overrides["scheme.kind"] = args.scheme  # load_config reads ud/wd as uniform/weibull
     return load_config(path, overrides)
 
 
@@ -115,39 +115,37 @@ def _scheme_pair(run: RunConfig):
     return [("ud", run.scheme_by_kind("uniform")), ("wd", run.scheme_by_kind("weibull"))]
 
 
-def cmd_capacitor_trace(args) -> int:
-    run = _load(args)
-    model = build_model(run.phy, run.mode)
-    ring = args.ring - 1
-    airtime = SF_TABLE[ring].airtime_s
-    outputs = []
+# Each cmd_* computes its subcommand's outputs as {csv name: {header: column}},
+# in the order the manifest lists them; main writes them.
+
+
+def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:
+    airtime = SF_TABLE[args.ring - 1].airtime_s
+    tables = {}
     for label, scheme in _scheme_pair(run):
         traj = simulate_trajectory(
             run.v_initial, scheme, airtime, args.cycles, model, seed=args.seed, samples_per_phase=args.samples_per_phase
         )
-        columns = {"time_s": traj.times, "voltage_V": traj.voltages, "phase": traj.phases, "cycle_index": traj.cycle_index}
-        outputs.append(_write_csv(os.path.join(args.out, f"trace_{label}.csv"), columns))
-    _write_manifest(args.out, "capacitor-trace", args, run, outputs)
-    return 0
+        tables[f"trace_{label}.csv"] = {
+            "time_s": traj.times,
+            "voltage_V": traj.voltages,
+            "phase": traj.phases,
+            "cycle_index": traj.cycle_index,
+        }
+    return tables
 
 
-def cmd_steady_state(args) -> int:
-    run = _load(args)
+def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
     if args.bins < 100:
         print(f"warning: {args.bins} bins is a coarse voltage grid; expect visible discretization", file=sys.stderr)
-    model = build_model(run.phy, run.mode)
-    ring = args.ring - 1
-    airtime = SF_TABLE[ring].airtime_s
-    outputs = []
+    airtime = SF_TABLE[args.ring - 1].airtime_s
+    tables = {}
     summary = {"scheme": [], "bins": [], "mean_V": [], "std_V": [], "outage": []}
     conv = {"scheme": [], "bins": [], "outage": []}
     for label, scheme in _scheme_pair(run):
         sd = markov.steady_state(scheme, airtime, model, n_bins=args.bins)
         centers, dens = markov.stationary_pdf(sd)
-        cdf = np.cumsum(sd.probabilities)
-        outputs.append(
-            _write_csv(os.path.join(args.out, f"steady_{label}.csv"), {"voltage_V": centers, "pdf": dens, "cdf": cdf})
-        )
+        tables[f"steady_{label}.csv"] = {"voltage_V": centers, "pdf": dens, "cdf": np.cumsum(sd.probabilities)}
         outage = sd.outage(run.phy.v_operating)
         for column, value in zip(summary.values(), (label, args.bins, sd.mean(), sd.std(), outage)):
             column.append(value)
@@ -156,29 +154,22 @@ def cmd_steady_state(args) -> int:
         conv["bins"] += [args.bins, 2 * args.bins]
         conv["outage"] += [outage, sd2.outage(run.phy.v_operating)]
         print(f"{label}: energy outage at {run.phy.v_operating} V = {outage * 100:.2f}%")
-    outputs.append(_write_csv(os.path.join(args.out, "outage_summary.csv"), summary))
-    outputs.append(_write_csv(os.path.join(args.out, "convergence.csv"), conv))
-    _write_manifest(args.out, "steady-state", args, run, outputs)
-    return 0
+    tables["outage_summary.csv"] = summary
+    tables["convergence.csv"] = conv
+    return tables
 
 
-def cmd_outage_sweep(args) -> int:
-    run = _load(args)
-    model = build_model(run.phy, run.mode)
+def cmd_outage_sweep(args, run: RunConfig, model: CapacitorModel) -> dict:
     columns = {"sf": _SFS, "airtime_s": AIRTIMES_S}
     for label, scheme in _scheme_pair(run):
         columns[f"outage_{label}"] = [
             markov.steady_state(scheme, e.airtime_s, model, n_bins=args.bins).outage(run.phy.v_operating)
             for e in SF_TABLE
         ]
-    out = _write_csv(os.path.join(args.out, "outage_sweep.csv"), columns)
-    _write_manifest(args.out, "outage-sweep", args, run, [out])
-    return 0
+    return {"outage_sweep.csv": columns}
 
 
-def cmd_coverage(args) -> int:
-    run = _load(args)
-    model = build_model(run.phy, run.mode)
+def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
     avail = np.empty(N_RINGS)
     for r, entry in enumerate(SF_TABLE):
         sd = markov.steady_state(run.scheme, entry.airtime_s, model, n_bins=args.bins)
@@ -199,47 +190,40 @@ def cmd_coverage(args) -> int:
         "energy_avail": profile.energy_avail,
         "overall_Q": profile.overall,
     }
-    out = _write_csv(os.path.join(args.out, "coverage.csv"), columns)
-    _write_manifest(args.out, "coverage", args, run, [out])
-    return 0
+    return {"coverage.csv": columns}
 
 
-def cmd_act_plan(args) -> int:
-    run = _load(args)
-    dist_kind = {"ud": "uniform", "wd": "weibull"}[args.scheme or ("ud" if run.scheme.kind == "uniform" else "wd")]
+def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
     if args.act == "cdc":
-        plan = act_mod.plan_cdc(args.theta, dist_kind, run.phy, mode=run.mode, n_bins=args.bins)
+        plan = act_mod.plan_cdc(args.theta, run.scheme.kind, run.phy, mode=run.mode, n_bins=args.bins)
     else:
-        plan = act_mod.plan_cve(args.vartheta, dist_kind, run.phy, mode=run.mode, n_bins=args.bins)
-    params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
-    columns = {
-        "sf": _SFS,
-        "dist_kind": [s.kind for s in plan.schemes],
-        "param_a_or_k": [p for p, _ in params],
-        "param_b_or_w": [p for _, p in params],
-        "mean_nu_s": plan.mean_nu,
-        "duty_cycle": plan.duty_simple,
-        "predicted_mean_V": plan.predicted_mean_v,
-        "predicted_outage": plan.predicted_outage,
-    }
-    outputs = [_write_csv(os.path.join(args.out, "act_plan.csv"), columns)]
-    pdfs = [markov.stationary_pdf(sd) for sd in plan.stationary]
-    keep = [dens > 0 for _, dens in pdfs]
-    columns = {
-        "sf": np.repeat(_SFS, [k.sum() for k in keep]),
-        "voltage_V": np.concatenate([c[k] for (c, _), k in zip(pdfs, keep)]),
-        "pdf": np.concatenate([d[k] for (_, d), k in zip(pdfs, keep)]),
-    }
-    outputs.append(_write_csv(os.path.join(args.out, "act_pdfs.csv"), columns))
-    _write_manifest(args.out, "act-plan", args, run, outputs)
+        plan = act_mod.plan_cve(args.vartheta, run.scheme.kind, run.phy, mode=run.mode, n_bins=args.bins)
     if not plan.etsi_ok.all():
         bad = [SF_TABLE[r].sf for r in range(N_RINGS) if not plan.etsi_ok[r]]
         print(f"warning: duty cycle above the 1% ETSI cap for SF {bad}", file=sys.stderr)
-    return 0
+    params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
+    pdfs = [markov.stationary_pdf(sd) for sd in plan.stationary]
+    keep = [dens > 0 for _, dens in pdfs]
+    return {
+        "act_plan.csv": {
+            "sf": _SFS,
+            "dist_kind": [s.kind for s in plan.schemes],
+            "param_a_or_k": [p for p, _ in params],
+            "param_b_or_w": [p for _, p in params],
+            "mean_nu_s": plan.mean_nu,
+            "duty_cycle": plan.duty_simple,
+            "predicted_mean_V": plan.predicted_mean_v,
+            "predicted_outage": plan.predicted_outage,
+        },
+        "act_pdfs.csv": {
+            "sf": np.repeat(_SFS, [k.sum() for k in keep]),
+            "voltage_V": np.concatenate([c[k] for (c, _), k in zip(pdfs, keep)]),
+            "pdf": np.concatenate([d[k] for (_, d), k in zip(pdfs, keep)]),
+        },
+    }
 
 
-def cmd_simulate(args) -> int:
-    run = _load(args)
+def cmd_simulate(args, run: RunConfig, model: CapacitorModel) -> dict:
     net = sample_network(run.phy, seed=args.seed, n_devices=args.devices)
     report = run_simulation(
         net,
@@ -251,23 +235,24 @@ def cmd_simulate(args) -> int:
         overlap=args.overlap,
         warmup=args.warmup,
     )
-    columns = {
-        "ring": np.arange(1, N_RINGS + 1),
-        "attempts": report.attempts,
-        "energy_skips": report.energy_skips,
-        "energy_aborts": report.energy_aborts,
-        "snr_fails": report.snr_fails,
-        "sir_fails": report.sir_fails,
-        "successes": report.successes,
-        "E_hat": report.energy_avail,
-        "C_hat": report.conn_rate,
-        "Q_hat": report.overall_rate,
-        "ci_half_width": report.ci_half_width,
+    tables = {
+        "sim_report.csv": {
+            "ring": np.arange(1, N_RINGS + 1),
+            "attempts": report.attempts,
+            "energy_skips": report.energy_skips,
+            "energy_aborts": report.energy_aborts,
+            "snr_fails": report.snr_fails,
+            "sir_fails": report.sir_fails,
+            "successes": report.successes,
+            "E_hat": report.energy_avail,
+            "C_hat": report.conn_rate,
+            "Q_hat": report.overall_rate,
+            "ci_half_width": report.ci_half_width,
+        }
     }
-    outputs = [_write_csv(os.path.join(args.out, "sim_report.csv"), columns)]
     if args.per_device:
         dv = report.devices
-        columns = {
+        tables["sim_devices.csv"] = {
             "device": np.arange(dv.ring.size),
             "ring": dv.ring + 1,
             "distance_km": dv.distance / 1e3,
@@ -279,9 +264,7 @@ def cmd_simulate(args) -> int:
             "sir_fails": dv.sir_fails,
             "successes": dv.successes,
         }
-        outputs.append(_write_csv(os.path.join(args.out, "sim_devices.csv"), columns))
-    _write_manifest(args.out, "simulate", args, run, outputs)
-    return 0
+    return tables
 
 
 @functools.cache
@@ -294,25 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")
     common.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
+    bins = argparse.ArgumentParser(add_help=False)
+    bins.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--ring", type=int, default=4, choices=range(1, 7), help="SF ring for the airtime")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacitor-trace", parents=[common], help="voltage trajectory CSVs for both schemes")
+    p = sub.add_parser("capacitor-trace", parents=[common, ring], help="voltage trajectory CSVs for both schemes")
     p.add_argument("--cycles", type=int, default=100)
-    p.add_argument("--ring", type=int, default=4, choices=range(1, 7), help="SF ring for the airtime")
     p.add_argument("--samples-per-phase", type=int, default=20)
     p.set_defaults(func=cmd_capacitor_trace)
 
-    p = sub.add_parser("steady-state", parents=[common], help="stationary voltage pdf/cdf and outage")
-    p.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
-    p.add_argument("--ring", type=int, default=4, choices=range(1, 7))
+    p = sub.add_parser("steady-state", parents=[common, bins, ring], help="stationary voltage pdf/cdf and outage")
     p.set_defaults(func=cmd_steady_state)
 
-    p = sub.add_parser("outage-sweep", parents=[common], help="energy outage per spreading factor")
-    p.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
+    p = sub.add_parser("outage-sweep", parents=[common, bins], help="energy outage per spreading factor")
     p.set_defaults(func=cmd_outage_sweep)
 
-    p = sub.add_parser("coverage", parents=[common], help="distance-resolved uplink success columns")
-    p.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
+    p = sub.add_parser("coverage", parents=[common, bins], help="distance-resolved uplink success columns")
     p.add_argument("--points-per-ring", type=int, default=40)
     p.add_argument(
         "--collision-variant",
@@ -322,11 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("act-plan", parents=[common], help="adaptive charging-time plan per SF")
+    p = sub.add_parser("act-plan", parents=[common, bins], help="adaptive charging-time plan per SF")
     p.add_argument("--act", choices=["cdc", "cve"], required=True)
     p.add_argument("--theta", type=float, default=150.0, help="duty multiplier for cdc")
     p.add_argument("--vartheta", type=float, default=1.0, help="mean-voltage multiplier for cve")
-    p.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
     p.set_defaults(func=cmd_act_plan)
 
     p = sub.add_parser("simulate", parents=[common], help="event-driven network simulation report")
@@ -343,7 +324,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        run = _load(args)
+        tables = args.func(args, run, build_model(run.phy, run.mode))
+        for name, columns in tables.items():
+            _write_csv(os.path.join(args.out, name), columns)
+        _write_manifest(args, run, list(tables))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, sparse
 
-from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
+from .capacitor import CapacitorModel, CycleConstants
 from .errors import NumericalError
 from .phy import ChargingScheme
 
@@ -216,68 +216,31 @@ class StationaryDistribution:
         return min(max(total + float(u[k]) * frac, 0.0), 1.0)
 
 
-def stationary_distribution(
-    tm: TransitionMatrix,
-    method: str = "auto",
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    start: np.ndarray | None = None,
-) -> StationaryDistribution:
+def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100000) -> StationaryDistribution:
     """Left fixed point u = u S of the row-stochastic matrix, L1-normalized.
 
-    Power iteration by default, as products with the CSR transpose built
-    once; dense eigen-solve for small matrices. The start vector excludes
-    self-loop rows so unreachable padding states carry no stationary mass;
-    `start` overrides it (restricted to reachable states). tm.matrix may also
-    be a dense array.
+    Power iteration as products with the CSR transpose built once, started
+    from the uniform law on the live states so that unreachable self-loop
+    padding states carry no stationary mass. tm.matrix may also be a dense
+    array.
     """
-    mat = sparse.csr_array(tm.matrix)
-    n = tm.n_bins
-    live = ~tm.self_loops
-    if method == "auto":
-        method = "eig" if n <= 512 else "power"
-    if method == "eig":
-        mat = mat.toarray()
-        vals, vecs = np.linalg.eig(mat.T)
-        candidates = np.flatnonzero(np.abs(vals - 1.0) < 1e-6)
-        best = None
-        for idx in candidates:
-            u = np.real(vecs[:, idx])
-            u = np.abs(u)
-            if u[live].sum() <= 0:
-                continue
-            u = np.where(live, u, 0.0)
-            u /= u.sum()
-            res = np.abs(u @ mat - u).max()
-            if best is None or res < best[0]:
-                best = (res, u)
-        if best is None or best[0] > tol:
-            raise NumericalError("eigen-solve found no stationary vector on reachable states")
-        u = best[1]
-    elif method == "power":
-        mat_t = mat.T.tocsr()
-        if start is None:
-            u = np.where(live, 1.0, 0.0)
-        else:
-            u = np.where(live, np.abs(np.asarray(start, dtype=float)), 0.0)
-        if u.sum() <= 0:
-            raise NumericalError("start vector has no mass on reachable states")
-        u /= u.sum()
-        res = math.inf
-        for _ in range(max_iter):
-            nxt = mat_t @ u
-            s = nxt.sum()
-            if s <= 0:
-                raise NumericalError("power iteration collapsed to zero mass")
-            nxt /= s
-            res = np.abs(nxt - u).max()
-            u = nxt
-            if res < tol * 1e-2:
-                break
-        if np.abs(mat_t @ u - u).max() > tol:
-            raise NumericalError(f"power iteration did not reach residual {tol}")
-    else:
-        raise ValueError(f"unknown stationary method {method!r}")
+    if tm.self_loops.all():
+        raise NumericalError("no live state to start power iteration from")
+    mat_t = sparse.csr_array(tm.matrix).T.tocsr()
+    u = np.where(tm.self_loops, 0.0, 1.0)
+    u /= u.sum()
+    for _ in range(max_iter):
+        nxt = mat_t @ u
+        s = nxt.sum()
+        if s <= 0:
+            raise NumericalError("power iteration collapsed to zero mass")
+        nxt /= s
+        res = np.abs(nxt - u).max()
+        u = nxt
+        if res < tol * 1e-2:
+            break
+    if np.abs(mat_t @ u - u).max() > tol:
+        raise NumericalError(f"power iteration did not reach residual {tol}")
     u = np.maximum(u, 0.0)
     u /= u.sum()
     return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
@@ -289,21 +252,9 @@ def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
 
 
 def steady_state(
-    scheme: ChargingScheme,
-    airtime: float,
-    m: CapacitorModel,
-    n_bins: int = DEFAULT_BINS,
-    variant: str = "density",
-    method: str = "auto",
+    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> StationaryDistribution:
     """Full pipeline: decay law -> transition matrix -> stationary distribution."""
     dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
     cc = CycleConstants.from_model(m, airtime)
-    tm = build_transition_matrix(dist, cc, m, n_bins=n_bins, variant=variant)
-    return stationary_distribution(tm, method=method)
-
-
-def mean_voltage_estimate(scheme: ChargingScheme, cc: CycleConstants, m: CapacitorModel) -> float:
-    """Closed-form stationary mean from the one-cycle affine map."""
-    dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
-    return estimate_mean_voltage(cc, dist.mean())
+    return stationary_distribution(build_transition_matrix(dist, cc, m, n_bins=n_bins))

@@ -66,7 +66,7 @@ class SimReport:
     overall_rate: np.ndarray  # successes / cycles
     ci_half_width: np.ndarray  # 95% binomial half-width on overall_rate
     duty_mean: np.ndarray  # mean of airtime/(nu+airtime) over cycles
-    devices: DeviceStats | None = None
+    devices: DeviceStats
     traces: list | None = field(default=None, repr=False)
 
 
@@ -196,7 +196,6 @@ def run_simulation(
     mode: str = "thevenin",
     overlap: str = "full",
     warmup: float | None = None,
-    collect_devices: bool = True,
     collect_traces: bool = False,
 ) -> SimReport:
     """Simulate the sampled network for `duration` seconds of model time.
@@ -294,21 +293,6 @@ def run_simulation(
     q_hat = _ratio(r_succ, r_cycles)
     ci = 1.96 * np.sqrt(_ratio(q_hat * (1.0 - q_hat), r_cycles))
 
-    devices = None
-    if collect_devices:
-        devices = DeviceStats(
-            ring=rings.copy(),
-            distance=net.distances.copy(),
-            cycles=cycles,
-            energy_skips=skips,
-            energy_aborts=aborts,
-            attempts=attempts_dev,
-            snr_fails=snrf_dev,
-            sir_fails=sirf_dev,
-            successes=succ_dev,
-            duty_sum=duty_sum,
-        )
-
     return SimReport(
         duration=duration,
         warmup=warmup,
@@ -328,7 +312,18 @@ def run_simulation(
         overall_rate=q_hat,
         ci_half_width=ci,
         duty_mean=_ratio(r_duty, r_cycles),
-        devices=devices,
+        devices=DeviceStats(
+            ring=rings.copy(),
+            distance=net.distances.copy(),
+            cycles=cycles,
+            energy_skips=skips,
+            energy_aborts=aborts,
+            attempts=attempts_dev,
+            snr_fails=snrf_dev,
+            sir_fails=sirf_dev,
+            successes=succ_dev,
+            duty_sum=duty_sum,
+        ),
         traces=traces if collect_traces else None,
     )
 

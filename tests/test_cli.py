@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import loraeh
+from loraeh import markov
 from loraeh.capacitor import build_model, cycle_voltages
 from loraeh.cli import build_parser, main
+from loraeh.errors import NumericalError
 from loraeh.phy import ChargingScheme
 
 
@@ -207,10 +209,31 @@ class TestExitCodes:
         ],
         ids=lambda a: " ".join(map(str, a)),
     )
-    def test_bad_grid_sizes(self, tmp_path, capsys, args):
+    def test_bad_grid_sizes(self, tmp_path, capsys, monkeypatch, args):
+        solves = []
+        solve = markov.steady_state
+        monkeypatch.setattr(markov, "steady_state", lambda *a, **kw: solves.append(a) or solve(*a, **kw))
         assert run(args + ["--out", tmp_path / "g"]) == 1
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "g").glob("*.csv"))
+        assert not solves  # rejected before any chain is solved
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # the Weibull solve fails after the uniform one succeeded: no CSV and no manifest
+        solve = markov.steady_state
+        calls = []
+
+        def second_fails(*a, **kw):
+            calls.append(a)
+            if len(calls) == 2:
+                raise NumericalError("power iteration did not reach residual")
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(markov, "steady_state", second_fails)
+        out = tmp_path / "f"
+        assert run(["steady-state", "--bins", 100, "--out", out]) == 2
+        assert "numerical error" in capsys.readouterr().err
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "ini, command",

@@ -23,12 +23,21 @@ from loraeh.markov import DecayFactorDistribution, build_transition_matrix, stat
 from loraeh.phy import ChargingScheme
 
 BINS = 1000
+COARSE_BINS = 300  # a coarse grid goes through the same builder and power iteration
 AIRTIMES = (0.0366, 0.204, 0.682)  # SF7, SF10, SF12
 SCHEMES = {
     "uniform": ChargingScheme.uniform(0.0, 100.0),
     "weibull-0.5": ChargingScheme.weibull(0.5, 50.0),
     "weibull-2": ChargingScheme.weibull(2.0, 50.0),
 }
+# (scheme, capacitance, airtime, bins); the coarse-grid ids end in "-300"
+DENSE_CASES = [
+    pytest.param(scheme, c, airtime, n, id=f"{scheme}-{c}-{airtime}" + ("" if n == BINS else f"-{n}"))
+    for n in (BINS, COARSE_BINS)
+    for scheme in SCHEMES
+    for c in (0.01, 0.04)
+    for airtime in AIRTIMES
+]
 
 # CLI arguments -> {csv name: sha256}, default configuration
 GOLDEN = {
@@ -88,20 +97,18 @@ def reference_power_iteration(mat, self_loops, tol=1e-10, max_iter=100000):
     return u / u.sum()
 
 
-@pytest.mark.parametrize("airtime", AIRTIMES)
-@pytest.mark.parametrize("capacitance", (0.01, 0.04))
-@pytest.mark.parametrize("scheme", SCHEMES, ids=str)
-def test_matches_dense_reference(fig2, scheme, capacitance, airtime):
+@pytest.mark.parametrize("scheme, capacitance, airtime, n_bins", DENSE_CASES)
+def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
     dist = DecayFactorDistribution(scheme=SCHEMES[scheme], tau_charge=m.tau_off)
     cc = CycleConstants.from_model(m, airtime)
-    dense, self_loops = reference_transition_matrix(dist, cc, m, BINS)
-    tm = build_transition_matrix(dist, cc, m, n_bins=BINS)
+    dense, self_loops = reference_transition_matrix(dist, cc, m, n_bins)
+    tm = build_transition_matrix(dist, cc, m, n_bins=n_bins)
     got = tm.matrix.toarray()
     assert np.array_equal(got != 0.0, dense != 0.0)
     assert np.array_equal(tm.self_loops, self_loops)
     assert np.abs(got - dense).max() <= 1e-15
-    sd = stationary_distribution(tm, method="power")
+    sd = stationary_distribution(tm)
     ref = reference_power_iteration(dense, self_loops)
     assert 0.5 * np.abs(sd.probabilities - ref).sum() <= 1e-14
 

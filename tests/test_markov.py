@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from loraeh.capacitor import CycleConstants, build_model, cycle_voltages
+from loraeh.capacitor import CycleConstants, build_model, cycle_voltages, estimate_mean_voltage
 from loraeh.errors import NumericalError
 from loraeh.markov import (
     DecayFactorDistribution,
     StationaryDistribution,
     TransitionMatrix,
     build_transition_matrix,
-    mean_voltage_estimate,
     stationary_distribution,
     stationary_pdf,
     steady_state,
@@ -101,35 +100,15 @@ class TestTransitionMatrix:
 class TestStationary:
     def test_identity_matrix_convention(self):
         tm = TransitionMatrix(matrix=np.eye(3), bin_edges=np.linspace(0, 1, 4), self_loops=np.zeros(3, bool))
-        sd = stationary_distribution(tm, method="power")
+        sd = stationary_distribution(tm)
         assert np.allclose(sd.probabilities, [1 / 3] * 3)
 
     def test_two_state_symmetric(self):
         tm = TransitionMatrix(
             matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3), self_loops=np.zeros(2, bool)
         )
-        for method in ("power", "eig"):
-            sd = stationary_distribution(tm, method=method)
-            assert np.allclose(sd.probabilities, [0.5, 0.5], atol=1e-12)
-
-    def test_power_matches_eig(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=400)
-        a = stationary_distribution(tm, method="power")
-        b = stationary_distribution(tm, method="eig")
-        assert 0.5 * np.abs(a.probabilities - b.probabilities).sum() < 1e-9
-
-    def test_start_vector_independence(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=600)
-        rng = np.random.default_rng(4)
-        base = stationary_distribution(tm, method="power")
-        for _ in range(3):
-            other = stationary_distribution(tm, method="power", start=rng.uniform(0.1, 1.0, 600))
-            tv = 0.5 * np.abs(base.probabilities - other.probabilities).sum()
-            assert tv < 1e-9
+        sd = stationary_distribution(tm)
+        assert np.allclose(sd.probabilities, [0.5, 0.5], atol=1e-12)
 
     def test_residual_contract(self, ud, model, steady_cache):
         sd = steady_cache("ud", 0.204)
@@ -144,7 +123,7 @@ class TestStationary:
         mat /= mat.sum(axis=1, keepdims=True)
         tm = TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 9), self_loops=np.zeros(8, bool))
         with pytest.raises(NumericalError):
-            stationary_distribution(tm, method="power", max_iter=1, tol=1e-16)
+            stationary_distribution(tm, max_iter=1, tol=1e-16)
 
 
 class TestOutage:
@@ -224,5 +203,5 @@ class TestMeanConsistency:
         for label, scheme in (("ud", ud), ("wd", wd)):
             sd = steady_cache(label, 0.204)
             cc = CycleConstants.from_model(model, 0.204)
-            est = mean_voltage_estimate(scheme, cc, model)
+            est = estimate_mean_voltage(cc, DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off).mean())
             assert abs(sd.mean() - est) / est < 0.03
