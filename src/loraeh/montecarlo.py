@@ -26,6 +26,7 @@ from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
 _CHUNK = 2048  # charging-time draws per device stream and refill
 _BLOCK = 256  # cycles stepped per (block x device) array; divides _CHUNK
+_WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,9 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     """Charge/transmit cycles of every device until its clock passes `duration`.
 
     Returns the per-device counters (cycles, skips, aborts, completed, duty
-    sum), the completed-packet records (device, start, counted) in
-    cycle-major then ascending-device order, and the voltage traces.
+    sum), the completed-packet records (device, start, counted, rank) in
+    cycle-major then ascending-device order, where rank numbers each device's
+    packets from 0 in start order, and the voltage traces.
     """
     n = v0.size
     retention = np.exp(-airtimes / m.tau_on)
@@ -104,7 +106,8 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     aborts = np.zeros(n, dtype=np.int64)
     completed = np.zeros(n, dtype=np.int64)
     duty_sum = np.zeros(n)
-    rec_dev, rec_start, rec_counted = [], [], []
+    rec_dev, rec_start, rec_counted, rec_rank = [], [], [], []
+    sent = np.zeros(n, dtype=np.int32)  # completed packets so far, counted or not
     traces = [[] for _ in range(n)] if collect_traces else None
 
     # Draws come a chunk at a time (device-major), cycles are stepped a block
@@ -172,19 +175,86 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         duty_sum = duty[-1].copy()
         # every completed packet interferes, counted or not
         flat = np.flatnonzero(done)
-        rec_dev.append((flat % n).astype(np.int32))
+        block_dev = (flat % n).astype(np.int32)
+        rec_dev.append(block_dev)
         rec_start.append(start.ravel()[flat])
         rec_counted.append(counted.ravel()[flat])
+        within = np.cumsum(done, axis=0, dtype=np.int16)  # at most _BLOCK
+        rec_rank.append(sent[block_dev] + within.ravel()[flat] - 1)
+        sent += within[-1]
         if collect_traces:
             for d in range(n):
                 traces[d].append(v_hist[1 : steps + 1, d][active[:, d]])
         v_hist[0] = v_hist[steps]
         t_hist[0] = t_hist[steps]
 
-    records = (np.concatenate(rec_dev), np.concatenate(rec_start), np.concatenate(rec_counted))
+    records = []
+    for parts in (rec_dev, rec_start, rec_counted, rec_rank):
+        records.append(np.concatenate(parts))
+        parts.clear()  # one list's blocks at a time live next to the joined records
     if collect_traces:
         traces = [np.concatenate(tr) for tr in traces]
     return (cycles, skips, aborts, completed, duty_sum), records, traces
+
+
+def _stable_order(x):
+    """(np.argsort(x, kind="stable"), x in that order), from the default sort.
+
+    The default sort (SIMD quicksort where the CPU has it) is several times
+    faster than the stable one, but may put equal keys out of index order.
+    Equal keys end up adjacent, so each run of them is put back in ascending
+    index order: with run numbers g, the keys g * n + index are unique and
+    sort the runs in place.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    tie = xs[1:] == xs[:-1]
+    if tie.any():
+        in_run = np.zeros(x.size, dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        pos = np.flatnonzero(in_run)
+        base = np.concatenate(([0], np.cumsum(~tie)))[pos] * x.size
+        order[pos] = np.sort(base + order[pos]) - base
+    return order, xs
+
+
+def _window_edge(s, a, side):
+    """np.searchsorted(s, a, side) for sorted s and a, found near each row's index.
+
+    Both arrays are non-decreasing and the answer for a[i] usually lies a few
+    records from i, so each row walks from its own index, one shifted-slice
+    comparison per step, for up to _WALK steps; the rows still moving after
+    that are binary-searched.
+    """
+    n = s.size
+    if not n:
+        return np.arange(0)
+    past = np.greater if side == "right" else np.greater_equal  # s[j] lies past a[i]
+    before = np.less_equal if side == "right" else np.less  # not past
+    shift = np.zeros(n, dtype=np.int8)  # |shift| <= _WALK; int8 keeps the passes short
+    go_down, go_up = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    down = up = True
+    for k in range(1, min(_WALK, n) + 1):
+        if down:  # rows i >= k whose edge is at or below i - k
+            moved = past(s[: n - k], a[k:], out=go_down[k:])
+            shift[k:] -= moved
+            down = moved.any()
+        if up:  # rows i < n - k + 1 whose edge is above i + k - 1
+            moved = before(s[k - 1 :], a[: n - k + 1], out=go_up[: n - k + 1])
+            shift[: n - k + 1] += moved
+            up = moved.any()
+    edge = np.arange(n)
+    edge += shift
+    del shift
+
+    if down:
+        rows = np.flatnonzero(go_down[k:]) + k
+        edge[rows] = np.searchsorted(s, a[rows], side)
+    if up:
+        rows = np.flatnonzero(go_up[: n - k + 1])
+        edge[rows] = np.searchsorted(s, a[rows], side)
+    return edge
 
 
 def run_simulation(
@@ -213,6 +283,8 @@ def run_simulation(
         warmup = min(100.0 * scheme.mean(), 0.5 * duration)
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ConfigError(f"warm-up must be finite and non-negative, got {warmup}")
+    if warmup >= duration:
+        raise ConfigError(f"warm-up {warmup} must be shorter than the duration {duration}")
     n = net.n_devices
     m = build_model(cfg, mode)
     rings = net.ring.astype(int)
@@ -227,54 +299,56 @@ def run_simulation(
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens]) if n else np.empty(0)
     if n:
-        counters, (dev, start, counted), traces = _energy_phase(
+        counters, (dev, start, counted, rank), traces = _energy_phase(
             nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
         )
     else:
         counters = (np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)
-        dev, start, counted = np.empty(0, dtype=np.int32), np.empty(0), np.empty(0, dtype=bool)
+        dev, rank = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        start, counted = np.empty(0), np.empty(0, dtype=bool)
         traces = []
     cycles, skips, aborts, completed_counted, duty_sum = counters
 
-    # fading draws in per-device packet order; a device's records already come
-    # in increasing start time, so a stable sort by device gives that order
-    h2 = np.empty(dev.size)
-    h2[np.argsort(dev, kind="stable")] = np.concatenate(
-        [np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, np.bincount(dev, minlength=n))]
-    )
+    # Fading draws in per-device packet order: device d's draws start at its
+    # offset in `draws`, and its packet of rank r takes the r-th of them. The
+    # received power and the SNR test are per record, in record order.
+    sent = np.bincount(dev, minlength=n)
+    draws = np.concatenate([np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, sent)])
+    rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
+    h2 = draws[rank]
+    del draws, rank
+    ok_snr = h2 >= (cfg.noise * SNR_THRESHOLDS[rings] / (cfg.p_tx * gains))[dev]
+    pw = np.multiply(h2, cfg.p_tx, out=h2)  # h2 is not needed again
+    pw *= gains[dev]
 
-    succ_dev = np.zeros(n, dtype=np.int64)
-    snrf_dev = np.zeros(n, dtype=np.int64)
+    # SIR test ring by ring, in start order; each packet's window is (s - tau, s + tau)
+    ok_sir = np.zeros(dev.size, dtype=bool)
     rec_ring = rings.astype(np.int8)[dev]
     for ring in range(N_RINGS):
         idx = np.flatnonzero(rec_ring == ring)
         if not idx.size:
             continue
-        sub = idx[np.argsort(start[idx], kind="stable")]
-        s = start[sub]
-        dev_sub = dev[sub]
-        h_sub = h2[sub]
-        g_sub = gains[dev_sub]
-        pw = cfg.p_tx * h_sub * g_sub
+        order, s = _stable_order(start[idx])
+        sub = idx[order]
+        del idx, order
+        p = pw[sub]
         tau = AIRTIMES_S[ring]
-        lo = np.searchsorted(s, s - tau, side="right")
-        hi = np.searchsorted(s, s + tau, side="left")
-        cp = np.concatenate([[0.0], np.cumsum(pw)])
+        lo = _window_edge(s, s - tau, "right")
+        hi = _window_edge(s, s + tau, "left")
+        cp = np.concatenate([[0.0], np.cumsum(p)])
         if overlap == "full":
-            interference = cp[hi] - cp[lo] - pw
+            interference = cp[hi] - cp[lo] - p
         else:
-            csp = np.concatenate([[0.0], np.cumsum(pw * s)])
+            csp = np.concatenate([[0.0], np.cumsum(p * s)])
             sum_l = cp[:-1] - cp[lo]
             sum_ls = csp[:-1] - csp[lo]
             sum_r = cp[hi] - cp[1:]
             sum_rs = csp[hi] - csp[1:]
             interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
-        ok_snr = h_sub >= cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * g_sub)
-        ok_sir = pw >= cfg.sir_threshold * interference
-        evaluated = counted[sub]
-        succ_dev += np.bincount(dev_sub[evaluated & ok_snr & ok_sir], minlength=n)
-        snrf_dev += np.bincount(dev_sub[evaluated & ~ok_snr], minlength=n)
+        ok_sir[sub] = p >= cfg.sir_threshold * interference
 
+    succ_dev = np.bincount(dev[counted & ok_snr & ok_sir], minlength=n)
+    snrf_dev = np.bincount(dev[counted & ~ok_snr], minlength=n)
     attempts_dev = completed_counted
     sirf_dev = attempts_dev - succ_dev - snrf_dev
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from loraeh.capacitor import build_model
 from loraeh.config import load_config
 from loraeh.markov import steady_state
+
+# Property tests draw the same examples on every run (derandomized) and have
+# no per-example deadline, so a slow shared box cannot make them flaky; no
+# example database is written.
+settings.register_profile("loraeh", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("loraeh")
 
 
 @pytest.fixture(scope="session")

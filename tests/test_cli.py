@@ -174,6 +174,8 @@ class TestExitCodes:
             ["--warmup", -1],
             ["--warmup", "nan"],
             ["--warmup", "inf"],
+            ["--warmup", 1e3],
+            ["--warmup", 5e3],
         ],
         ids=lambda a: " ".join(map(str, a)),
     )

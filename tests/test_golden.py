@@ -9,6 +9,7 @@ still holds. `python tests/test_golden.py` prints the digests of the current
 code in the layout of GOLDEN.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,7 +19,7 @@ from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.config import load_config
 from loraeh.geometry import NetworkRealization, path_gain, sample_network
-from loraeh.montecarlo import run_simulation
+from loraeh.montecarlo import _WALK, run_simulation
 from loraeh.phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, ring_index
 
 WEIBULL_HALF = "[scheme]\nk = 0.5\n"
@@ -231,7 +232,7 @@ def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name
     assert all(np.array_equal(a, b) for a, b in zip(rep.traces, traces))
-    return start
+    return rep, start
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
@@ -243,8 +244,26 @@ def test_matches_reference_with_tied_starts(fig2, overlap):
     net = NetworkRealization(d, np.zeros(60), rings, AIRTIMES_S[rings], seed=2)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-    start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
+    _, start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
     assert np.unique(start).size < start.size
+
+
+@pytest.mark.parametrize("overlap", ["full", "fractional"])
+def test_matches_reference_with_heavy_overlap(fig2, overlap):
+    """300 devices in one ring, each packet overlapping dozens of others."""
+    ring, n = 3, 300
+    radii = fig2.phy.ring_radii
+    d = np.random.default_rng(2).uniform(radii[ring] + 1.0, radii[ring + 1], n)
+    # a radio drawing a tenth of the default current sends every few seconds;
+    # a low capture threshold keeps both SIR outcomes common
+    cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
+    rings = ring_index(d, cfg)
+    net = NetworkRealization(d, np.zeros(n), rings, AIRTIMES_S[rings], seed=2)
+    rep, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
+    assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
+    s = np.sort(start)
+    window = np.arange(s.size) - np.searchsorted(s, s - AIRTIMES_S[ring], "right")
+    assert np.median(window) > 2 * _WALK  # most windows end past the slice walk
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CASES))

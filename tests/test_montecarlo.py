@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from loraeh.capacitor import build_model
-from loraeh.errors import StatisticsError
+from loraeh.errors import ConfigError, StatisticsError
 from loraeh.geometry import NetworkRealization, sample_network
-from loraeh.montecarlo import empirical_collision_fraction, run_simulation
-from loraeh.phy import AIRTIMES_S, ChargingScheme
+from loraeh.montecarlo import _WALK, _stable_order, _window_edge, empirical_collision_fraction, run_simulation
+from loraeh.phy import AIRTIMES_S, N_RINGS, ChargingScheme
 
 
 def fixed_network(distances):
@@ -80,6 +82,40 @@ class TestAccounting:
         net = fixed_network([])
         rep = run_simulation(net, fig2.phy, ud, duration=1e4, seed=0)
         assert rep.cycles.sum() == 0 and rep.successes.sum() == 0
+
+    @pytest.mark.parametrize("warmup", [1e3, 5e3])
+    def test_warmup_not_below_duration_is_config_error(self, fig2, ud, warmup):
+        # no cycle could be counted: the report would read as total outage
+        with pytest.raises(ConfigError, match="warm-up"):
+            run_simulation(fixed_network([3500.0]), fig2.phy, ud, duration=1e3, seed=0, warmup=warmup)
+
+    @given(
+        n_devices=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+        scheme=st.one_of(
+            st.builds(lambda a, width: ChargingScheme.uniform(a, a + width), st.floats(1.0, 60.0), st.floats(1e-9, 120.0)),
+            st.builds(ChargingScheme.weibull, st.floats(0.4, 3.0), st.floats(1.0, 80.0)),
+        ),
+        overlap=st.sampled_from(["full", "fractional"]),
+        warmup_share=st.floats(0.0, 0.5),
+    )
+    def test_conservation(self, fig2, n_devices, seed, scheme, overlap, warmup_share):
+        duration = 4e3
+        net = sample_network(fig2.phy, seed=seed, n_devices=n_devices)
+        rep = run_simulation(
+            net, fig2.phy, scheme, duration, seed=seed, overlap=overlap, warmup=warmup_share * duration
+        )
+        dv = rep.devices
+        for c in (dv, rep):
+            assert np.array_equal(c.cycles, c.energy_skips + c.energy_aborts + c.attempts)
+            # sir_fails is attempts - successes - snr_fails by construction, so
+            # this identity is checked through sir_fails >= 0 below
+            assert np.array_equal(c.attempts, c.successes + c.snr_fails + c.sir_fails)
+            for name in ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes"):
+                assert np.all(getattr(c, name) >= 0), name
+        for name in ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes"):
+            per_ring = np.bincount(dv.ring, weights=getattr(dv, name), minlength=N_RINGS)
+            assert np.array_equal(per_ring, getattr(rep, name)), name
 
 
 class TestDeterminism:
@@ -187,3 +223,59 @@ class TestCollisionEstimate:
         with pytest.raises(StatisticsError) as exc:
             empirical_collision_fraction(rep)
         assert exc.value.ring == 0
+
+
+@st.composite
+def sorted_starts(draw):
+    """Sorted packet start times: distinct, from a few values, or a few ulps apart."""
+    n = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "ties", "ulps"]))
+    if kind == "distinct":
+        s = rng.uniform(0.0, 100.0, n)
+    elif kind == "ties":
+        s = rng.integers(0, draw(st.integers(1, 40)), n).astype(float)
+    else:  # tau = 1e-12 is below half an ulp of 1e6, so s +- tau == s
+        s = 1e6 + np.spacing(1e6) * rng.integers(0, 5, n)
+    return np.sort(s)
+
+
+TAUS = st.one_of(st.sampled_from([0.0, 1e-12, 1e3]), st.floats(0.0, 150.0))
+
+
+def assert_window_edges(s, tau):
+    for a in (s - tau, s + tau):
+        for side in ("left", "right"):
+            assert np.array_equal(_window_edge(s, a, side), np.searchsorted(s, a, side)), side
+
+
+class TestWindowEdge:
+    """The packet-window walk finds what np.searchsorted finds."""
+
+    @given(s=sorted_starts(), tau=TAUS)
+    @example(s=np.sort(np.random.default_rng(1).uniform(0.0, 100.0, 600)), tau=40.0)  # windows of ~240 records
+    @example(s=np.full(300, 7.0), tau=0.0)  # one run of ties
+    def test_matches_searchsorted(self, s, tau):
+        assert_window_edges(s, tau)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.5, 1e3])
+    def test_tiny_rings(self, n, tau):
+        assert_window_edges(np.arange(n, dtype=float), tau)
+        assert_window_edges(np.full(n, 3.0), tau)
+
+    def test_windows_wider_than_the_slice_walk(self):
+        s = np.sort(np.random.default_rng(2).uniform(0.0, 1e3, 20_000))
+        lo = np.searchsorted(s, s - 30.0, "right")
+        assert np.median(np.arange(s.size) - lo) > 20 * _WALK  # hundreds of records per window
+        assert_window_edges(s, 30.0)
+
+
+class TestStableOrder:
+    @given(n=st.integers(0, 3000), values=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_stable_argsort(self, n, values, seed):
+        x = np.random.default_rng(seed).integers(0, values, n) * 0.25 - 0.5
+        order, xs = _stable_order(x)
+        want = np.argsort(x, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(xs, x[want])
