@@ -7,12 +7,14 @@ following the convention of the reference configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from .capacitor import CapacitorModel, CycleConstants, build_model, estimate_mean_voltage
-from .errors import InfeasibleError, NumericalError
+from .errors import InfeasibleError
 from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import ChargingScheme, N_RINGS, PhyConfig, SF_TABLE, duty_cycle
 
@@ -100,35 +102,16 @@ def plan_cdc(
     return _plan("cdc", dist_kind, theta, schemes, m, cfg, n_bins)
 
 
-def _solve_mean_decay(dist_kind: str, target: float, tau_charge: float, sf: int) -> float:
-    """Bisect the free parameter (uniform b, or exponential w) to hit E[decay].
+def _param_for_mean_decay(dist_kind: str, target: float, tau_charge: float) -> float:
+    """The free parameter (uniform b, or exponential w) whose E[exp(-nu/tau)] is target, in closed form.
 
-    E[decay] is strictly decreasing in the parameter, from 1 at 0+ toward 0.
-    Returns the parameter; |achieved - target| <= 1e-10.
+    Uniform on [0, b]: (1 - e^-y) / y = target with y = b / tau, solved by the
+    principal Lambert W branch (the other real branch gives the root y = 0).
     """
-
-    def mean_decay(par: float) -> float:
-        scheme = ChargingScheme.uniform(0.0, par) if dist_kind == "uniform" else ChargingScheme.weibull(1.0, par)
-        return DecayFactorDistribution(scheme=scheme, tau_charge=tau_charge).mean()
-
-    lo, hi = 1e-9, max(4.0 * tau_charge, 1.0)
-    for _ in range(200):
-        if mean_decay(hi) < target:
-            break
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalError(f"SF{sf}: no bracket for the charging-time solve")
-    else:
-        raise NumericalError(f"SF{sf}: no bracket for the charging-time solve")
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if mean_decay(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(mean_decay(mid) - target) <= 1e-10:
-            return mid
-    raise NumericalError(f"SF{sf}: charging-time bisection did not converge")
+    if dist_kind == "uniform":
+        w = float(lambertw(-math.exp(-1.0 / target) / target).real)
+        return tau_charge * (1.0 / target + w)
+    return tau_charge * (1.0 - target) / target
 
 
 def plan_cve(
@@ -153,7 +136,7 @@ def plan_cve(
             raise InfeasibleError(
                 f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)", sf=entry.sf
             )
-        par = _solve_mean_decay(dist_kind, target, m.tau_off, entry.sf)
+        par = _param_for_mean_decay(dist_kind, target, m.tau_off)
         if par < PARAM_FLOOR_S:
             raise InfeasibleError(
                 f"SF{entry.sf}: solved charging parameter {par:.3f} s below the {PARAM_FLOOR_S} s floor",

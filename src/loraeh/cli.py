@@ -173,7 +173,7 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
     avail = np.empty(N_RINGS)
     for r, entry in enumerate(SF_TABLE):
         sd = markov.steady_state(run.scheme, entry.airtime_s, model, n_bins=args.bins)
-        avail[r] = 1.0 - sd.outage(run.phy.v_operating)
+        avail[r] = sd.availability(run.phy.v_operating)
     profile = coverage_profile(
         run.phy,
         run.scheme,

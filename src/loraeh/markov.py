@@ -1,9 +1,10 @@
 """Discretized Markov chain over end-of-cycle capacitor voltages.
 
 The end-of-cycle voltage obeys v' = v_after_full + retention*X*(v - ceiling)
-with X = exp(-nu/tau_off) a random decay factor, so the stationary law on a
-voltage grid follows from a row-normalized transition matrix built from the
-density of X.
+with X = exp(-nu/tau_off) a random decay factor. On a grid of equal voltage
+bins, the chain moves from bin i to bin j with the exact probability that this
+map sends the centre of bin i into bin j (Ulam's discretization), which
+converges to the true stationary law as the grid refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins, so
 it is stored as a scipy CSR array and the stationary law is found by power
@@ -38,22 +39,12 @@ class DecayFactorDistribution:
         lower = 0.0 if math.isinf(hi) else math.exp(-hi / self.tau_charge)
         return (lower, upper)
 
-    def pdf(self, x):
-        """Density tau/x * f_nu(-tau*ln x) on the support, vectorized."""
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support()
-        inside = (x > max(lo, 0.0)) & (x <= hi) & (x > 0.0)
-        safe = np.where(inside, x, 0.5)
-        nu = -self.tau_charge * np.log(safe)
-        out = np.where(inside, self.tau_charge / safe * self.scheme.pdf(nu), 0.0)
-        return out if out.ndim else float(out)
-
     def cdf(self, x):
-        """P[X <= x] = P[nu >= -tau*ln x]."""
+        """P[X <= x] = P[nu >= -tau*ln x]; x = 0 gives nu = +inf and so 0."""
         x = np.asarray(x, dtype=float)
-        clipped = np.clip(x, 1e-300, 1.0)
-        out = self.scheme.survival(-self.tau_charge * np.log(clipped))
-        out = np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.scheme.survival(-self.tau_charge * np.log(x))
+        out = np.where(x < 0.0, 0.0, out)
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
@@ -80,43 +71,25 @@ class TransitionMatrix:
 
     matrix: sparse.csr_array  # (M, M)
     bin_edges: np.ndarray  # (M+1,)
-    self_loops: np.ndarray  # bool mask of rows with no feasible transition
 
     @property
     def n_bins(self) -> int:
         return self.matrix.shape[0]
 
 
-def _count_above(num: np.ndarray, denom: np.ndarray, t: float) -> np.ndarray:
-    """Per row i, the number of leading columns j with num[j] / denom[i] > t.
+def _leading_run(holds, n_rows: int, n: int) -> np.ndarray:
+    """Per row, the length of the leading run of columns j < n on which holds is true.
 
-    num is nondecreasing and denom[i] < 0, so num[j] / denom[i] is
-    nonincreasing in j (rounding is monotone too) and the cells above t form
-    a prefix; its length is found by bisection on that exact expression.
+    holds(j) takes one column index per row and returns one bool per row; it
+    must be true then false along every row. The run is found by bisection.
     """
-    n = num.size
-    k = np.zeros(denom.size, dtype=np.intp)
+    k = np.zeros(n_rows, dtype=np.intp)
     step = 1 << (n.bit_length() - 1)
     while step:
         cand = k + step
-        k = np.where((cand <= n) & (num[np.minimum(cand, n) - 1] / denom > t), cand, k)
+        k = np.where((cand <= n) & holds(np.minimum(cand, n) - 1), cand, k)
         step >>= 1
     return k
-
-
-def _support_cells(num: np.ndarray, denom: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (row, column) of the cells with lo < num[j] / denom[i] <= hi and a positive ratio.
-
-    A row whose denom is not negative has no such cell: its ratios are +-inf
-    or nan.
-    """
-    start = _count_above(num, denom, hi)
-    stop = np.where(denom < 0.0, _count_above(num, denom, max(lo, 0.0)), start)
-    counts = np.maximum(stop - start, 0)
-    ends = np.cumsum(counts)
-    rows = np.repeat(np.arange(denom.size), counts)
-    cols = np.arange(ends[-1]) - np.repeat(ends - counts - start, counts)
-    return rows, cols
 
 
 def build_transition_matrix(
@@ -124,56 +97,52 @@ def build_transition_matrix(
     cc: CycleConstants,
     m: CapacitorModel,
     n_bins: int = DEFAULT_BINS,
-    variant: str = "density",
 ) -> TransitionMatrix:
     """Transition matrix over n_bins equal voltage bins spanning the two rest levels.
 
-    variant "density" evaluates the decay-factor density at bin-center pairs
-    and row-normalizes; "mass" integrates exact probability mass per target
-    bin via the decay-factor cdf. Both converge to the same chain as the grid
-    refines. The density variant evaluates only each row's support band,
-    where the decay factor mapping the row's center to a target center lies
-    in the support of X.
+    Cell (i, j) is the probability that one cycle maps the centre c_i of bin i
+    into bin j. The map is decreasing in X, so the edge e of bin j maps to the
+    charging time nu_e = -tau*ln((e - v_after_full) / (retention*(c_i -
+    ceiling))), increasing in e, and the cell is S(nu_j) - S(nu_j+1) with S the
+    survival of nu. Edges at or above v_after_full give nu = +inf. A row is
+    evaluated only on its band, from its last edge with S = 1 to its first
+    edge with S = 0. The image of a row, [v_on + retention*(c_i - v_on),
+    v_after_full], lies inside the grid, so every row holds probability 1.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lo, hi = dist.support()
-    denom = cc.retention * (centers - cc.ceiling)  # < 0 on the grid interior
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if variant == "density":
-            num = centers - cc.v_after_full
-            rows, cols = _support_cells(num, denom, lo, hi)
-            raw = dist.pdf(np.clip(num[cols] / denom[rows], 1e-300, None))
-        elif variant == "mass":
-            # target voltage decreases with the decay factor, so the mapped
-            # edge decays are decreasing in bin index
-            x_edges = np.clip((edges[None, :] - cc.v_after_full) / denom[:, None], 0.0, 1.0)
-            cdfs = dist.cdf(x_edges)
-            dense = np.maximum(cdfs[:, :-1] - cdfs[:, 1:], 0.0)
-            rows, cols = np.nonzero(dense)
-            raw = dense[rows, cols]
-        else:
-            raise ValueError(f"unknown transition variant {variant!r}")
-    rowsum = np.bincount(rows, weights=raw, minlength=n_bins)
-    self_loops = rowsum <= 0.0
-    if self_loops.all():
-        raise NumericalError("no feasible transitions anywhere on the voltage grid")
-    keep = raw > 0.0  # self-loop rows hold no positive cell
+    # nu_e = tau*(log_d[i] - log_n[e]): one log per row and one per edge
+    log_d = np.log(cc.retention * (cc.ceiling - centers))  # ceiling = v_limit_off is above every centre
+    with np.errstate(divide="ignore"):
+        log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
+
+    def surv(log_row, e):  # the band ends and the cells use this one expression
+        return dist.scheme.survival(dist.tau_charge * (log_row - log_n[e]))
+
+    first = _leading_run(lambda e: surv(log_d, e) >= 1.0, n_bins, n_bins + 1)
+    after = _leading_run(lambda e: surv(log_d, e) > 0.0, n_bins, n_bins + 1)
+    start = np.maximum(first - 1, 0)
+    n_edges = np.minimum(after, n_bins) - start + 1  # a row's k cells have k + 1 edges
+    ends = np.cumsum(n_edges)
+    rows = np.repeat(np.arange(n_bins), n_edges)
+    cols = np.arange(ends[-1]) - np.repeat(ends - n_edges - start, n_edges)
+    s = surv(log_d[rows], cols)
+    cell = np.ones(ends[-1], dtype=bool)
+    cell[ends - 1] = False  # a row's last edge starts no cell
+    raw = (s[:-1] - s[1:])[cell[:-1]]
+    rows, cols = rows[cell], cols[cell]
+    keep = raw > 0.0
     if not keep.all():
         rows, cols, raw = rows[keep], cols[keep], raw[keep]
-    kept = np.bincount(rows, minlength=n_bins)
-    indptr = np.concatenate(([0], np.cumsum(kept + self_loops)))
-    # each self-loop row's diagonal 1 goes where its empty row starts
-    loops = np.flatnonzero(self_loops)
-    at = np.cumsum(kept)[loops]
+    rowsum = np.bincount(rows, weights=raw, minlength=n_bins)
+    if not (rowsum > 0.0).all():
+        raise NumericalError(f"voltage bin {int(np.argmin(rowsum > 0.0))} has no transition mass")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_bins))))
     idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64  # 32-bit: faster products
-    mat = sparse.csr_array(
-        (np.insert(raw / rowsum[rows], at, 1.0), np.insert(cols, at, loops).astype(idx), indptr.astype(idx)),
-        shape=(n_bins, n_bins),
-    )
-    return TransitionMatrix(matrix=mat, bin_edges=edges, self_loops=self_loops)
+    mat = sparse.csr_array((raw / rowsum[rows], cols.astype(idx), indptr.astype(idx)), shape=(n_bins, n_bins))
+    return TransitionMatrix(matrix=mat, bin_edges=edges)
 
 
 @dataclass(frozen=True)
@@ -202,33 +171,42 @@ class StationaryDistribution:
         mu = self.mean()
         return float(np.sqrt(np.dot(self.probabilities, (self.centers - mu) ** 2)))
 
-    def outage(self, v_op: float) -> float:
-        """P[end-of-cycle voltage <= v_op], straddling bin linearly interpolated."""
+    def _tails(self, v_op: float) -> tuple[float, float]:
+        """(P[V <= v_op], P[V > v_op]), the straddling bin split linearly.
+
+        Each tail is one correctly rounded sum (math.fsum) of its own bins and
+        its part of the straddling bin, so the outage is nondecreasing in v_op
+        and a tail near 0 keeps full precision.
+        """
         edges, u = self.bin_edges, self.probabilities
         if v_op <= edges[0]:
-            return 0.0
+            return 0.0, 1.0
         if v_op >= edges[-1]:
-            return 1.0
+            return 1.0, 0.0
         k = int(np.searchsorted(edges, v_op, side="right")) - 1
-        total = float(u[:k].sum())
         frac = (v_op - edges[k]) / (edges[k + 1] - edges[k])
-        # rounding in the sum can leave the result just outside [0, 1]
-        return min(max(total + float(u[k]) * frac, 0.0), 1.0)
+        below = math.fsum(np.append(u[:k], u[k] * frac))
+        above = math.fsum(np.append(u[k + 1 :], u[k] * (1.0 - frac)))
+        # the normalization can leave a tail just above 1
+        return min(below, 1.0), min(above, 1.0)
+
+    def outage(self, v_op: float) -> float:
+        """P[end-of-cycle voltage <= v_op]."""
+        return self._tails(v_op)[0]
+
+    def availability(self, v_op: float) -> float:
+        """P[end-of-cycle voltage > v_op], to full precision where the outage is near 1."""
+        return self._tails(v_op)[1]
 
 
 def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100000) -> StationaryDistribution:
     """Left fixed point u = u S of the row-stochastic matrix, L1-normalized.
 
     Power iteration as products with the CSR transpose built once, started
-    from the uniform law on the live states so that unreachable self-loop
-    padding states carry no stationary mass. tm.matrix may also be a dense
-    array.
+    from the uniform law. tm.matrix may also be a dense array.
     """
-    if tm.self_loops.all():
-        raise NumericalError("no live state to start power iteration from")
     mat_t = sparse.csr_array(tm.matrix).T.tocsr()
-    u = np.where(tm.self_loops, 0.0, 1.0)
-    u /= u.sum()
+    u = np.full(tm.n_bins, 1.0 / tm.n_bins)
     for _ in range(max_iter):
         nxt = mat_t @ u
         s = nxt.sum()

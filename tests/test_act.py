@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import loraeh.act
 import loraeh.markov
 from loraeh.act import plan_cdc, plan_cve
-from loraeh.capacitor import build_model
+from loraeh.capacitor import CycleConstants, build_model
 from loraeh.cli import main
 from loraeh.errors import InfeasibleError
-from loraeh.markov import DecayFactorDistribution
+from loraeh.markov import DecayFactorDistribution, steady_state
 from loraeh.phy import ChargingScheme, SF_TABLE
 
 
@@ -56,16 +57,38 @@ class TestCdc:
 
 
 class TestCve:
-    def test_closed_form_inversion_oracle(self, cfg40):
-        # exponential scheme: w = tau * (1 - E[X]) / E[X] inverts the mean decay
-        plan = plan_cve(1.0, "weibull", cfg40, n_bins=400)
-        m = build_model(cfg40, "thevenin")
-        for r in range(6):
-            target = plan.mean_decay[r]
-            w_closed = m.tau_off * (1.0 - target) / target
-            assert plan.schemes[r].w == pytest.approx(w_closed, abs=1e-8 * (1 + w_closed))
-            dist = DecayFactorDistribution(scheme=plan.schemes[r], tau_charge=m.tau_off)
-            assert abs(dist.mean() - target) < 1e-9
+    def test_closed_form_inversion_oracle(self, fig2, cfg40):
+        # each SF's scheme must give the mean decay E[X] = t that puts the affine
+        # fixed point at the target voltage; exponential: w = tau * (1 - t) / t
+        for cfg in (fig2.phy, cfg40):
+            m = build_model(cfg, "thevenin")
+            for kind in ("uniform", "weibull"):
+                plan = plan_cve(1.0, kind, cfg, n_bins=300)
+                for r, entry in enumerate(SF_TABLE):
+                    cc = CycleConstants.from_model(m, entry.airtime_s)
+                    v = cfg.v_operating
+                    t = (v - cc.v_after_full) / (cc.retention * (v - cc.ceiling))
+                    scheme = plan.schemes[r]
+                    if kind == "weibull":
+                        w_closed = m.tau_off * (1.0 - t) / t
+                        assert scheme.w == pytest.approx(w_closed, abs=1e-8 * (1 + w_closed))
+                    assert abs(DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean() - t) <= 1e-13
+
+    def test_sf12_outage_converges_in_the_grid(self, fig2, model):
+        # the decay law of the default SF12 plan spans only a few bins
+        v_op, airtime = fig2.phy.v_operating, SF_TABLE[-1].airtime_s
+        for kind in ("uniform", "weibull"):
+            plan = plan_cve(1.0, kind, fig2.phy, n_bins=1000)
+            fine = steady_state(plan.schemes[-1], airtime, model, n_bins=4000).outage(v_op)
+            assert abs(plan.predicted_outage[-1] - fine) <= 1e-3
+            assert abs(steady_state(plan.schemes[-1], airtime, model, n_bins=2000).outage(v_op) - fine) <= 1e-3
+
+    def test_coarse_grid_solves(self, cfg40):
+        # 100 bins are too coarse for these chains (see the README), but the solve must end fast
+        start = time.perf_counter()
+        plan = plan_cve(1.0, "weibull", cfg40, n_bins=100)
+        assert time.perf_counter() - start < 1.0
+        assert np.all((plan.predicted_outage >= 0) & (plan.predicted_outage <= 1))
 
     def test_equalized_means(self, cfg40):
         plan = plan_cve(1.0, "uniform", cfg40, n_bins=1500)

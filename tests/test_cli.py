@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import os
@@ -82,6 +83,16 @@ class TestRoundTrips:
         snr = column(out / "coverage.csv", "snr_success")
         conn = column(out / "coverage.csv", "conn_lower")
         assert np.allclose(snr, conn)  # no interferers: connection equals the noise term
+
+    def test_coverage_energy_avail_full_precision(self, tmp_path, fig2, ud):
+        # at 40 mF the SF12 outage is 1 - 1e-7, so 1 - outage would keep only 9 digits
+        cfgfile = tmp_path / "40mF.ini"
+        cfgfile.write_text("[capacitor]\ncapacitance_f = 0.04\n")
+        out = tmp_path / "cov"
+        assert run(["coverage", "--config", cfgfile, "--bins", 300, "--points-per-ring", 1, "--out", out]) == 0
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=0.04), "thevenin")
+        avail = markov.steady_state(ud, 0.682, m, n_bins=300).availability(fig2.phy.v_operating)
+        assert column(out / "coverage.csv", "energy_avail", as_float=False)[-1] == format(avail, ".10g")
 
     def test_simulate_report(self, tmp_path):
         out = tmp_path / "sim"

@@ -1,18 +1,23 @@
 """Golden outputs of the analytic path: transition matrix, stationary law, CSVs.
 
-`reference_transition_matrix` and `reference_power_iteration` are the dense
-builder and solver that the band-sparse ones replaced: every cell of the
-density matrix was evaluated, and the power iteration multiplied by the dense
-matrix. The sparse path must keep every cell and self-loop row, and land on
-the same stationary vector up to summation-order rounding. The CSV digests
-were recorded from the dense path at the default configuration; like those of
-`test_golden.py` they depend on numpy's vectorized log, exp and power kernels.
-`python tests/test_golden_markov.py` prints the digests of the current code in
-the layout of GOLDEN.
+`reference_transition_matrix` and `reference_power_iteration` are a dense
+builder and solver: the same per-cell mass formula is evaluated on every cell
+of the grid, and the power iteration multiplies by the dense matrix. The
+band-sparse builder must keep exactly the nonzero cells, and the sparse solver
+land on the same stationary vector up to summation-order rounding. The CSV
+digests were recorded from the mass chain at the default configuration; like
+those of `test_golden.py` they depend on numpy's vectorized log, exp and power
+kernels. `python tests/test_golden_markov.py` prints the digests of the current
+code in the layout of GOLDEN, and `--compare DIR` how far every CSV column
+moved from an older run (see the end of this file).
 """
 
+import csv
 import dataclasses
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,49 +47,43 @@ DENSE_CASES = [
 # CLI arguments -> {csv name: sha256}, default configuration
 GOLDEN = {
     "steady-state": {
-        "convergence.csv": "83f26ec25deafa5031aa94382520542ed7a0c0b0cc4a06829d77f95e20837ccf",
-        "outage_summary.csv": "58c76978cacfb1c7fcde13bb5b91d18dd17154223c6c13e72c6fb1733ffc69bc",
-        "steady_ud.csv": "75e9ecdd1ce8279739780015d2047754098a02b630f41df284ce2927598aeb24",
-        "steady_wd.csv": "ad0d34485eb2416e7943d5606f792264f5a8f3ac9ba4fe2b37413b090fc74adb",
+        "convergence.csv": "d852623e6dbc63ceff7829e01ec400ffea743d06493b27cd39511c589854a20a",
+        "outage_summary.csv": "cf8633236eb9bb1af9ab72ef2fb9bc9c3352373bd453b39371fbd949465b79b8",
+        "steady_ud.csv": "be43a3848b10ceb222a83476b97f6f41ee11744e03b47eebce9a5a07183cd3c4",
+        "steady_wd.csv": "37b2473195f7d91431bcf1f3fd1421fc278a8b23fc843034c67376e8b4fd625f",
     },
     "outage-sweep": {
-        "outage_sweep.csv": "1831ac3c7fd01a88c8f4abc808a114b79d11787830c29d6a3b7c12c1215af275",
+        "outage_sweep.csv": "85baad57e0759b56089f74c5aab47022530476487ae3f3a76f2115074bc6f680",
     },
     "coverage": {
-        "coverage.csv": "a7fc04b2fb37e62bfa5ea0c3eea7366640f20e65791e40f158d774caa485e081",
+        "coverage.csv": "e6f2709be698799847ea979a0768dae491e5482b0a3f27b89e78706123a64135",
     },
     "act-plan --act cdc": {
-        "act_pdfs.csv": "088c8f1d70dc590f03dca232def15a7c2b84401fe2fa30d2239de4289d2f1126",
-        "act_plan.csv": "f6b36eb773521eed924853bfb01295278f5e69933529664607b3991cba8f0ac9",
+        "act_pdfs.csv": "d16011064c2bbd8267b73089ec49a0150c3fcb846feaa99263864828e7ae6796",
+        "act_plan.csv": "d76892c8bed46bc9a93626f4b0079ca5998d26c47df2c68f4df72cc3f34babca",
     },
     "act-plan --act cve": {
-        "act_pdfs.csv": "2490f623fa6a096425f8f9173f5be4dda60470b188d7c3c080aece9f561f973e",
-        "act_plan.csv": "a808cd0007ea162f7bd7e94795d6fd7165360c6fa428df504639f105358341c1",
+        "act_pdfs.csv": "75e583e8b2f1629cea16d807d0aeece628bac9a52a878e0f13d65e6cbb695f7f",
+        "act_plan.csv": "a1ddae8f5d53ba5fbee57ca39500967775786ad34e323aff683d42e372e80461",
     },
 }
 
 
 def reference_transition_matrix(dist, cc, m, n_bins):
-    """Dense density-variant matrix and self-loop mask: the density at every cell."""
+    """Dense Ulam matrix: every cell is the decay law's mass between the cell's two mapped edges."""
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lo, hi = dist.support()
-    denom = cc.retention * (centers - cc.ceiling)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (centers[None, :] - cc.v_after_full) / denom[:, None]
-        raw = np.where((x > lo) & (x <= hi) & (x > 0.0), dist.pdf(np.clip(x, 1e-300, None)), 0.0)
-    rowsum = raw.sum(axis=1)
-    self_loops = rowsum <= 0.0
-    mat = np.where(self_loops[:, None], 0.0, raw / np.where(rowsum[:, None] > 0, rowsum[:, None], 1.0))
-    idx = np.flatnonzero(self_loops)
-    mat[idx, idx] = 1.0
-    return mat, self_loops
+    log_d = np.log(cc.retention * (cc.ceiling - centers))
+    with np.errstate(divide="ignore"):
+        log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
+    surv = dist.scheme.survival(dist.tau_charge * (log_d[:, None] - log_n[None, :]))
+    raw = surv[:, :-1] - surv[:, 1:]
+    return raw / raw.sum(axis=1, keepdims=True)
 
 
-def reference_power_iteration(mat, self_loops, tol=1e-10, max_iter=100000):
-    """Left fixed point by dense power iteration from the uniform law on live states."""
-    u = np.where(self_loops, 0.0, 1.0)
-    u /= u.sum()
+def reference_power_iteration(mat, tol=1e-10, max_iter=100000):
+    """Left fixed point by dense power iteration from the uniform law."""
+    u = np.full(mat.shape[0], 1.0 / mat.shape[0])
     for _ in range(max_iter):
         nxt = u @ mat
         nxt /= nxt.sum()
@@ -102,27 +101,28 @@ def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
     dist = DecayFactorDistribution(scheme=SCHEMES[scheme], tau_charge=m.tau_off)
     cc = CycleConstants.from_model(m, airtime)
-    dense, self_loops = reference_transition_matrix(dist, cc, m, n_bins)
+    dense = reference_transition_matrix(dist, cc, m, n_bins)
     tm = build_transition_matrix(dist, cc, m, n_bins=n_bins)
     got = tm.matrix.toarray()
     assert np.array_equal(got != 0.0, dense != 0.0)
-    assert np.array_equal(tm.self_loops, self_loops)
     assert np.abs(got - dense).max() <= 1e-15
     sd = stationary_distribution(tm)
-    ref = reference_power_iteration(dense, self_loops)
+    ref = reference_power_iteration(dense)
     assert 0.5 * np.abs(sd.probabilities - ref).sum() <= 1e-14
 
 
-def test_self_loop_rows_match_dense_reference(fig2, model):
-    # charging for at least 20 s leaves two of the top bins (not adjacent) without a target bin
-    dist = DecayFactorDistribution(scheme=ChargingScheme.uniform(20.0, 60.0), tau_charge=model.tau_off)
+def test_every_row_holds_mass(model):
+    # the density chain left row 299 of this grid without a target bin; the
+    # image of every bin lies inside the grid, so every mass row sums to 1
+    dist = DecayFactorDistribution(scheme=ChargingScheme.uniform(20.0, 100.0), tau_charge=model.tau_off)
     cc = CycleConstants.from_model(model, 0.204)
-    dense, self_loops = reference_transition_matrix(dist, cc, model, 300)
     tm = build_transition_matrix(dist, cc, model, n_bins=300)
-    assert self_loops.any() and not self_loops.all()
-    assert np.array_equal(tm.self_loops, self_loops)
-    assert np.array_equal(tm.matrix.toarray() != 0.0, dense != 0.0)
-    assert np.abs(tm.matrix.toarray() - dense).max() <= 1e-15
+    dense = reference_transition_matrix(dist, cc, model, 300)
+    got = tm.matrix.toarray()
+    assert np.all(np.diff(tm.matrix.indptr) > 0)
+    assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.array_equal(got != 0.0, dense != 0.0)
+    assert np.abs(got - dense).max() <= 1e-15
 
 
 def cli_digests(args, out):
@@ -135,10 +135,46 @@ def test_cli_digests(tmp_path, args):
     assert cli_digests(args, tmp_path) == GOLDEN[args]
 
 
-if __name__ == "__main__":
-    import tempfile
-    from pathlib import Path
+def job_dir(root, args):
+    """The directory of one GOLDEN job's CSVs under root: "act-plan --act cve" -> root/act-plan-act-cve."""
+    return Path(root) / "-".join(a.lstrip("-") for a in args.split())
 
+
+def read_columns(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def compare(old_root, extra):
+    """Per CSV of every GOLDEN job, the largest absolute change of each numeric column against old_root."""
     with tempfile.TemporaryDirectory() as tmp:
-        for i, args in enumerate(GOLDEN):
-            print(f"    {args!r}: {cli_digests(args, Path(tmp) / str(i))},")
+        for args in GOLDEN:
+            new_dir = job_dir(tmp, args)
+            assert main([*args.split(), "--bins", str(BINS), *extra, "--out", str(new_dir)]) == 0
+            for path in sorted(new_dir.glob("*.csv")):
+                new, old = read_columns(path), read_columns(job_dir(old_root, args) / path.name)
+                n_new, n_old = len(next(iter(new.values()))), len(next(iter(old.values())))
+                if n_new != n_old:
+                    print(f"{args}: {path.name}: rows {n_old} -> {n_new}")
+                    continue
+                for name, cells in new.items():
+                    try:
+                        change = np.abs(np.array(cells, dtype=float) - np.array(old[name], dtype=float))
+                    except ValueError:  # a text column
+                        continue
+                    print(f"{args}: {path.name}: {name}: largest change {change.max():.3g}")
+
+
+if __name__ == "__main__":
+    # python tests/test_golden_markov.py                 digests of the current code, in the layout of GOLDEN
+    # python tests/test_golden_markov.py --compare DIR [CLI ARGS...]
+    #     largest change of every numeric CSV column against DIR/<job_dir>/*.csv, e.g.
+    #     written at an older commit by `python -m loraeh.cli coverage --bins 1000 --out DIR/coverage`;
+    #     trailing CLI arguments (say --config FILE, or --bins 2000) are added to every job
+    if sys.argv[1:2] == ["--compare"]:
+        compare(sys.argv[2], sys.argv[3:])
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, args in enumerate(GOLDEN):
+                print(f"    {args!r}: {cli_digests(args, Path(tmp) / str(i))},")

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from loraeh.capacitor import CycleConstants, build_model, cycle_voltages, estimate_mean_voltage
@@ -15,7 +19,12 @@ from loraeh.markov import (
     stationary_pdf,
     steady_state,
 )
-from loraeh.phy import ChargingScheme
+from loraeh.phy import SF_TABLE, ChargingScheme
+
+
+def decay_pdf(d, x):
+    """Density of X = exp(-nu/tau) at x in (0, 1]: tau/x * f_nu(-tau*ln x)."""
+    return d.tau_charge / x * d.scheme.pdf(-d.tau_charge * math.log(x))
 
 
 class TestDecayFactorDistribution:
@@ -29,17 +38,19 @@ class TestDecayFactorDistribution:
         assert DecayFactorDistribution(scheme=wd, tau_charge=6000.0).support() == (0.0, 1.0)
 
     def test_pdf_normalizes(self, ud, wd, model):
+        # the density of X by change of variables integrates to 1 over support()
         for scheme in (ud, wd, ChargingScheme.weibull(2.0, 30.0)):
             d = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off)
             lo, hi = d.support()
-            total, _ = integrate.quad(d.pdf, max(lo, 1e-12), hi, epsabs=1e-11, epsrel=1e-11, limit=400)
+            total, _ = integrate.quad(partial(decay_pdf, d), max(lo, 1e-12), hi, epsabs=1e-11, epsrel=1e-11, limit=400)
             assert abs(total - 1.0) < 1e-8
+            assert d.cdf(hi) == 1.0 and d.cdf(0.0) == 0.0
 
     def test_cdf_consistent_with_pdf(self, ud, model):
         d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
         lo, _ = d.support()
         for x in (0.5, 0.7, 0.9):
-            mass, _ = integrate.quad(d.pdf, lo, x, epsabs=1e-12, epsrel=1e-12)
+            mass, _ = integrate.quad(partial(decay_pdf, d), lo, x, epsabs=1e-12, epsrel=1e-12)
             assert d.cdf(x) == pytest.approx(mass, abs=1e-9)
 
     def test_closed_form_means(self):
@@ -78,35 +89,26 @@ class TestTransitionMatrix:
         d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
         cc = CycleConstants.from_model(model, 0.204)
         tm = build_transition_matrix(d, cc, model, n_bins=400)
-        centers = 0.5 * (tm.bin_edges[:-1] + tm.bin_edges[1:])
         lo, hi = d.support()
         i = 200
-        x = (centers - cc.v_after_full) / (cc.retention * (centers[i] - cc.ceiling))
-        outside = (x <= lo) | (x > hi)
-        assert not tm.self_loops[i]
-        assert np.all(tm.matrix.toarray()[i, outside] == 0.0)
-
-    def test_density_and_mass_variants_agree(self, ud, model, fig2):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        outs = []
-        for variant in ("density", "mass"):
-            tm = build_transition_matrix(d, cc, model, n_bins=2000, variant=variant)
-            sd = stationary_distribution(tm)
-            outs.append(sd.outage(fig2.phy.v_operating))
-        assert abs(outs[0] - outs[1]) < 0.005
+        centers = 0.5 * (tm.bin_edges[:-1] + tm.bin_edges[1:])
+        x = (tm.bin_edges - cc.v_after_full) / (cc.retention * (centers[i] - cc.ceiling))  # decreasing
+        row = tm.matrix.toarray()[i]
+        outside = (x[1:] > hi) | (x[:-1] < lo)  # whole edge interval above or below the support
+        inside = (x[1:] > lo) & (x[:-1] < hi)  # whole edge interval inside it
+        assert outside.any() and inside.any()
+        assert np.all(row[outside] == 0.0)
+        assert np.all(row[inside] > 0.0)
 
 
 class TestStationary:
     def test_identity_matrix_convention(self):
-        tm = TransitionMatrix(matrix=np.eye(3), bin_edges=np.linspace(0, 1, 4), self_loops=np.zeros(3, bool))
+        tm = TransitionMatrix(matrix=np.eye(3), bin_edges=np.linspace(0, 1, 4))
         sd = stationary_distribution(tm)
         assert np.allclose(sd.probabilities, [1 / 3] * 3)
 
     def test_two_state_symmetric(self):
-        tm = TransitionMatrix(
-            matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3), self_loops=np.zeros(2, bool)
-        )
+        tm = TransitionMatrix(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3))
         sd = stationary_distribution(tm)
         assert np.allclose(sd.probabilities, [0.5, 0.5], atol=1e-12)
 
@@ -121,7 +123,7 @@ class TestStationary:
         rng = np.random.default_rng(1)
         mat = rng.uniform(size=(8, 8))
         mat /= mat.sum(axis=1, keepdims=True)
-        tm = TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 9), self_loops=np.zeros(8, bool))
+        tm = TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 9))
         with pytest.raises(NumericalError):
             stationary_distribution(tm, max_iter=1, tol=1e-16)
 
@@ -142,6 +144,22 @@ class TestOutage:
         inside = sd.bin_edges[k] + 0.25 * sd.delta
         expected = sd.probabilities[:k].sum() + 0.25 * sd.probabilities[k]
         assert sd.outage(inside) == pytest.approx(expected, rel=1e-12)
+
+    def test_availability_complements_outage(self, steady_cache, model):
+        sd = steady_cache("ud", 0.204)
+        rng = np.random.default_rng(3)
+        for v_op in (model.v_limit_on, model.v_limit_off, *rng.uniform(model.v_limit_on, model.v_limit_off, 50)):
+            assert abs(sd.availability(v_op) + sd.outage(v_op) - 1.0) <= 1e-15
+
+    def test_availability_keeps_full_precision(self, fig2, ud):
+        # at 40 mF the SF12 outage is 1 - 1.3e-7: 1 - outage keeps only 9 digits
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=0.04), "thevenin")
+        sd = steady_state(ud, SF_TABLE[-1].airtime_s, m)
+        edges, u, v_op = sd.bin_edges, sd.probabilities, fig2.phy.v_operating
+        k = int(np.searchsorted(edges, v_op, side="right")) - 1
+        tail = math.fsum(u[k + 1 :]) + u[k] * (1.0 - (v_op - edges[k]) / (edges[k + 1] - edges[k]))
+        assert 0.0 < tail < 1e-6
+        assert abs(sd.availability(v_op) - tail) <= 1e-12 * tail
 
     def test_grid_convergence(self, steady_cache, fig2):
         for label in ("ud", "wd"):
@@ -183,8 +201,6 @@ class TestOracleEquivalence:
     def test_markov_vs_simulated_cycles(self, fig2):
         # five random parameter sets, 1e6 cycles each
         rng = np.random.default_rng(99)
-        import dataclasses
-
         for trial in range(5):
             cap = rng.uniform(0.005, 0.03)
             airtime = rng.uniform(0.1, 0.45)
@@ -197,6 +213,21 @@ class TestOracleEquivalence:
             mc = np.mean(v <= fig2.phy.v_operating)
             assert abs(sd.outage(fig2.phy.v_operating) - mc) < 0.01
 
+    def test_perpetuity_moments(self, steady_cache, ud, wd, model):
+        # D = ceiling - V obeys D' = K + retention*X*D, a perpetuity (Vervaat
+        # 1979) whose stationary mean and second moment are closed form
+        for label, scheme in (("ud", ud), ("wd", wd)):
+            for entry in SF_TABLE:
+                sd = steady_cache(label, entry.airtime_s)
+                cc = CycleConstants.from_model(model, entry.airtime_s)
+                k, r = cc.ceiling - cc.v_after_full, cc.retention
+                ex = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off).mean()
+                ex2 = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off / 2.0).mean()  # E[X^2]
+                d1 = k / (1.0 - r * ex)
+                d2 = (k * k + 2.0 * k * r * ex * d1) / (1.0 - r * r * ex2)
+                assert abs(sd.mean() - (cc.ceiling - d1)) <= 1e-7
+                assert abs(sd.std() - math.sqrt(d2 - d1 * d1)) <= 1e-5
+
 
 class TestMeanConsistency:
     def test_stationary_mean_vs_estimator(self, steady_cache, ud, wd, model):
@@ -205,3 +236,55 @@ class TestMeanConsistency:
             cc = CycleConstants.from_model(model, 0.204)
             est = estimate_mean_voltage(cc, DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off).mean())
             assert abs(sd.mean() - est) / est < 0.03
+
+
+SCHEMES = st.one_of(
+    st.builds(
+        lambda a, width: ChargingScheme.uniform(a, a + width),
+        st.floats(0.0, 200.0),
+        st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
+    ),
+    st.builds(ChargingScheme.weibull, st.floats(0.3, 5.0), st.floats(0.0, 2.7).map(lambda e: 10.0**e)),
+)
+
+
+class TestChainProperties:
+    @given(
+        scheme=SCHEMES,
+        capacitance=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+        airtime=st.floats(0.01, 1.0),
+        n_bins=st.integers(1, 400),
+    )
+    def test_every_row_is_a_probability_law(self, fig2, scheme, capacitance, airtime, n_bins):
+        tm = self.chain(fig2, scheme, capacitance, airtime, n_bins)
+        assert np.abs(tm.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.all(np.diff(tm.matrix.indptr) > 0) and np.all(tm.matrix.data > 0.0)
+
+    @given(
+        scheme=SCHEMES,
+        capacitance=st.floats(1e-3, 0.04),
+        airtime=st.floats(0.01, 1.0),
+        n_bins=st.integers(1, 400),
+    )
+    # the outage reaches 1 several bins below the grid top: no partial sum may round back below it
+    @example(scheme=ChargingScheme.weibull(2.0, 10.0), capacitance=0.01, airtime=0.25, n_bins=159)
+    def test_stationary_law_and_outage(self, fig2, scheme, capacitance, airtime, n_bins):
+        tm = self.chain(fig2, scheme, capacitance, airtime, n_bins)
+        try:
+            sd = stationary_distribution(tm, max_iter=3000)
+        except NumericalError:
+            # a slowly mixing chain needs more steps, and on a grid too coarse
+            # for one cycle's spread of voltages the spectral gap can fall to
+            # 1e-6 or below: power iteration must then raise, not return
+            return
+        assert np.all(sd.probabilities >= 0.0) and abs(sd.probabilities.sum() - 1.0) <= 1e-12
+        volts = np.linspace(tm.bin_edges[0] - 0.1, tm.bin_edges[-1] + 0.1, 101)
+        outages = np.array([sd.outage(v) for v in volts])
+        assert np.all(np.diff(outages) >= 0.0)
+        assert np.abs(outages + [sd.availability(v) for v in volts] - 1.0).max() <= 1e-15
+
+    @staticmethod
+    def chain(fig2, scheme, capacitance, airtime, n_bins):
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
+        return build_transition_matrix(dist, CycleConstants.from_model(m, airtime), m, n_bins)
