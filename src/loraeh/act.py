@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .capacitor import CapacitorModel, CycleConstants, build_model, estimate_mean_voltage
+from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
 from .errors import InfeasibleError
 from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import ChargingScheme, N_RINGS, PhyConfig, SF_TABLE, duty_cycle
@@ -26,15 +26,9 @@ ETSI_DUTY_CAP = 0.01
 class ActPlan:
     """Per-SF charging schemes solved for a common target."""
 
-    kind: str  # "cdc" | "cve"
-    dist_kind: str  # "uniform" | "weibull"
-    target: float  # duty multiplier theta, or voltage multiplier vartheta
     schemes: tuple[ChargingScheme, ...]
     mean_nu: np.ndarray  # E[nu] per SF [s]
-    mean_decay: np.ndarray  # E[exp(-nu/tau_off)] per SF
     predicted_mean_v: np.ndarray  # affine fixed-point mean [V]
-    stationary_mean_v: np.ndarray  # steady-state chain mean [V]
-    stationary_std_v: np.ndarray  # steady-state chain spread [V]
     predicted_outage: np.ndarray  # steady-state outage at the operating threshold
     stationary: tuple[StationaryDistribution, ...]  # steady-state voltage law per SF
     duty_simple: np.ndarray  # airtime/(E[nu]+airtime) per SF
@@ -49,37 +43,22 @@ def _scheme_for(dist_kind: str, mean_nu: float) -> ChargingScheme:
     raise ValueError(f"unknown distribution kind {dist_kind!r}")
 
 
-def _plan(
-    kind: str,
-    dist_kind: str,
-    target: float,
-    schemes: list[ChargingScheme],
-    m: CapacitorModel,
-    cfg: PhyConfig,
-    n_bins: int,
-) -> ActPlan:
+def _plan(schemes: list[ChargingScheme], m: CapacitorModel, cfg: PhyConfig, n_bins: int) -> ActPlan:
     """Evaluate the per-SF schemes: one steady-state solve per SF."""
-    decay = np.empty(N_RINGS)
     mean_v = np.empty(N_RINGS)
     duty = np.empty(N_RINGS)
     sds = []
     for r, scheme in enumerate(schemes):
         airtime = SF_TABLE[r].airtime_s
         cc = CycleConstants.from_model(m, airtime)
-        decay[r] = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
-        mean_v[r] = estimate_mean_voltage(cc, decay[r])
+        decay = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
+        mean_v[r] = estimate_mean_voltage(cc, decay)
         sds.append(steady_state(scheme, airtime, m, n_bins=n_bins))
         duty[r] = duty_cycle(scheme, airtime).simple_ratio
     return ActPlan(
-        kind=kind,
-        dist_kind=dist_kind,
-        target=target,
         schemes=tuple(schemes),
         mean_nu=np.array([s.mean() for s in schemes]),
-        mean_decay=decay,
         predicted_mean_v=mean_v,
-        stationary_mean_v=np.array([sd.mean() for sd in sds]),
-        stationary_std_v=np.array([sd.std() for sd in sds]),
         predicted_outage=np.array([sd.outage(cfg.v_operating) for sd in sds]),
         stationary=tuple(sds),
         duty_simple=duty,
@@ -91,15 +70,14 @@ def plan_cdc(
     theta: float,
     dist_kind: str,
     cfg: PhyConfig,
-    mode: str = "thevenin",
+    m: CapacitorModel,
     n_bins: int = DEFAULT_BINS,
 ) -> ActPlan:
     """Constant duty cycle: E[nu] = theta * airtime per SF (duty 1/(1+theta))."""
     if theta <= 0:
         raise InfeasibleError(f"duty multiplier must be positive, got {theta}")
-    m = build_model(cfg, mode)
     schemes = [_scheme_for(dist_kind, theta * entry.airtime_s) for entry in SF_TABLE]
-    return _plan("cdc", dist_kind, theta, schemes, m, cfg, n_bins)
+    return _plan(schemes, m, cfg, n_bins)
 
 
 def _param_for_mean_decay(dist_kind: str, target: float, tau_charge: float) -> float:
@@ -118,11 +96,10 @@ def plan_cve(
     vartheta: float,
     dist_kind: str,
     cfg: PhyConfig,
-    mode: str = "thevenin",
+    m: CapacitorModel,
     n_bins: int = DEFAULT_BINS,
 ) -> ActPlan:
     """Voltage equalization: solve E[nu] per SF so the stationary mean is vartheta * V_op."""
-    m = build_model(cfg, mode)
     v_target = vartheta * cfg.v_operating
     if not m.v_limit_on < v_target < m.v_limit_off:
         raise InfeasibleError(
@@ -143,4 +120,4 @@ def plan_cve(
                 sf=entry.sf,
             )
         schemes.append(_scheme_for(dist_kind, par / 2.0 if dist_kind == "uniform" else par))
-    return _plan("cve", dist_kind, vartheta, schemes, m, cfg, n_bins)
+    return _plan(schemes, m, cfg, n_bins)

@@ -24,7 +24,6 @@ class CapacitorModel:
     tau_off: float  # charge time constant [s]
     v_limit_on: float  # discharge asymptote, radio on [V]
     tau_on: float  # discharge time constant [s]
-    mode: str  # "thevenin" | "literal"
 
     def __post_init__(self):
         if not self.v_limit_on < self.v_limit_off:
@@ -53,7 +52,7 @@ def build_model(cfg: PhyConfig, mode: str = "thevenin") -> CapacitorModel:
     else:
         raise ConfigError(f"unknown capacitor model mode {mode!r}")
     (v_off, t_off), (v_on, t_on) = pairs
-    return CapacitorModel(v_limit_off=v_off, tau_off=t_off, v_limit_on=v_on, tau_on=t_on, mode=mode)
+    return CapacitorModel(v_limit_off=v_off, tau_off=t_off, v_limit_on=v_on, tau_on=t_on)
 
 
 def step_charge(v0, nu, m: CapacitorModel):

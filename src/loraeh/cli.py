@@ -195,9 +195,9 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
 
 def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
     if args.act == "cdc":
-        plan = act_mod.plan_cdc(args.theta, run.scheme.kind, run.phy, mode=run.mode, n_bins=args.bins)
+        plan = act_mod.plan_cdc(args.theta, run.scheme.kind, run.phy, model, n_bins=args.bins)
     else:
-        plan = act_mod.plan_cve(args.vartheta, run.scheme.kind, run.phy, mode=run.mode, n_bins=args.bins)
+        plan = act_mod.plan_cve(args.vartheta, run.scheme.kind, run.phy, model, n_bins=args.bins)
     if not plan.etsi_ok.all():
         bad = [SF_TABLE[r].sf for r in range(N_RINGS) if not plan.etsi_ok[r]]
         print(f"warning: duty cycle above the 1% ETSI cap for SF {bad}", file=sys.stderr)
@@ -228,10 +228,10 @@ def cmd_simulate(args, run: RunConfig, model: CapacitorModel) -> dict:
     report = run_simulation(
         net,
         run.phy,
+        model,
         run.scheme,
         duration=args.duration,
         seed=args.seed,
-        mode=run.mode,
         overlap=args.overlap,
         warmup=args.warmup,
     )

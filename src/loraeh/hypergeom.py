@@ -50,12 +50,22 @@ def _series_pfaff(b: float, z: float, tol: float = 1e-16) -> float:
 
 def _inversion(b: float, z: float) -> float:
     # connection formula in 1/z; the companion series terminates because the
-    # second numerator parameter vanishes for this (a, c) pattern
-    if abs(b - 1.0) < 1e-12:
-        return -math.log1p(-z) / z
-    lead = math.pi * b / math.sin(math.pi * b) * (-z) ** (-b)
-    tail = (b / (1.0 - b)) * (1.0 / z) * _series_direct(1.0 - b, 1.0 / z)
-    return lead + tail
+    # second numerator parameter vanishes for this (a, c) pattern. Its lead
+    # term and the m = 0 term of its tail are each about b/(e*(-z)) with
+    # e = 1 - b and cancel as eta -> 2, so they are summed in one expm1:
+    # b/(e*(-z)) * expm1(e*ln(-z) + ln(pi*e/sin(pi*e)))
+    e = 1.0 - b
+    log_z = math.log(-z)
+    if e == 0.0:
+        head = log_z / -z
+    else:
+        x = math.pi * e
+        # ln(x/sin x), by its series where the quotient is too close to 1; sin(pi*e) = sin(pi*b)
+        log_ratio = x * x / 6.0 + x**4 / 180.0 if x < 1e-2 else math.log(x / math.sin(math.pi * min(b, e)))
+        head = b * math.expm1(e * log_z + log_ratio) / (e * -z)
+    # the rest of the tail, m >= 1: (b/z) * sum z^-m / (e + m)
+    tail = b / (z * z * (1.0 + e)) * _series_direct(1.0 + e, 1.0 / z)
+    return head + tail
 
 
 def hyp2f1_special(eta: float, z: float) -> float:

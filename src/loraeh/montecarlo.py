@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacitor import build_model
+from .capacitor import CapacitorModel
 from .errors import ConfigError, StatisticsError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
@@ -49,11 +49,7 @@ class DeviceStats:
 class SimReport:
     """Per-ring empirical success decomposition with binomial confidence intervals."""
 
-    duration: float
     warmup: float
-    seed: int
-    overlap: str
-    mode: str
     n_devices: np.ndarray  # per ring
     cycles: np.ndarray
     energy_skips: np.ndarray
@@ -260,10 +256,10 @@ def _window_edge(s, a, side):
 def run_simulation(
     net: NetworkRealization,
     cfg: PhyConfig,
+    m: CapacitorModel,
     scheme: ChargingScheme,
     duration: float,
     seed: int = 0,
-    mode: str = "thevenin",
     overlap: str = "full",
     warmup: float | None = None,
     collect_traces: bool = False,
@@ -286,7 +282,6 @@ def run_simulation(
     if warmup >= duration:
         raise ConfigError(f"warm-up {warmup} must be shorter than the duration {duration}")
     n = net.n_devices
-    m = build_model(cfg, mode)
     rings = net.ring.astype(int)
     # path_gain stays scalar on purpose: numpy's array power differs from the
     # scalar one in the last bit for about 5% of distances
@@ -368,11 +363,7 @@ def run_simulation(
     ci = 1.96 * np.sqrt(_ratio(q_hat * (1.0 - q_hat), r_cycles))
 
     return SimReport(
-        duration=duration,
         warmup=warmup,
-        seed=seed,
-        overlap=overlap,
-        mode=mode,
         n_devices=r_ndev,
         cycles=r_cycles,
         energy_skips=r_skips,

@@ -7,7 +7,7 @@ dB/dBm values are converted once when a config is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +62,8 @@ class ChargingScheme:
     w: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.k, self.w))):
+            raise ConfigError(f"scheme parameters must be finite, got a={self.a}, b={self.b}, k={self.k}, w={self.w}")
         if self.kind == "uniform":
             if not (0.0 <= self.a < self.b):
                 raise ConfigError(f"uniform scheme requires 0 <= a < b, got a={self.a}, b={self.b}")
@@ -151,6 +153,12 @@ class PhyConfig:
     ring_radii: tuple[float, ...]  # l0..l6 [m], nondecreasing, l6 = radius
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, np.atleast_1d(value))):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.radius <= 0 or self.wavelength <= 0:
+            raise ConfigError(f"radius and wavelength must be positive, got {self.radius} m and {self.wavelength} m")
         if self.p_harvest <= 0 or self.v_harvest <= 0:
             raise ConfigError("harvester voltage and power must be positive")
         if not self.r_load_on < self.r_load_off:
@@ -159,10 +167,10 @@ class PhyConfig:
             raise ConfigError("operating threshold must lie below the harvester voltage")
         if self.eta < 2.0:
             raise ConfigError("path-loss exponent must be >= 2")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ConfigError(f"bandwidth must be finite and positive, got {self.bandwidth}")
-        if not (math.isfinite(self.density) and self.density >= 0):
-            raise ConfigError(f"device density must be finite and non-negative, got {self.density} per m^2")
+        if self.bandwidth <= 0:
+            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.density < 0:
+            raise ConfigError(f"device density must be non-negative, got {self.density} per m^2")
         if len(self.ring_radii) != N_RINGS + 1:
             raise ConfigError(f"ring_radii needs {N_RINGS + 1} values, got {len(self.ring_radii)}")
         r = np.asarray(self.ring_radii)

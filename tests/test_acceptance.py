@@ -154,18 +154,23 @@ def test_criterion_6_adaptive_charging_schemes(fig2):
 
     with criterion(6, "adaptive charging-time schemes"):
         cfg40 = dataclasses.replace(fig2.phy, capacitance=0.04)
+        m40 = build_model(cfg40)
         for kind in ("uniform", "weibull"):
-            cve = plan_cve(1.0, kind, cfg40, n_bins=2000)
-            means = cve.stationary_mean_v
+            cve = plan_cve(1.0, kind, cfg40, m40, n_bins=2000)
+            means = np.array([sd.mean() for sd in cve.stationary])
             spread = np.abs(means[:, None] - means[None, :]).max() / (1.0 * fig2.phy.v_operating)
             print(f"  CVE {kind}: stationary means {np.round(means, 4).tolist()} (max pairwise {spread * 100:.2f}%)")
             assert spread < 0.01
-        cdc_u = plan_cdc(150.0, "uniform", cfg40, n_bins=2000)
-        cdc_w = plan_cdc(150.0, "weibull", cfg40, n_bins=2000)
-        print(f"  CDC uniform means: {np.round(cdc_u.stationary_mean_v, 4).tolist()}")
-        assert np.all(np.diff(cdc_u.stationary_mean_v) < 0)
-        assert np.all(np.diff(cdc_w.stationary_mean_v) < 0)
-        assert np.all(cdc_w.stationary_std_v > cdc_u.stationary_std_v)
+        cdc_u = plan_cdc(150.0, "uniform", cfg40, m40, n_bins=2000)
+        cdc_w = plan_cdc(150.0, "weibull", cfg40, m40, n_bins=2000)
+        means_u = np.array([sd.mean() for sd in cdc_u.stationary])
+        means_w = np.array([sd.mean() for sd in cdc_w.stationary])
+        print(f"  CDC uniform means: {np.round(means_u, 4).tolist()}")
+        assert np.all(np.diff(means_u) < 0)
+        assert np.all(np.diff(means_w) < 0)
+        std_u = np.array([sd.std() for sd in cdc_u.stationary])
+        std_w = np.array([sd.std() for sd in cdc_w.stationary])
+        assert np.all(std_w > std_u)
         print("  WD spread exceeds UD spread for every SF")
 
 
@@ -186,7 +191,7 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
         lam500 = 500.0 / (math.pi * cfg.radius**2)
         cfg500 = dataclasses.replace(cfg, density=lam500)
         net = sample_network(cfg500, seed=2026, n_devices=500)
-        report = run_simulation(net, cfg500, ud, duration=1.0e6, seed=2026, overlap="full")
+        report = run_simulation(net, cfg500, build_model(cfg500), ud, duration=1.0e6, seed=2026, overlap="full")
 
         # (b) collision fraction: product structure within 3 sigma of the duty quadrature
         p_hat = empirical_collision_fraction(report)

@@ -22,38 +22,38 @@ def cfg40(fig2):
 
 class TestCdc:
     def test_mean_charging_matches_multiplier(self, fig2):
-        plan = plan_cdc(150.0, "uniform", fig2.phy, n_bins=400)
+        plan = plan_cdc(150.0, "uniform", fig2.phy, build_model(fig2.phy), n_bins=400)
         for r, entry in enumerate(SF_TABLE):
             assert plan.mean_nu[r] == pytest.approx(150.0 * entry.airtime_s, rel=1e-9)
         assert plan.schemes[3].b == pytest.approx(2 * 150.0 * 0.204, rel=1e-12)  # 61.2 s
         assert plan.mean_nu[3] == pytest.approx(30.6, rel=1e-12)
 
     def test_weibull_convention(self, fig2):
-        plan = plan_cdc(150.0, "weibull", fig2.phy, n_bins=400)
+        plan = plan_cdc(150.0, "weibull", fig2.phy, build_model(fig2.phy), n_bins=400)
         for r, entry in enumerate(SF_TABLE):
             s = plan.schemes[r]
             assert s.k == 1.0
             assert s.w == pytest.approx(150.0 * entry.airtime_s, rel=1e-12)
 
     def test_duty_uniform_across_sf(self, fig2):
-        plan = plan_cdc(99.0, "uniform", fig2.phy, n_bins=400)
+        plan = plan_cdc(99.0, "uniform", fig2.phy, build_model(fig2.phy), n_bins=400)
         assert np.all(np.abs(plan.duty_simple - 0.01) < 1e-12)  # exactly 1% at theta=99
         assert plan.etsi_ok.all()
         spread = plan.duty_simple.max() - plan.duty_simple.min()
         assert spread < 1e-12
 
     def test_low_theta_flagged(self, fig2):
-        plan = plan_cdc(50.0, "uniform", fig2.phy, n_bins=300)
+        plan = plan_cdc(50.0, "uniform", fig2.phy, build_model(fig2.phy), n_bins=300)
         assert not plan.etsi_ok.any()  # duty 1/51 ~ 2%
 
     def test_mean_voltage_decreasing_in_sf(self, cfg40):
         for kind in ("uniform", "weibull"):
-            plan = plan_cdc(150.0, kind, cfg40, n_bins=1000)
-            assert np.all(np.diff(plan.stationary_mean_v) < 0)
+            plan = plan_cdc(150.0, kind, cfg40, build_model(cfg40), n_bins=1000)
+            assert np.all(np.diff(np.array([sd.mean() for sd in plan.stationary])) < 0)
 
     def test_invalid_theta(self, fig2):
         with pytest.raises(InfeasibleError):
-            plan_cdc(0.0, "uniform", fig2.phy)
+            plan_cdc(0.0, "uniform", fig2.phy, build_model(fig2.phy))
 
 
 class TestCve:
@@ -63,7 +63,7 @@ class TestCve:
         for cfg in (fig2.phy, cfg40):
             m = build_model(cfg, "thevenin")
             for kind in ("uniform", "weibull"):
-                plan = plan_cve(1.0, kind, cfg, n_bins=300)
+                plan = plan_cve(1.0, kind, cfg, m, n_bins=300)
                 for r, entry in enumerate(SF_TABLE):
                     cc = CycleConstants.from_model(m, entry.airtime_s)
                     v = cfg.v_operating
@@ -78,7 +78,7 @@ class TestCve:
         # the decay law of the default SF12 plan spans only a few bins
         v_op, airtime = fig2.phy.v_operating, SF_TABLE[-1].airtime_s
         for kind in ("uniform", "weibull"):
-            plan = plan_cve(1.0, kind, fig2.phy, n_bins=1000)
+            plan = plan_cve(1.0, kind, fig2.phy, build_model(fig2.phy), n_bins=1000)
             fine = steady_state(plan.schemes[-1], airtime, model, n_bins=4000).outage(v_op)
             assert abs(plan.predicted_outage[-1] - fine) <= 1e-3
             assert abs(steady_state(plan.schemes[-1], airtime, model, n_bins=2000).outage(v_op) - fine) <= 1e-3
@@ -86,43 +86,45 @@ class TestCve:
     def test_coarse_grid_solves(self, cfg40):
         # 100 bins are too coarse for these chains (see the README), but the solve must end fast
         start = time.perf_counter()
-        plan = plan_cve(1.0, "weibull", cfg40, n_bins=100)
+        plan = plan_cve(1.0, "weibull", cfg40, build_model(cfg40), n_bins=100)
         assert time.perf_counter() - start < 1.0
         assert np.all((plan.predicted_outage >= 0) & (plan.predicted_outage <= 1))
 
     def test_equalized_means(self, cfg40):
-        plan = plan_cve(1.0, "uniform", cfg40, n_bins=1500)
+        plan = plan_cve(1.0, "uniform", cfg40, build_model(cfg40), n_bins=1500)
         assert np.all(np.abs(plan.predicted_mean_v - 1.8) < 1e-6)  # solver target
-        means = plan.stationary_mean_v
+        means = np.array([sd.mean() for sd in plan.stationary])
         assert np.abs(means[:, None] - means[None, :]).max() / 1.8 < 0.01
 
     def test_charging_time_increases_with_sf(self, cfg40):
         for kind in ("uniform", "weibull"):
-            plan = plan_cve(1.0, kind, cfg40, n_bins=300)
+            plan = plan_cve(1.0, kind, cfg40, build_model(cfg40), n_bins=300)
             assert np.all(np.diff(plan.mean_nu) > 0)
 
     def test_target_out_of_range(self, fig2):
         with pytest.raises(InfeasibleError):
-            plan_cve(1.95, "uniform", fig2.phy)
+            plan_cve(1.95, "uniform", fig2.phy, build_model(fig2.phy))
 
     def test_infeasible_names_sf(self, fig2):
         # target mean above the post-discharge reachable set trips the first ring
         with pytest.raises(InfeasibleError) as exc:
-            plan_cve(1.794, "uniform", fig2.phy)
+            plan_cve(1.794, "uniform", fig2.phy, build_model(fig2.phy))
         assert exc.value.sf == 7
         assert "SF7" in str(exc.value)
 
     def test_outage_roundtrip(self, cfg40):
-        plan = plan_cve(1.0, "uniform", cfg40, n_bins=300)
+        plan = plan_cve(1.0, "uniform", cfg40, build_model(cfg40), n_bins=300)
         assert np.all((plan.predicted_outage >= 0) & (plan.predicted_outage <= 1))
-        assert np.all(np.isfinite(plan.stationary_std_v))
+        assert np.all(np.isfinite([sd.std() for sd in plan.stationary]))
 
 
 class TestSchemeSpread:
     def test_weibull_more_spread_than_uniform(self, cfg40):
-        ud_plan = plan_cdc(150.0, "uniform", cfg40, n_bins=1000)
-        wd_plan = plan_cdc(150.0, "weibull", cfg40, n_bins=1000)
-        assert np.all(wd_plan.stationary_std_v > ud_plan.stationary_std_v)
+        ud_plan = plan_cdc(150.0, "uniform", cfg40, build_model(cfg40), n_bins=1000)
+        wd_plan = plan_cdc(150.0, "weibull", cfg40, build_model(cfg40), n_bins=1000)
+        ud_std = np.array([sd.std() for sd in ud_plan.stationary])
+        wd_std = np.array([sd.std() for sd in wd_plan.stationary])
+        assert np.all(wd_std > ud_std)
 
 
 @pytest.fixture
@@ -143,7 +145,7 @@ def steady_state_calls(monkeypatch):
 class TestSolves:
     @pytest.mark.parametrize("plan, target", [(plan_cdc, 150.0), (plan_cve, 1.0)], ids=["cdc", "cve"])
     def test_one_steady_state_per_sf(self, fig2, steady_state_calls, plan, target):
-        result = plan(target, "uniform", fig2.phy, n_bins=300)
+        result = plan(target, "uniform", fig2.phy, build_model(fig2.phy), n_bins=300)
         assert steady_state_calls == [entry.airtime_s for entry in SF_TABLE]
         assert len(result.stationary) == len(SF_TABLE)
         for r, sd in enumerate(result.stationary):

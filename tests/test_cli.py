@@ -35,6 +35,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+STEADY = ["steady-state", "--bins", 100]
+COVERAGE = ["coverage", "--bins", 100, "--points-per-ring", 2]
+SIMULATE = ["simulate", "--devices", 20, "--duration", 2e3]
+SIMULATE_SMALL = ["simulate", "--devices", 5, "--duration", 1e3]
+
+
 class TestRoundTrips:
     def test_capacitor_trace(self, tmp_path, fig2):
         out = tmp_path / "trace"
@@ -251,21 +257,40 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "ini, command",
         [
-            ("[deployment]\ndensity_per_km2 = -1\n", ["simulate", "--devices", 5, "--duration", 1e3]),
-            ("[deployment]\ndensity_per_km2 = -1\n", ["coverage", "--bins", 100, "--points-per-ring", 2]),
-            ("[deployment]\ndensity_per_km2 = nan\n", ["coverage", "--bins", 100, "--points-per-ring", 2]),
-            ("[radio]\nbandwidth_hz = 0\n", ["steady-state", "--bins", 100]),
-            ("[radio]\nbandwidth_hz = 0\nnoise_dbm = -120\n", ["steady-state", "--bins", 100]),
-            ("[radio]\nbandwidth_hz = inf\nnoise_dbm = -120\n", ["steady-state", "--bins", 100]),
-            ("[radio]\nnoise_dbm = oops\n", ["steady-state", "--bins", 100]),
+            pytest.param("[deployment]\ndensity_per_km2 = -1\n", SIMULATE_SMALL, id="density-simulate"),
+            pytest.param("[deployment]\ndensity_per_km2 = -1\n", COVERAGE, id="density-coverage"),
+            pytest.param("[deployment]\ndensity_per_km2 = nan\n", COVERAGE, id="density-nan"),
+            pytest.param("[radio]\nbandwidth_hz = 0\n", STEADY, id="bandwidth-0"),
+            pytest.param("[radio]\nbandwidth_hz = 0\nnoise_dbm = -120\n", STEADY, id="bandwidth-0-noise"),
+            pytest.param("[radio]\nbandwidth_hz = inf\nnoise_dbm = -120\n", STEADY, id="bandwidth-inf"),
+            pytest.param("[radio]\nnoise_dbm = oops\n", STEADY, id="noise"),
+            # non-finite or non-positive physics and scheme values
+            pytest.param("[deployment]\nwavelength_cm = -34.5\n", COVERAGE, id="wavelength-negative"),
+            pytest.param("[deployment]\nwavelength_cm = nan\n", COVERAGE, id="wavelength-nan"),
+            pytest.param("[radio]\ntx_power_dbm = nan\n", COVERAGE, id="tx-power-nan"),
+            pytest.param("[radio]\nnoise_figure_db = nan\n", COVERAGE, id="noise-figure-nan"),
+            pytest.param("[deployment]\npath_loss_exponent = nan\n", COVERAGE, id="eta-nan"),
+            pytest.param("[radio]\nsir_threshold_db = nan\n", COVERAGE, id="sir-nan"),
+            pytest.param("[deployment]\nradius_km = 0\n", COVERAGE, id="radius-0"),
+            pytest.param("[deployment]\nring_radii_km = 0,1,nan,3,4,5,6\n", COVERAGE, id="ring-radius-nan"),
+            pytest.param("[deployment]\npath_loss_exponent = nan\n", SIMULATE, id="eta-nan-simulate"),
+            pytest.param("[radio]\nsir_threshold_db = nan\n", SIMULATE, id="sir-nan-simulate"),
+            pytest.param("[radio]\ntx_power_dbm = nan\n", SIMULATE, id="tx-power-nan-simulate"),
+            pytest.param("[radio]\nnoise_dbm = nan\n", SIMULATE, id="noise-nan-simulate"),
+            pytest.param("[deployment]\nwavelength_cm = 0\n", SIMULATE, id="wavelength-0-simulate"),
+            pytest.param("[deployment]\nradius_km = 0\n", SIMULATE, id="radius-0-simulate"),
+            pytest.param("[scheme]\nb_s = inf\n", SIMULATE, id="scheme-b-inf"),
+            # an explicit warm-up, so the scheme check and not the warm-up check rejects it
+            pytest.param("[scheme]\nkind = weibull\nk = nan\n", SIMULATE + ["--warmup", 100], id="scheme-k-nan"),
         ],
-        ids=["density-simulate", "density-coverage", "density-nan", "bandwidth-0", "bandwidth-0-noise", "bandwidth-inf", "noise"],
     )
     def test_bad_radio_config(self, tmp_path, capsys, ini, command):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(ini)
-        assert run(command + ["--config", cfg, "--out", tmp_path / "r"]) == 1
+        out = tmp_path / "r"
+        assert run(command + ["--config", cfg, "--out", out]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_simulate_infinite_duration(self, tmp_path):
         src = str(Path(loraeh.__file__).resolve().parents[1])
@@ -276,6 +301,28 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestOneModel:
+    @pytest.mark.parametrize(
+        "args",
+        [["act-plan", "--act", "cdc", "--bins", 100], ["act-plan", "--act", "cve", "--bins", 100], SIMULATE_SMALL],
+        ids=["cdc", "cve", "simulate"],
+    )
+    def test_main_builds_the_model_once(self, tmp_path, monkeypatch, args):
+        calls = []
+        build = loraeh.capacitor.build_model
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return build(*a, **kw)
+
+        # every module binding of build_model, so a library-side rebuild counts too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("loraeh") and getattr(module, "build_model", None) is build:
+                monkeypatch.setattr(module, "build_model", counted)
+        assert run(args + ["--out", tmp_path]) == 0
+        assert len(calls) == 1
 
 
 class TestSchemeComparison:

@@ -108,10 +108,11 @@ def report_digest():
     """
     run = load_config()
     fast = ChargingScheme.uniform(0.0, 2.0)
+    m = build_model(run.phy)
     net = sample_network(run.phy, seed=4, n_devices=12)
-    traced = run_simulation(net, run.phy, fast, duration=6e3, seed=4, warmup=0.0, collect_traces=True)
+    traced = run_simulation(net, run.phy, m, fast, duration=6e3, seed=4, warmup=0.0, collect_traces=True)
     net = sample_network(run.phy, seed=10, n_devices=80)
-    weibull = run_simulation(net, run.phy, ChargingScheme.weibull(0.5, 50.0), duration=2e4, seed=10)
+    weibull = run_simulation(net, run.phy, m, ChargingScheme.weibull(0.5, 50.0), duration=2e4, seed=10)
     h = hashlib.sha256()
     for rep in (traced, weibull):
         arrays = [getattr(rep, f) for f in REPORT_FIELDS] + [getattr(rep.devices, f) for f in DEVICE_FIELDS]
@@ -227,7 +228,8 @@ def test_matches_per_cycle_reference(fig2, scheme, overlap, n_devices, duration,
 
 
 def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
-    rep = run_simulation(net, cfg, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
+    m = build_model(cfg)
+    rep = run_simulation(net, cfg, m, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
     want, traces, start = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from loraeh.hypergeom import hyp2f1_special
@@ -64,6 +66,20 @@ def test_extreme_arguments_against_mpmath():
         for z in (-1e5, -1e9, -1e12):
             truth = float(mp.hyp2f1(1, b, 1 + b, z))
             assert hyp2f1_special(eta, z) == pytest.approx(truth, rel=1e-12)
+
+
+@given(
+    # eta = 2 + 10^-k is where the inversion branch's two leading terms cancel
+    eta=st.one_of(st.floats(2.0, 6.0), st.integers(1, 15).map(lambda k: 2.0 + 10.0**-k)),
+    z=st.one_of(st.just(0.0), st.floats(-8.0, 12.0).map(lambda e: -(10.0**e))),
+)
+@example(eta=2.0 + 1e-9, z=-100.0)
+def test_against_mpmath(eta, z):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    b = mp.mpf(2) / mp.mpf(eta)
+    truth = float(mp.hyp2f1(1, b, 1 + b, z))
+    assert abs(hyp2f1_special(eta, z) - truth) <= 1e-12 * truth
 
 
 def test_bounded_and_monotone():

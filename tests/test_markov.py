@@ -283,6 +283,24 @@ class TestChainProperties:
         assert np.all(np.diff(outages) >= 0.0)
         assert np.abs(outages + [sd.availability(v) for v in volts] - 1.0).max() <= 1e-15
 
+    @given(
+        scheme=SCHEMES,
+        capacitance=st.floats(1e-3, 0.04),
+        airtimes=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+        n_bins=st.integers(1, 400),
+    )
+    def test_outage_nondecreasing_in_airtime(self, fig2, scheme, capacitance, airtimes, n_bins):
+        # a longer airtime lowers the retention, and each row's law is
+        # stochastically increasing in the retention
+        outages = []
+        for airtime in airtimes:
+            try:
+                sd = stationary_distribution(self.chain(fig2, scheme, capacitance, airtime, n_bins), max_iter=3000)
+            except NumericalError:
+                return  # as in test_stationary_law_and_outage
+            outages.append(sd.outage(fig2.phy.v_operating))
+        assert outages[0] <= outages[1] + 1e-15
+
     @staticmethod
     def chain(fig2, scheme, capacitance, airtime, n_bins):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")

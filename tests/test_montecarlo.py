@@ -43,7 +43,7 @@ class TestSingleDevice:
     def test_noiseless_lone_device(self, fig2, ud, steady_cache):
         cfg = dataclasses.replace(fig2.phy, noise=0.0)
         net = fixed_network([3500.0])
-        rep = run_simulation(net, cfg, ud, duration=2.5e5, seed=4)
+        rep = run_simulation(net, cfg, build_model(cfg), ud, duration=2.5e5, seed=4)
         assert rep.conn_rate[3] == 1.0  # no noise, no interferers
         markov_avail = 1.0 - steady_cache("ud", 0.204).outage(fig2.phy.v_operating)
         n = rep.cycles[3]
@@ -54,7 +54,7 @@ class TestSingleDevice:
     def test_huge_charging_time_never_skips(self, fig2):
         scheme = ChargingScheme.uniform(1e4, 2e4)
         net = fixed_network([3500.0, 3600.0])
-        rep = run_simulation(net, fig2.phy, scheme, duration=3e6, seed=1)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), scheme, duration=3e6, seed=1)
         assert rep.energy_skips.sum() == 0
         assert rep.energy_aborts.sum() == 0
         assert empirical_collision_fraction(rep, min_attempts=10)[3] < 2e-5
@@ -63,7 +63,7 @@ class TestSingleDevice:
 class TestAccounting:
     def test_counter_identity(self, fig2, ud):
         net = sample_network(fig2.phy, seed=2, n_devices=150)
-        rep = run_simulation(net, fig2.phy, ud, duration=5e4, seed=2)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=2)
         assert np.array_equal(rep.attempts, rep.successes + rep.snr_fails + rep.sir_fails)
         dv = rep.devices
         assert np.array_equal(dv.attempts, dv.successes + dv.snr_fails + dv.sir_fails)
@@ -74,20 +74,21 @@ class TestAccounting:
 
     def test_overall_identity(self, fig2, ud):
         net = sample_network(fig2.phy, seed=3, n_devices=100)
-        rep = run_simulation(net, fig2.phy, ud, duration=5e4, seed=3)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=3)
         mask = rep.cycles > 0
         assert np.allclose(rep.overall_rate[mask], (rep.energy_avail * rep.conn_rate)[mask], atol=1e-12)
 
     def test_empty_network(self, fig2, ud):
         net = fixed_network([])
-        rep = run_simulation(net, fig2.phy, ud, duration=1e4, seed=0)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=1e4, seed=0)
         assert rep.cycles.sum() == 0 and rep.successes.sum() == 0
 
     @pytest.mark.parametrize("warmup", [1e3, 5e3])
     def test_warmup_not_below_duration_is_config_error(self, fig2, ud, warmup):
         # no cycle could be counted: the report would read as total outage
         with pytest.raises(ConfigError, match="warm-up"):
-            run_simulation(fixed_network([3500.0]), fig2.phy, ud, duration=1e3, seed=0, warmup=warmup)
+            net = fixed_network([3500.0])
+            run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=1e3, seed=0, warmup=warmup)
 
     @given(
         n_devices=st.integers(0, 40),
@@ -102,9 +103,8 @@ class TestAccounting:
     def test_conservation(self, fig2, n_devices, seed, scheme, overlap, warmup_share):
         duration = 4e3
         net = sample_network(fig2.phy, seed=seed, n_devices=n_devices)
-        rep = run_simulation(
-            net, fig2.phy, scheme, duration, seed=seed, overlap=overlap, warmup=warmup_share * duration
-        )
+        m = build_model(fig2.phy)
+        rep = run_simulation(net, fig2.phy, m, scheme, duration, seed=seed, overlap=overlap, warmup=warmup_share * duration)
         dv = rep.devices
         for c in (dv, rep):
             assert np.array_equal(c.cycles, c.energy_skips + c.energy_aborts + c.attempts)
@@ -121,15 +121,15 @@ class TestAccounting:
 class TestDeterminism:
     def test_bit_identical_reports(self, fig2, ud):
         net = sample_network(fig2.phy, seed=11, n_devices=120)
-        a = run_simulation(net, fig2.phy, ud, duration=4e4, seed=11)
-        b = run_simulation(net, fig2.phy, ud, duration=4e4, seed=11)
+        a = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=11)
+        b = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=11)
         for x, y in zip(report_fields(a), report_fields(b)):
             assert np.array_equal(x, y)
 
     def test_seed_changes_results(self, fig2, ud):
         net = sample_network(fig2.phy, seed=11, n_devices=120)
-        a = run_simulation(net, fig2.phy, ud, duration=4e4, seed=11)
-        b = run_simulation(net, fig2.phy, ud, duration=4e4, seed=12)
+        a = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=11)
+        b = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=12)
         assert not np.array_equal(a.successes, b.successes)
 
 
@@ -139,8 +139,8 @@ class TestEnergyBookkeeping:
         # closed-form steps; the simulator must agree cycle by cycle
         net = fixed_network([3500.0, 4500.0, 2500.0])
         duration, seed = 3e4, 6
-        rep = run_simulation(net, fig2.phy, ud, duration=duration, seed=seed, collect_traces=True)
         m = build_model(fig2.phy, "thevenin")
+        rep = run_simulation(net, fig2.phy, m, ud, duration=duration, seed=seed, collect_traces=True)
         dev = 1
         streams = np.random.SeedSequence(seed).spawn(6)
         gen = np.random.Generator(np.random.PCG64(streams[2 * dev]))
@@ -171,7 +171,7 @@ class TestEnergyBookkeeping:
         cfg = dataclasses.replace(fig2.phy, v_operating=3.25)
         scheme = ChargingScheme.uniform(0.0, 5.0)
         net = fixed_network([5500.0])
-        rep = run_simulation(net, cfg, scheme, duration=2e3, seed=3, warmup=0.0, collect_traces=True)
+        rep = run_simulation(net, cfg, build_model(cfg), scheme, duration=2e3, seed=3, warmup=0.0, collect_traces=True)
         assert rep.attempts.sum() == 0
         assert rep.energy_skips[5] == rep.cycles[5]
         assert np.all(np.diff(rep.traces[0]) >= 0)  # only charging; a discharge would drop strictly
@@ -179,7 +179,7 @@ class TestEnergyBookkeeping:
     def test_voltage_stays_in_range(self, fig2, ud):
         net = fixed_network([3500.0])
         m = build_model(fig2.phy, "thevenin")
-        rep = run_simulation(net, fig2.phy, ud, duration=5e4, seed=9, collect_traces=True)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=9, collect_traces=True)
         tr = rep.traces[0]
         assert tr.min() >= m.v_limit_on - 1e-12 and tr.max() <= m.v_limit_off + 1e-12
 
@@ -187,8 +187,8 @@ class TestEnergyBookkeeping:
 class TestInterference:
     def test_fractional_weighting_never_exceeds_full(self, fig2, ud):
         net = sample_network(fig2.phy, seed=14, n_devices=300)
-        full = run_simulation(net, fig2.phy, ud, duration=5e4, seed=14, overlap="full")
-        frac = run_simulation(net, fig2.phy, ud, duration=5e4, seed=14, overlap="fractional")
+        full = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=14, overlap="full")
+        frac = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=14, overlap="fractional")
         assert np.array_equal(full.attempts, frac.attempts)  # energy side identical
         assert np.all(frac.successes >= full.successes)
 
@@ -196,14 +196,14 @@ class TestInterference:
         rates = []
         for n in (100, 250, 500):
             net = sample_network(fig2.phy, seed=15, n_devices=n)
-            rep = run_simulation(net, fig2.phy, ud, duration=4e4, seed=15)
+            rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=15)
             rates.append(rep.conn_rate[2])  # ring 3: fully energy-available
         assert rates[0] > rates[1] > rates[2]
 
     def test_ci_shrinks_with_duration(self, fig2, ud):
         net = sample_network(fig2.phy, seed=16, n_devices=60)
-        short = run_simulation(net, fig2.phy, ud, duration=5e4, seed=16)
-        long = run_simulation(net, fig2.phy, ud, duration=2e5, seed=16)
+        short = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=16)
+        long = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=2e5, seed=16)
         for r in range(4):
             if short.cycles[r] and long.cycles[r]:
                 ratio = long.ci_half_width[r] / max(short.ci_half_width[r], 1e-12)
@@ -213,12 +213,12 @@ class TestInterference:
 class TestCollisionEstimate:
     def test_dead_ring_zero(self, fig2, ud):
         net = fixed_network([5500.0])  # SF12 is always in outage at these parameters
-        rep = run_simulation(net, fig2.phy, ud, duration=5e4, seed=2)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=2)
         assert empirical_collision_fraction(rep)[5] == 0.0
 
     def test_insufficient_samples_raises(self, fig2, ud):
         net = fixed_network([500.0])
-        rep = run_simulation(net, fig2.phy, ud, duration=2e3, seed=2, warmup=0.0)
+        rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=2e3, seed=2, warmup=0.0)
         assert 0 < rep.attempts[0] < 100
         with pytest.raises(StatisticsError) as exc:
             empirical_collision_fraction(rep)
