@@ -8,6 +8,7 @@ always evaluated in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class CapacitorModel:
     tau_on: float  # discharge time constant [s]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.v_limit_off, self.tau_off, self.v_limit_on, self.tau_on))):
+            raise ConfigError(f"capacitor model constants must be finite, got {self}")
         if not self.v_limit_on < self.v_limit_off:
             raise ConfigError("discharge asymptote must lie below the charge asymptote")
         if not 0 < self.tau_on < self.tau_off:
@@ -130,10 +133,13 @@ def simulate_trajectory(
     if samples_per_phase < 1:
         raise ConfigError(f"samples per phase must be at least 1, got {samples_per_phase}")
     rng = np.random.default_rng(seed)
-    nu = np.asarray(scheme.sample(rng, n_cycles), dtype=float)
+    with np.errstate(over="ignore"):  # a clock past the float range is rejected below
+        nu = np.asarray(scheme.sample(rng, n_cycles), dtype=float)
+        # phase start times: one running sum over nu_0, airtime, nu_1, airtime, ...
+        ends = np.cumsum(np.column_stack([nu, np.full(n_cycles, float(airtime))]).ravel())
+    if not np.isfinite(ends).all():
+        raise NumericalError("the trajectory's clock overflows a float: the charging times are too long")
     fracs = np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase)
-    # phase start times: one running sum over nu_0, airtime, nu_1, airtime, ...
-    ends = np.cumsum(np.column_stack([nu, np.full(n_cycles, float(airtime))]).ravel())
     starts = np.concatenate(([0.0], ends))[:-1].reshape(n_cycles, 2)
     # phase start voltages: the scalar recurrence of step_charge then step_discharge
     v_start = np.empty((n_cycles, 2))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .phy import ChargingScheme, N_RINGS, PhyConfig, _thermal_noise_w
+from .phy import ChargingScheme, N_RINGS, PhyConfig, _from_db, _thermal_noise_w
 
 DEFAULTS = {
     "harvester": {"voltage_v": "3.3", "power_w": "1e-3"},
@@ -55,22 +55,21 @@ class RunConfig:
     """Resolved configuration: physics, charging scheme, capacitor model mode."""
 
     phy: PhyConfig
-    scheme: ChargingScheme
+    scheme: ChargingScheme  # the family [scheme] kind names
+    schemes: dict  # {"uniform": ..., "weibull": ...}, both built from [scheme] and checked
     mode: str  # "thevenin" | "literal"
     v_initial: float  # trajectory start voltage [V]
     raw: dict  # resolved key/value snapshot (manifest)
 
     def scheme_by_kind(self, kind: str) -> ChargingScheme:
-        raw = self.raw["scheme"]
-        if kind == "uniform":
-            return ChargingScheme.uniform(float(raw["a_s"]), float(raw["b_s"]))
-        if kind == "weibull":
-            return ChargingScheme.weibull(float(raw["k"]), float(raw["w_s"]))
-        raise ConfigError(f"unknown scheme kind {kind!r}")
+        try:
+            return self.schemes[kind]
+        except KeyError:
+            raise ConfigError(f"unknown scheme kind {kind!r}") from None
 
 
 def _dbm_to_w(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    return _from_db(dbm) * 1e-3
 
 
 def _getfloat(parser, section, key):
@@ -141,19 +140,21 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         eta=_getfloat(parser, "deployment", "path_loss_exponent"),
         wavelength=_getfloat(parser, "deployment", "wavelength_cm") * 1e-2,
         noise=noise_w,
-        sir_threshold=10.0 ** (_getfloat(parser, "radio", "sir_threshold_db") / 10.0),
+        sir_threshold=_from_db(_getfloat(parser, "radio", "sir_threshold_db")),
         radius=radius_m,
         density=_getfloat(parser, "deployment", "density_per_km2") * 1e-6,
         ring_radii=radii,
     )
 
     kind = parser.get("scheme", "kind").strip().lower()
-    if kind in ("uniform", "ud"):
-        scheme = ChargingScheme.uniform(_getfloat(parser, "scheme", "a_s"), _getfloat(parser, "scheme", "b_s"))
-    elif kind in ("weibull", "wd"):
-        scheme = ChargingScheme.weibull(_getfloat(parser, "scheme", "k"), _getfloat(parser, "scheme", "w_s"))
-    else:
+    kind = {"ud": "uniform", "wd": "weibull"}.get(kind, kind)
+    if kind not in ("uniform", "weibull"):
         raise ConfigError(f"[scheme] kind must be uniform or weibull, got {kind!r}")
+    # both families are built, so a bad key of the one kind does not name is still rejected
+    schemes = {
+        "uniform": ChargingScheme.uniform(_getfloat(parser, "scheme", "a_s"), _getfloat(parser, "scheme", "b_s")),
+        "weibull": ChargingScheme.weibull(_getfloat(parser, "scheme", "k"), _getfloat(parser, "scheme", "w_s")),
+    }
 
     mode = parser.get("capacitor", "mode").strip().lower()
     if mode not in ("thevenin", "literal"):
@@ -163,8 +164,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         raise ConfigError("[capacitor] v_initial_v must be finite")
 
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    if kind == "ud":
-        raw["scheme"]["kind"] = "uniform"
-    elif kind == "wd":
-        raw["scheme"]["kind"] = "weibull"
-    return RunConfig(phy=phy, scheme=scheme, mode=mode, v_initial=v_init, raw=raw)
+    raw["scheme"]["kind"] = kind
+    return RunConfig(phy=phy, scheme=schemes[kind], schemes=schemes, mode=mode, v_initial=v_init, raw=raw)

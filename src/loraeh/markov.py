@@ -7,8 +7,11 @@ map sends the centre of bin i into bin j (Ulam's discretization), which
 converges to the true stationary law as the grid refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins, so
-it is stored as a scipy CSR array and the stationary law is found by power
-iteration on its prebuilt transpose.
+it is stored as a scipy CSR array. The stationary law is the eigenvector of
+its transpose for the eigenvalue 1, found by one implicitly restarted Arnoldi
+solve (ARPACK). It is unique only when the chain has one closed class; a grid
+too coarse for one cycle's change of voltage can split the chain into
+several, and the solver then raises NumericalError.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import integrate, linalg, sparse
+from scipy.sparse import csgraph
+from scipy.sparse import linalg as sparse_linalg
 
 from .capacitor import CapacitorModel, CycleConstants
 from .errors import NumericalError
@@ -200,27 +205,47 @@ class StationaryDistribution:
 
 
 def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100000) -> StationaryDistribution:
-    """Left fixed point u = u S of the row-stochastic matrix, L1-normalized.
+    """Left fixed point u = u P of the row-stochastic matrix P, L1-normalized.
 
-    Power iteration as products with the CSR transpose built once, started
-    from the uniform law. tm.matrix may also be a dense array.
+    The law is unique only when P has one closed class (a set of bins that
+    no transition leaves); more than one raises NumericalError. The fixed
+    point is the eigenvector of P^T for the eigenvalue 1, found by
+    implicitly restarted Arnoldi (ARPACK) from the uniform law with about
+    max_iter products with P at most. Asking for the eigenvalue of largest
+    real part ("LR") picks 1 alone, also on a periodic chain. Chains of one
+    or two bins, too small for ARPACK, take a dense eigensolve. Bins outside
+    the closed class are transient and get exactly 0. tm.matrix may also be
+    a dense array.
     """
-    mat_t = sparse.csr_array(tm.matrix).T.tocsr()
-    u = np.full(tm.n_bins, 1.0 / tm.n_bins)
-    for _ in range(max_iter):
-        nxt = mat_t @ u
-        s = nxt.sum()
-        if s <= 0:
-            raise NumericalError("power iteration collapsed to zero mass")
-        nxt /= s
-        res = np.abs(nxt - u).max()
-        u = nxt
-        if res < tol * 1e-2:
-            break
-    if np.abs(mat_t @ u - u).max() > tol:
-        raise NumericalError(f"power iteration did not reach residual {tol}")
-    u = np.maximum(u, 0.0)
+    mat = sparse.csr_array(tm.matrix)
+    n = tm.n_bins
+    # a strongly connected class is closed when no stored transition leaves it
+    n_classes, labels = csgraph.connected_components(mat, directed=True, connection="strong")
+    src = np.repeat(labels, np.diff(mat.indptr))
+    leaves = np.zeros(n_classes, dtype=bool)
+    leaves[src[src != labels[mat.indices]]] = True
+    closed = np.flatnonzero(~leaves)
+    if closed.size > 1:
+        raise NumericalError(
+            f"the chain has {closed.size} closed classes, so its stationary law is not unique: "
+            f"the grid of {n} bins is too coarse for one cycle's change of voltage"
+        )
+    if n < 3:
+        vals, vecs = linalg.eig(mat.toarray().T)
+    else:
+        ncv = min(n, 20)
+        try:
+            vals, vecs = sparse_linalg.eigs(
+                mat.T, k=1, which="LR", v0=np.full(n, 1.0 / n), ncv=ncv, maxiter=max(1, max_iter // ncv)
+            )
+        except sparse_linalg.ArpackError as exc:
+            raise NumericalError(f"Arnoldi solve for the stationary law failed: {exc}") from exc
+    u = vecs[:, np.argmax(vals.real)].real
+    u = np.maximum(u / u.sum(), 0.0)
+    u[labels != closed[0]] = 0.0
     u /= u.sum()
+    if np.abs(mat.T @ u - u).max() > tol:
+        raise NumericalError(f"the stationary law misses its residual {tol}")
     return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
 
 

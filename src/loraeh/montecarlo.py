@@ -294,9 +294,10 @@ def run_simulation(
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens]) if n else np.empty(0)
     if n:
-        counters, (dev, start, counted, rank), traces = _energy_phase(
-            nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
-        )
+        with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
+            counters, (dev, start, counted, rank), traces = _energy_phase(
+                nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
+            )
     else:
         counters = (np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)
         dev, rank = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
@@ -312,7 +313,8 @@ def run_simulation(
     rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
     h2 = draws[rank]
     del draws, rank
-    ok_snr = h2 >= (cfg.noise * SNR_THRESHOLDS[rings] / (cfg.p_tx * gains))[dev]
+    with np.errstate(divide="ignore"):  # a path gain that underflows to 0 fails every SNR test
+        ok_snr = h2 >= (cfg.noise * SNR_THRESHOLDS[rings] / (cfg.p_tx * gains))[dev]
     pw = np.multiply(h2, cfg.p_tx, out=h2)  # h2 is not needed again
     pw *= gains[dev]
 

@@ -104,7 +104,8 @@ class ChargingScheme:
             out = np.clip((self.b - x) / (self.b - self.a), 0.0, 1.0)
             out = np.where(x < self.a, 1.0, out)
         else:
-            out = np.where(x > 0, np.exp(-((np.maximum(x, 0.0) / self.w) ** self.k)), 1.0)
+            with np.errstate(over="ignore"):  # (x / w)^k = inf gives survival 0
+                out = np.where(x > 0, np.exp(-((np.maximum(x, 0.0) / self.w) ** self.k)), 1.0)
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
@@ -124,12 +125,20 @@ class ChargingScheme:
         return self.w * rng.weibull(self.k, size)
 
 
+def _from_db(db: float) -> float:
+    """10^(db/10); a ratio too large for a float reads inf, which PhyConfig rejects."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _thermal_noise_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     # -174 dBm/Hz floor plus receiver noise figure
     if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
         raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth_hz}")
     dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    return _from_db(dbm) * 1e-3
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,20 @@ class PhyConfig:
             raise ConfigError(f"radius and wavelength must be positive, got {self.radius} m and {self.wavelength} m")
         if self.p_harvest <= 0 or self.v_harvest <= 0:
             raise ConfigError("harvester voltage and power must be positive")
+        if not math.isfinite(self.v_harvest * self.v_harvest / self.p_harvest):
+            raise ConfigError("harvester resistance V_H^2 / P_H is too large for a float")
         if not self.r_load_on < self.r_load_off:
             raise ConfigError("r_load_on must be smaller than r_load_off (discharge faster than charge)")
         if not self.v_operating < self.v_harvest:
             raise ConfigError("operating threshold must lie below the harvester voltage")
         if self.eta < 2.0:
             raise ConfigError("path-loss exponent must be >= 2")
+        if self.sir_threshold <= 0 or self.p_tx <= 0:
+            raise ConfigError(f"SIR threshold and tx power must be positive, got {self.sir_threshold} and {self.p_tx} W")
+        with np.errstate(over="ignore"):  # path gain (wavelength / 4 pi d)^eta, largest at d = 1 m
+            rx_1m = self.p_tx * np.float64(self.wavelength / (4.0 * math.pi)) ** self.eta
+        if not math.isfinite(rx_1m):
+            raise ConfigError("received power at 1 m is too large for a float: check wavelength, eta and tx power")
         if self.bandwidth <= 0:
             raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.density < 0:

@@ -1,18 +1,24 @@
+import contextlib
 import dataclasses
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loraeh
 from loraeh import markov
 from loraeh.capacitor import build_model, cycle_voltages
 from loraeh.cli import build_parser, main
+from loraeh.config import DEFAULTS
 from loraeh.errors import NumericalError
 from loraeh.phy import ChargingScheme
 
@@ -245,7 +251,7 @@ class TestExitCodes:
         def second_fails(*a, **kw):
             calls.append(a)
             if len(calls) == 2:
-                raise NumericalError("power iteration did not reach residual")
+                raise NumericalError("the stationary law misses its residual")
             return solve(*a, **kw)
 
         monkeypatch.setattr(markov, "steady_state", second_fails)
@@ -282,6 +288,17 @@ class TestExitCodes:
             pytest.param("[scheme]\nb_s = inf\n", SIMULATE, id="scheme-b-inf"),
             # an explicit warm-up, so the scheme check and not the warm-up check rejects it
             pytest.param("[scheme]\nkind = weibull\nk = nan\n", SIMULATE + ["--warmup", 100], id="scheme-k-nan"),
+            # the family kind does not name is checked too
+            pytest.param("[scheme]\nk = nan\n", SIMULATE_SMALL, id="other-scheme-k-nan-simulate"),
+            pytest.param("[scheme]\nk = nan\n", ["act-plan", "--act", "cdc", "--bins", 100], id="other-scheme-k-nan-cdc"),
+            # powers too large or too small for the physics
+            pytest.param("[radio]\ntx_power_dbm = 1e308\n", COVERAGE, id="tx-power-overflow"),
+            pytest.param("[radio]\ntx_power_dbm = -inf\n", COVERAGE, id="tx-power-zero"),
+            pytest.param("[radio]\nsir_threshold_db = -inf\n", COVERAGE, id="sir-zero"),
+            pytest.param("[radio]\nnoise_figure_db = 1e308\n", STEADY, id="noise-figure-overflow"),
+            pytest.param("[harvester]\nvoltage_v = 1e308\n", STEADY, id="harvester-resistance-overflow"),
+            pytest.param("[capacitor]\nr_off_ohm = 1e308\n", STEADY, id="tau-off-overflow"),
+            pytest.param("[deployment]\nwavelength_cm = 1e308\n", SIMULATE_SMALL, id="path-gain-overflow"),
         ],
     )
     def test_bad_radio_config(self, tmp_path, capsys, ini, command):
@@ -292,6 +309,16 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    def test_grid_too_coarse_for_one_cycle(self, tmp_path, capsys):
+        # at 40 mF one cycle moves the voltage by less than a 12 mV bin: the
+        # uniform SF7 chain splits into 12 closed classes and has no unique law
+        cfg = tmp_path / "40mF.ini"
+        cfg.write_text("[capacitor]\ncapacitance_f = 0.04\n")
+        out = tmp_path / "coarse"
+        assert run(["act-plan", "--act", "cve", "--bins", 100, "--config", cfg, "--out", out]) == 2
+        assert "12 closed classes" in capsys.readouterr().err
+        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+
     def test_simulate_infinite_duration(self, tmp_path):
         src = str(Path(loraeh.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -301,6 +328,62 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "oops", "")
+TEXT_VALUES = {
+    ("radio", "noise_dbm"): ("", "-120", "200"),
+    ("deployment", "ring_radii_km"): ("", "0,1,2,3,4,5,6", "0,1,2", "0,2,1,3,4,5,6"),
+    ("capacitor", "mode"): ("thevenin", "literal", "norton"),
+    ("scheme", "kind"): ("uniform", "weibull", "ud", "wd", "gamma"),
+}
+
+
+def ini_value(section, key):
+    """A value for one INI key: a bad token, or the default scaled by 10^-3 .. 10^3."""
+    if (section, key) in TEXT_VALUES:
+        return st.sampled_from(TEXT_VALUES[section, key] + BAD_VALUES)
+    default = float(DEFAULTS[section][key])
+    return st.one_of(st.sampled_from(BAD_VALUES), st.floats(-3.0, 3.0).map(lambda e: f"{default * 10.0**e:.6g}"))
+
+
+@st.composite
+def ini_files(draw):
+    keys = draw(st.lists(st.sampled_from([(s, k) for s in DEFAULTS for k in DEFAULTS[s]]), max_size=4, unique=True))
+    lines = {}
+    for section, key in keys:
+        lines.setdefault(section, []).append(f"{key} = {draw(ini_value(section, key))}")
+    return "".join(f"[{section}]\n" + "\n".join(body) + "\n" for section, body in lines.items())
+
+
+class TestFuzz:
+    @settings(max_examples=30)
+    @given(
+        ini=ini_files(),
+        command=st.sampled_from(
+            [
+                ["steady-state"],
+                ["outage-sweep"],
+                ["coverage", "--points-per-ring", 2],
+                ["act-plan", "--act", "cdc"],
+                ["act-plan", "--act", "cve"],
+                SIMULATE_SMALL,
+                ["capacitor-trace", "--cycles", 20],
+            ]
+        ),
+        bins=st.integers(20, 200),
+    )
+    def test_random_config_ends_in_a_documented_exit(self, ini, command, bins):
+        # an exception out of main would be a traceback on the command line
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzz.ini"
+            cfg.write_text(ini)
+            bins_arg = ["--bins", bins] if command[0] not in ("simulate", "capacitor-trace") else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(command + bins_arg + ["--config", cfg, "--out", Path(tmp) / "out"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOneModel:

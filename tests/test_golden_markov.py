@@ -1,15 +1,16 @@
 """Golden outputs of the analytic path: transition matrix, stationary law, CSVs.
 
-`reference_transition_matrix` and `reference_power_iteration` are a dense
-builder and solver: the same per-cell mass formula is evaluated on every cell
-of the grid, and the power iteration multiplies by the dense matrix. The
-band-sparse builder must keep exactly the nonzero cells, and the sparse solver
-land on the same stationary vector up to summation-order rounding. The CSV
-digests were recorded from the mass chain at the default configuration; like
-those of `test_golden.py` they depend on numpy's vectorized log, exp and power
-kernels. `python tests/test_golden_markov.py` prints the digests of the current
-code in the layout of GOLDEN, and `--compare DIR` how far every CSV column
-moved from an older run (see the end of this file).
+`reference_transition_matrix` and `reference_stationary` are a dense builder
+and solver: the same per-cell mass formula is evaluated on every cell of the
+grid, and the stationary law is the exact solution of u (I - P) = 0, sum(u) =
+1 by dense LU. The band-sparse builder must keep exactly the nonzero cells,
+and the Arnoldi solver land on the same stationary vector up to rounding. The
+CSV digests were recorded from the mass chain at the default configuration;
+like those of `test_golden.py` they depend on numpy's vectorized log, exp and
+power kernels, and through ARPACK on the BLAS kernels. `python
+tests/test_golden_markov.py` prints the digests of the current code in the
+layout of GOLDEN, and `--compare DIR` how far every CSV column moved from an
+older run (see the end of this file).
 """
 
 import csv
@@ -28,7 +29,7 @@ from loraeh.markov import DecayFactorDistribution, build_transition_matrix, stat
 from loraeh.phy import ChargingScheme
 
 BINS = 1000
-COARSE_BINS = 300  # a coarse grid goes through the same builder and power iteration
+COARSE_BINS = 300  # a coarse grid goes through the same builder and solver
 AIRTIMES = (0.0366, 0.204, 0.682)  # SF7, SF10, SF12
 SCHEMES = {
     "uniform": ChargingScheme.uniform(0.0, 100.0),
@@ -47,24 +48,24 @@ DENSE_CASES = [
 # CLI arguments -> {csv name: sha256}, default configuration
 GOLDEN = {
     "steady-state": {
-        "convergence.csv": "d852623e6dbc63ceff7829e01ec400ffea743d06493b27cd39511c589854a20a",
-        "outage_summary.csv": "cf8633236eb9bb1af9ab72ef2fb9bc9c3352373bd453b39371fbd949465b79b8",
-        "steady_ud.csv": "be43a3848b10ceb222a83476b97f6f41ee11744e03b47eebce9a5a07183cd3c4",
-        "steady_wd.csv": "37b2473195f7d91431bcf1f3fd1421fc278a8b23fc843034c67376e8b4fd625f",
+        "convergence.csv": "e950e4d1bf26e9c1836584fa5b58befcb3722124f1cfd3e8f1ac4597f958015b",
+        "outage_summary.csv": "ea83e30e6ff762d93e73e5458a42f1362a8519ee088eed487acd5a6873436e0b",
+        "steady_ud.csv": "6732e8d5b4ba03f1fef9c627237d900005dab26daaa6c8f2686ec24e621049e2",
+        "steady_wd.csv": "d3df31e80d02db1686bcc188f06b8162888151b59760be37e089c69b3d052617",
     },
     "outage-sweep": {
-        "outage_sweep.csv": "85baad57e0759b56089f74c5aab47022530476487ae3f3a76f2115074bc6f680",
+        "outage_sweep.csv": "a4ad795b7d4f086a091c91a7216417c7f5989b445518097b07805d97eecc6c8e",
     },
     "coverage": {
-        "coverage.csv": "e6f2709be698799847ea979a0768dae491e5482b0a3f27b89e78706123a64135",
+        "coverage.csv": "c1b789054cb36acde1d5fced10a42f4715bf0526f13f3e9c35e040de4e9cc5b8",
     },
     "act-plan --act cdc": {
-        "act_pdfs.csv": "d16011064c2bbd8267b73089ec49a0150c3fcb846feaa99263864828e7ae6796",
-        "act_plan.csv": "d76892c8bed46bc9a93626f4b0079ca5998d26c47df2c68f4df72cc3f34babca",
+        "act_pdfs.csv": "61fa2228a29fc4926d8396df1394f00f495da803e60d340c56283fd589a8cbf5",
+        "act_plan.csv": "f38943d674536de52c2552bf8c4dca04f84dcfd9e3ecee42c52ccd7872cf54ac",
     },
     "act-plan --act cve": {
-        "act_pdfs.csv": "75e583e8b2f1629cea16d807d0aeece628bac9a52a878e0f13d65e6cbb695f7f",
-        "act_plan.csv": "a1ddae8f5d53ba5fbee57ca39500967775786ad34e323aff683d42e372e80461",
+        "act_pdfs.csv": "f7fb551f57063514b93bee8442748b2781ace97dcb38510c865ffe1a95b680cc",
+        "act_plan.csv": "6b925392b3973770a9460dffdbab80022f8992679f78e2085670fd929318eecf",
     },
 }
 
@@ -81,19 +82,14 @@ def reference_transition_matrix(dist, cc, m, n_bins):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def reference_power_iteration(mat, tol=1e-10, max_iter=100000):
-    """Left fixed point by dense power iteration from the uniform law."""
-    u = np.full(mat.shape[0], 1.0 / mat.shape[0])
-    for _ in range(max_iter):
-        nxt = u @ mat
-        nxt /= nxt.sum()
-        res = np.abs(nxt - u).max()
-        u = nxt
-        if res < tol * 1e-2:
-            break
-    assert np.abs(u @ mat - u).max() <= tol
-    u = np.maximum(u, 0.0)
-    return u / u.sum()
+def reference_stationary(mat):
+    """The exact stationary law: (I - P^T) u = 0 with its last row replaced by sum(u) = 1, by dense LU."""
+    n = mat.shape[0]
+    a = np.eye(n) - mat.T
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
 
 
 @pytest.mark.parametrize("scheme, capacitance, airtime, n_bins", DENSE_CASES)
@@ -107,8 +103,17 @@ def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     assert np.array_equal(got != 0.0, dense != 0.0)
     assert np.abs(got - dense).max() <= 1e-15
     sd = stationary_distribution(tm)
-    ref = reference_power_iteration(dense)
-    assert 0.5 * np.abs(sd.probabilities - ref).sum() <= 1e-14
+    assert 0.5 * np.abs(sd.probabilities - reference_stationary(dense)).sum() <= 1e-13
+
+
+def test_near_reducible_chain_matches_dense_reference(fig2):
+    # one closed class whose 60 bins are linked only by tail probabilities (the
+    # second eigenvalue is 1 - 7e-6)
+    m = build_model(dataclasses.replace(fig2.phy, capacitance=0.18), "thevenin")
+    dist = DecayFactorDistribution(scheme=ChargingScheme.weibull(1.31, 9.03), tau_charge=m.tau_off)
+    tm = build_transition_matrix(dist, CycleConstants.from_model(m, 0.365), m, n_bins=60)
+    sd = stationary_distribution(tm)
+    assert 0.5 * np.abs(sd.probabilities - reference_stationary(tm.matrix.toarray())).sum() <= 1e-13
 
 
 def test_every_row_holds_mass(model):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -103,14 +104,46 @@ class TestTransitionMatrix:
 
 class TestStationary:
     def test_identity_matrix_convention(self):
+        # every bin of the identity is its own closed class: no law is unique
         tm = TransitionMatrix(matrix=np.eye(3), bin_edges=np.linspace(0, 1, 4))
-        sd = stationary_distribution(tm)
-        assert np.allclose(sd.probabilities, [1 / 3] * 3)
+        with pytest.raises(NumericalError, match="3 closed classes"):
+            stationary_distribution(tm)
 
     def test_two_state_symmetric(self):
         tm = TransitionMatrix(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3))
         sd = stationary_distribution(tm)
         assert np.allclose(sd.probabilities, [0.5, 0.5], atol=1e-12)
+
+    def test_one_and_two_bin_closed_forms(self):
+        # too small for ARPACK; [[1 - a, a], [b, 1 - b]] has the law (b, a) / (a + b)
+        one = stationary_distribution(TransitionMatrix(matrix=np.eye(1), bin_edges=np.linspace(0, 1, 2)))
+        assert one.probabilities.tolist() == [1.0]
+        a, b = 0.3, 0.1
+        two = TransitionMatrix(matrix=np.array([[1 - a, a], [b, 1 - b]]), bin_edges=np.linspace(0, 1, 3))
+        assert np.abs(stationary_distribution(two).probabilities - [0.25, 0.75]).max() <= 1e-15
+        absorbing = TransitionMatrix(matrix=np.array([[1.0, 0.0], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3))
+        assert stationary_distribution(absorbing).probabilities.tolist() == [1.0, 0.0]
+
+    def test_periodic_chain(self):
+        # the eigenvalues of a 3-cycle are the cube roots of 1, all of modulus 1: only
+        # the largest real part singles out the eigenvalue 1
+        cycle = TransitionMatrix(matrix=np.roll(np.eye(3), 1, axis=1), bin_edges=np.linspace(0, 1, 4))
+        assert np.abs(stationary_distribution(cycle).probabilities - 1 / 3).max() <= 1e-15
+
+    def test_transient_bins_get_exactly_zero(self):
+        # bins 0 and 1 drain into the closed class {2, 3, 4}
+        mat = np.array(
+            [
+                [0.5, 0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.2, 0.8, 0.0, 0.0],
+                [0.0, 0.0, 0.1, 0.6, 0.3],
+                [0.0, 0.0, 0.4, 0.2, 0.4],
+                [0.0, 0.0, 0.5, 0.5, 0.0],
+            ]
+        )
+        u = stationary_distribution(TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 6))).probabilities
+        assert u[:2].tolist() == [0.0, 0.0]
+        assert np.all(u[2:] > 0.0) and np.abs(u @ mat - u).max() <= 1e-15
 
     def test_residual_contract(self, ud, model, steady_cache):
         sd = steady_cache("ud", 0.204)
@@ -119,13 +152,14 @@ class TestStationary:
         tm = build_transition_matrix(d, cc, model, n_bins=2000)
         assert np.abs(sd.probabilities @ tm.matrix - sd.probabilities).max() < 1e-10
 
-    def test_nonconvergence_raises(self):
-        rng = np.random.default_rng(1)
-        mat = rng.uniform(size=(8, 8))
-        mat /= mat.sum(axis=1, keepdims=True)
-        tm = TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 9))
-        with pytest.raises(NumericalError):
-            stationary_distribution(tm, max_iter=1, tol=1e-16)
+    def test_nonconvergence_raises(self, fig2):
+        # one closed class whose bins are linked only by tail probabilities: in
+        # floating point its next eigenvalues are 1 too, and no solve can separate them
+        tm = TestChainProperties.chain(fig2, ChargingScheme.weibull(1.31, 9.03), 0.18, 0.365, 37)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="converge"):
+            stationary_distribution(tm, max_iter=3000)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestOutage:
@@ -273,9 +307,10 @@ class TestChainProperties:
         try:
             sd = stationary_distribution(tm, max_iter=3000)
         except NumericalError:
-            # a slowly mixing chain needs more steps, and on a grid too coarse
-            # for one cycle's spread of voltages the spectral gap can fall to
-            # 1e-6 or below: power iteration must then raise, not return
+            # on a grid too coarse for one cycle's change of voltage the chain
+            # can have several closed classes, or one whose bins are linked
+            # only by tail probabilities, with a spectral gap of 1e-6 or
+            # below: the solve must then raise, not return
             return
         assert np.all(sd.probabilities >= 0.0) and abs(sd.probabilities.sum() - 1.0) <= 1e-12
         volts = np.linspace(tm.bin_edges[0] - 0.1, tm.bin_edges[-1] + 0.1, 101)
