@@ -14,9 +14,9 @@ import numpy as np
 from scipy.special import lambertw
 
 from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericalError
 from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
-from .phy import ChargingScheme, N_RINGS, PhyConfig, SF_TABLE, duty_cycle
+from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SF_TABLE
 
 PARAM_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime
 ETSI_DUTY_CAP = 0.01
@@ -44,20 +44,27 @@ def _scheme_for(dist_kind: str, mean_nu: float) -> ChargingScheme:
 
 
 def _plan(schemes: list[ChargingScheme], m: CapacitorModel, cfg: PhyConfig, n_bins: int) -> ActPlan:
-    """Evaluate the per-SF schemes: one steady-state solve per SF."""
+    """Evaluate the per-SF schemes: one steady-state solve per SF, whose mean must
+    lie within one bin of the exact stationary mean (the mean map's fixed point)."""
     mean_v = np.empty(N_RINGS)
-    duty = np.empty(N_RINGS)
     sds = []
     for r, scheme in enumerate(schemes):
         airtime = SF_TABLE[r].airtime_s
         cc = CycleConstants.from_model(m, airtime)
         decay = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
         mean_v[r] = estimate_mean_voltage(cc, decay)
-        sds.append(steady_state(scheme, airtime, m, n_bins=n_bins))
-        duty[r] = duty_cycle(scheme, airtime).simple_ratio
+        sd = steady_state(scheme, airtime, m, n_bins=n_bins)
+        if abs(sd.mean() - mean_v[r]) > sd.delta:
+            raise NumericalError(
+                f"SF{SF_TABLE[r].sf}: the {n_bins}-bin chain's mean voltage {sd.mean():.4f} V misses the exact "
+                f"stationary mean {mean_v[r]:.4f} V by more than one bin: the grid is too coarse"
+            )
+        sds.append(sd)
+    mean_nu = np.array([s.mean() for s in schemes])
+    duty = AIRTIMES_S / (mean_nu + AIRTIMES_S)
     return ActPlan(
         schemes=tuple(schemes),
-        mean_nu=np.array([s.mean() for s in schemes]),
+        mean_nu=mean_nu,
         predicted_mean_v=mean_v,
         predicted_outage=np.array([sd.outage(cfg.v_operating) for sd in sds]),
         stationary=tuple(sds),

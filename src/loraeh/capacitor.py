@@ -81,7 +81,6 @@ class CycleConstants:
     v_after_full: float  # [V]
     retention: float  # in (0, 1)
     ceiling: float  # [V]
-    airtime: float  # [s]
 
     @classmethod
     def from_model(cls, m: CapacitorModel, airtime: float) -> "CycleConstants":
@@ -91,7 +90,6 @@ class CycleConstants:
             v_after_full=m.v_limit_on + (ceiling - m.v_limit_on) * retention,
             retention=retention,
             ceiling=ceiling,
-            airtime=airtime,
         )
 
     def apply(self, v, decay):

@@ -24,7 +24,7 @@ from . import act as act_mod
 from . import markov
 from .capacitor import CapacitorModel, build_model, simulate_trajectory
 from .config import RunConfig, load_config
-from .errors import ConfigError, InfeasibleError, NumericalError, StatisticsError
+from .errors import ConfigError, InfeasibleError, NumericalError
 from .geometry import coverage_profile, sample_network
 from .montecarlo import run_simulation
 from .phy import AIRTIMES_S, N_RINGS, SF_TABLE
@@ -112,7 +112,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 def _scheme_pair(run: RunConfig):
     """(label, scheme) pairs for the uniform/weibull outputs."""
-    return [("ud", run.scheme_by_kind("uniform")), ("wd", run.scheme_by_kind("weibull"))]
+    return [("ud", run.schemes["uniform"]), ("wd", run.schemes["weibull"])]
 
 
 # Each cmd_* computes its subcommand's outputs as {csv name: {header: column}},
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, StatisticsError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

@@ -61,12 +61,6 @@ class RunConfig:
     v_initial: float  # trajectory start voltage [V]
     raw: dict  # resolved key/value snapshot (manifest)
 
-    def scheme_by_kind(self, kind: str) -> ChargingScheme:
-        try:
-            return self.schemes[kind]
-        except KeyError:
-            raise ConfigError(f"unknown scheme kind {kind!r}") from None
-
 
 def _dbm_to_w(dbm: float) -> float:
     return _from_db(dbm) * 1e-3

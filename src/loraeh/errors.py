@@ -15,11 +15,3 @@ class InfeasibleError(Exception):
     def __init__(self, message, sf=None):
         super().__init__(message)
         self.sf = sf
-
-
-class StatisticsError(Exception):
-    """Not enough simulated samples to form the requested estimate."""
-
-    def __init__(self, message, ring=None):
-        super().__init__(message)
-        self.ring = ring

@@ -166,7 +166,6 @@ class NetworkRealization:
     angles: np.ndarray  # [rad]
     ring: np.ndarray  # 0..5
     airtimes: np.ndarray  # [s]
-    seed: int
 
     @property
     def n_devices(self) -> int:
@@ -193,5 +192,4 @@ def sample_network(cfg: PhyConfig, seed: int = 0, n_devices: int | None = None) 
         angles=angles,
         ring=rings,
         airtimes=AIRTIMES_S[rings],
-        seed=seed,
     )

@@ -56,8 +56,6 @@ class DecayFactorDistribution:
         """E[X]; closed form for uniform and exponential schemes, quadrature otherwise."""
         s, tau = self.scheme, self.tau_charge
         if s.kind == "uniform":
-            if s.b == s.a:
-                return math.exp(-s.a / tau)
             return -tau / (s.b - s.a) * math.exp(-s.a / tau) * math.expm1(-(s.b - s.a) / tau)
         if s.kind == "weibull" and s.k == 1.0:
             return tau / (s.w + tau)

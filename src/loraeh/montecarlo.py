@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacitor import CapacitorModel
-from .errors import ConfigError, StatisticsError
+from .errors import ConfigError, NumericalError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
@@ -102,7 +102,9 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     aborts = np.zeros(n, dtype=np.int64)
     completed = np.zeros(n, dtype=np.int64)
     duty_sum = np.zeros(n)
-    rec_dev, rec_start, rec_counted, rec_rank = [], [], [], []
+    # each list starts with an empty block, so a network of no devices joins to empty records
+    rec_dev, rec_rank = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    rec_start, rec_counted = [np.empty(0)], [np.empty(0, dtype=bool)]
     sent = np.zeros(n, dtype=np.int32)  # completed packets so far, counted or not
     traces = [[] for _ in range(n)] if collect_traces else None
 
@@ -121,7 +123,7 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     air = np.empty(n)
     sub, mul, add = np.subtract, np.multiply, np.add  # the loop below is call-bound
     col = _CHUNK  # next unused column of u
-    while t_hist[0].min() < duration:
+    while n and t_hist[0].min() < duration:
         if col == _CHUNK:
             _draw_charging_times(nu_gens, scheme, u)
             col = 0
@@ -285,24 +287,18 @@ def run_simulation(
     rings = net.ring.astype(int)
     # path_gain stays scalar on purpose: numpy's array power differs from the
     # scalar one in the last bit for about 5% of distances
-    gains = np.array([path_gain(d, cfg) for d in net.distances]) if n else np.empty(0)
+    gains = np.array([path_gain(d, cfg) for d in net.distances])
 
-    streams = np.random.SeedSequence(seed).spawn(2 * n) if n else []
+    streams = np.random.SeedSequence(seed).spawn(2 * n)
     nu_gens = [np.random.Generator(np.random.PCG64(streams[2 * i])) for i in range(n)]
     h_gens = [np.random.Generator(np.random.PCG64(streams[2 * i + 1])) for i in range(n)]
 
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
-    v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens]) if n else np.empty(0)
-    if n:
-        with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
-            counters, (dev, start, counted, rank), traces = _energy_phase(
-                nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
-            )
-    else:
-        counters = (np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)
-        dev, rank = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-        start, counted = np.empty(0), np.empty(0, dtype=bool)
-        traces = []
+    v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
+    with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
+        counters, (dev, start, counted, rank), traces = _energy_phase(
+            nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
+        )
     cycles, skips, aborts, completed_counted, duty_sum = counters
 
     # Fading draws in per-device packet order: device d's draws start at its
@@ -350,9 +346,9 @@ def run_simulation(
     sirf_dev = attempts_dev - succ_dev - snrf_dev
 
     def per_ring(arr):
-        return np.array([arr[rings == r].sum() if n else 0 for r in range(N_RINGS)])
+        return np.array([arr[rings == r].sum() for r in range(N_RINGS)])
 
-    r_ndev = np.array([(rings == r).sum() if n else 0 for r in range(N_RINGS)])
+    r_ndev = np.array([(rings == r).sum() for r in range(N_RINGS)])
     r_cycles = per_ring(cycles)
     r_skips = per_ring(skips)
     r_aborts = per_ring(aborts)
@@ -401,7 +397,7 @@ def empirical_collision_fraction(report: SimReport, min_attempts: int = 100) -> 
     Estimated as measured availability times the sample mean of
     airtime/(nu+airtime) over cycles, mirroring the analytical product form.
     Rings with zero attempts are dead (0.0); rings with too few attempts for
-    a stable estimate raise.
+    a stable estimate raise NumericalError.
     """
     out = np.zeros(N_RINGS)
     for r in range(N_RINGS):
@@ -409,8 +405,6 @@ def empirical_collision_fraction(report: SimReport, min_attempts: int = 100) -> 
             out[r] = 0.0
             continue
         if report.attempts[r] < min_attempts:
-            raise StatisticsError(
-                f"ring {r + 1}: only {report.attempts[r]} attempts (< {min_attempts})", ring=r
-            )
+            raise NumericalError(f"ring {r + 1}: only {report.attempts[r]} attempts (< {min_attempts})")
         out[r] = report.energy_avail[r] * report.duty_mean[r]
     return out

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -221,28 +220,25 @@ def sf_for_distance(d: float, cfg: PhyConfig) -> SfEntry:
     return SF_TABLE[ring_index(d, cfg)]
 
 
-class DutyCycle(NamedTuple):
-    expected_ratio: float  # E[tau / (nu + tau)]
-    simple_ratio: float  # tau / (E[nu] + tau), the ETSI-style figure
+DUTY_REL_TOL = 1e-8  # relative error bound of the duty-cycle quadrature
 
 
-def duty_cycle(scheme: ChargingScheme, airtime: float, rel_tol: float = 1e-8) -> DutyCycle:
-    """Transmit-time fractions for a given airtime.
+def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
+    """E[tau / (nu + tau)], the expected fraction of a cycle spent transmitting.
 
-    expected_ratio is the exact per-cycle expectation computed by adaptive
-    quadrature against the scheme pdf; simple_ratio is the conventional
-    airtime over mean-period figure used for the 1% ETSI check.
+    Computed by adaptive quadrature against the scheme pdf. The ETSI-style
+    figure tau / (E[nu] + tau) needs only the mean and no quadrature.
     """
     if airtime <= 0:
         if airtime == 0:
-            return DutyCycle(0.0, 0.0)
+            return 0.0
         raise ValueError("airtime must be positive")
     lo, hi = scheme.support()
     f = lambda x: scheme.pdf(x) * airtime / (x + airtime)
-    val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol * 1e-2, limit=500)
-    if not math.isfinite(val) or err > max(rel_tol * abs(val), 1e-300):
+    val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=DUTY_REL_TOL * 1e-2, limit=500)
+    if not math.isfinite(val) or err > max(DUTY_REL_TOL * abs(val), 1e-300):
         raise NumericalError(f"duty-cycle quadrature did not converge (err={err:.2e})")
-    return DutyCycle(val, airtime / (scheme.mean() + airtime))
+    return val
 
 
 def collision_fraction(
@@ -262,12 +258,12 @@ def collision_fraction(
     """
     if not 0.0 <= energy_avail <= 1.0:
         raise ValueError("energy_avail must lie in [0, 1]")
+    if not airtime >= 0:
+        raise ValueError("airtime must be non-negative")
     if variant == "expected":
-        return energy_avail * duty_cycle(scheme, airtime).expected_ratio
+        return energy_avail * duty_cycle(scheme, airtime)
     if variant == "simple":
-        return energy_avail * duty_cycle(scheme, airtime).simple_ratio
+        return energy_avail * (airtime / (scheme.mean() + airtime))
     if variant == "overlap":
-        if airtime == 0:
-            return 0.0
         return 2.0 * energy_avail * airtime / (scheme.mean() + energy_avail * airtime)
     raise ValueError(f"unknown collision variant {variant!r}")

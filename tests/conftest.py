@@ -26,12 +26,12 @@ def model(fig2):
 
 @pytest.fixture(scope="session")
 def ud(fig2):
-    return fig2.scheme_by_kind("uniform")
+    return fig2.schemes["uniform"]
 
 
 @pytest.fixture(scope="session")
 def wd(fig2):
-    return fig2.scheme_by_kind("weibull")
+    return fig2.schemes["weibull"]
 
 
 @pytest.fixture(scope="session")

@@ -43,8 +43,8 @@ def test_criterion_1_energy_outage_headline(fig2, model):
     """Reference-parameter energy outage: UD ~8%, WD ~22%, UD < WD, under 10 s."""
     with criterion(1, "energy outage headline"):
         t0 = time.perf_counter()
-        ud = steady_state(fig2.scheme_by_kind("uniform"), 0.204, model, n_bins=2000)
-        wd = steady_state(fig2.scheme_by_kind("weibull"), 0.204, model, n_bins=2000)
+        ud = steady_state(fig2.schemes["uniform"], 0.204, model, n_bins=2000)
+        wd = steady_state(fig2.schemes["weibull"], 0.204, model, n_bins=2000)
         out_ud = ud.outage(fig2.phy.v_operating)
         out_wd = wd.outage(fig2.phy.v_operating)
         elapsed = time.perf_counter() - t0
@@ -61,7 +61,7 @@ def test_criterion_2_per_sf_outage_arrays(fig2, model):
         t0 = time.perf_counter()
         results = {}
         for label in ("uniform", "weibull"):
-            scheme = fig2.scheme_by_kind(label)
+            scheme = fig2.schemes[label]
             results[label] = np.array(
                 [
                     steady_state(scheme, e.airtime_s, model, n_bins=2000).outage(fig2.phy.v_operating)
@@ -133,7 +133,7 @@ def test_criterion_5_markov_vs_monte_carlo(fig2, model, steady_cache):
     with criterion(5, "markov vs monte carlo"):
         rng = np.random.default_rng(77)
         for label in ("ud", "wd"):
-            scheme = fig2.scheme_by_kind("uniform" if label == "ud" else "weibull")
+            scheme = fig2.schemes["uniform" if label == "ud" else "weibull"]
             sd = steady_cache(label, 0.204)
             v0 = rng.uniform(model.v_limit_on, model.v_limit_off, 100)
             volts = cycle_voltages(v0, scheme, 0.204, 12_000, model, rng)[2000:]  # 1e6 post-transient samples

@@ -9,7 +9,7 @@ import loraeh.markov
 from loraeh.act import plan_cdc, plan_cve
 from loraeh.capacitor import CycleConstants, build_model
 from loraeh.cli import main
-from loraeh.errors import InfeasibleError
+from loraeh.errors import InfeasibleError, NumericalError
 from loraeh.markov import DecayFactorDistribution, steady_state
 from loraeh.phy import ChargingScheme, SF_TABLE
 
@@ -84,11 +84,14 @@ class TestCve:
             assert abs(steady_state(plan.schemes[-1], airtime, model, n_bins=2000).outage(v_op) - fine) <= 1e-3
 
     def test_coarse_grid_solves(self, cfg40):
-        # 100 bins are too coarse for these chains (see the README), but the solve must end fast
+        # 100 bins are too coarse for these chains (see the README): the SF7 chain
+        # has one closed class and solves, but its mean misses the exact
+        # stationary mean by about 10 bins, so the plan must raise, and fast
+        msg = r"SF7: the 100-bin chain's mean voltage 2\.1378 V misses the exact stationary mean 1\.8000 V"
         start = time.perf_counter()
-        plan = plan_cve(1.0, "weibull", cfg40, build_model(cfg40), n_bins=100)
+        with pytest.raises(NumericalError, match=msg):
+            plan_cve(1.0, "weibull", cfg40, build_model(cfg40), n_bins=100)
         assert time.perf_counter() - start < 1.0
-        assert np.all((plan.predicted_outage >= 0) & (plan.predicted_outage <= 1))
 
     def test_equalized_means(self, cfg40):
         plan = plan_cve(1.0, "uniform", cfg40, build_model(cfg40), n_bins=1500)

@@ -119,6 +119,17 @@ class TestRoundTrips:
         assert os.path.exists(out / "sim_devices.csv")
 
 
+    def test_simulate_empty_network(self, tmp_path):
+        # no devices take the simulator's common path: six all-zero rings and no device rows
+        out = tmp_path / "empty"
+        assert run(["simulate", "--devices", 0, "--per-device", "--out", out]) == 0
+        header, rows = read_csv(out / "sim_report.csv")
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert all(cell == "0" for r in rows for cell in r[1:])
+        header, rows = read_csv(out / "sim_devices.csv")
+        assert header[0] == "device" and rows == []
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -318,6 +329,21 @@ class TestExitCodes:
         assert run(["act-plan", "--act", "cve", "--bins", 100, "--config", cfg, "--out", out]) == 2
         assert "12 closed classes" in capsys.readouterr().err
         assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("bins, code", [(100, 2), (200, 2), (300, 0)])
+    def test_grid_too_coarse_for_the_exact_mean(self, tmp_path, capsys, bins, code):
+        # each Weibull chain has one closed class, but at 100 and 200 bins the
+        # SF7 chain's mean lies more than one bin from the exact stationary mean
+        cfg = tmp_path / "40mF.ini"
+        cfg.write_text("[capacitor]\ncapacitance_f = 0.04\n")
+        out = tmp_path / "coarse"
+        args = ["act-plan", "--act", "cve", "--scheme", "wd", "--bins", bins, "--config", cfg, "--out", out]
+        assert run(args) == code
+        if code:
+            assert f"numerical error: SF7: the {bins}-bin chain's mean voltage" in capsys.readouterr().err
+            assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        else:
+            assert (out / "act_plan.csv").is_file() and (out / "manifest.json").is_file()
 
     def test_simulate_infinite_duration(self, tmp_path):
         src = str(Path(loraeh.__file__).resolve().parents[1])

@@ -60,10 +60,10 @@ def test_diagnostics(tmp_path):
 
 
 def test_scheme_pair(fig2):
-    other = fig2.scheme_by_kind("weibull")
+    other = fig2.schemes["weibull"]
     assert other.kind == "weibull"
     assert other.w == 50.0
-    assert fig2.scheme_by_kind("uniform").b == 100.0
+    assert fig2.schemes["uniform"].b == 100.0
 
 
 def test_overhead_power_key_still_accepted(tmp_path):

@@ -243,7 +243,7 @@ def test_matches_reference_with_tied_starts(fig2, overlap):
     radii = fig2.phy.ring_radii
     d = np.random.default_rng(2).uniform(radii[0] + 1.0, radii[1], 60)
     rings = ring_index(d, fig2.phy)
-    net = NetworkRealization(d, np.zeros(60), rings, AIRTIMES_S[rings], seed=2)
+    net = NetworkRealization(d, np.zeros(60), rings, AIRTIMES_S[rings])
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
     _, start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
@@ -260,7 +260,7 @@ def test_matches_reference_with_heavy_overlap(fig2, overlap):
     # a low capture threshold keeps both SIR outcomes common
     cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
     rings = ring_index(d, cfg)
-    net = NetworkRealization(d, np.zeros(n), rings, AIRTIMES_S[rings], seed=2)
+    net = NetworkRealization(d, np.zeros(n), rings, AIRTIMES_S[rings])
     rep, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
     assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
     s = np.sort(start)

@@ -129,7 +129,7 @@ def test_matches_per_sample_reference(tmp_path, config, label, n_cycles, samples
         path.write_text(CONFIGS[config])
     run = load_config(path and str(path))
     m = build_model(run.phy, run.mode)
-    scheme = run.scheme_by_kind(label)
+    scheme = run.schemes[label]
     for seed, entry in zip((0, 1, 17, 2024), (SF_TABLE[0], SF_TABLE[3], SF_TABLE[5], SF_TABLE[2])):
         traj = simulate_trajectory(
             run.v_initial, scheme, entry.airtime_s, n_cycles, m, seed=seed, samples_per_phase=samples_per_phase

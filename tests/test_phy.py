@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
-from loraeh.errors import ConfigError
+from loraeh.errors import ConfigError, NumericalError
 from loraeh.phy import (
     ChargingScheme,
     SF_TABLE,
@@ -130,12 +132,8 @@ class TestChargingScheme:
 
 
 class TestDutyCycle:
-    def test_simple_ratio_reference_value(self):
-        dc = duty_cycle(ChargingScheme.uniform(0, 100), 0.204)
-        assert dc.simple_ratio == pytest.approx(0.204 / 50.204, rel=1e-12)
-
     def test_zero_airtime(self):
-        assert duty_cycle(ChargingScheme.uniform(0, 100), 0.0) == (0.0, 0.0)
+        assert duty_cycle(ChargingScheme.uniform(0, 100), 0.0) == 0.0
 
     def test_expected_ratio_against_monte_carlo(self):
         s = ChargingScheme.uniform(0, 100)
@@ -143,14 +141,35 @@ class TestDutyCycle:
         rng = np.random.default_rng(7)
         draws = 0.204 / (s.sample(rng, 10_000_000) + 0.204)
         se = draws.std() / math.sqrt(draws.size)
-        assert abs(dc.expected_ratio - draws.mean()) < 3 * se
+        assert abs(dc - draws.mean()) < 3 * se
 
     def test_monotonicity(self):
         s = ChargingScheme.uniform(0, 100)
-        vals = [duty_cycle(s, tau).expected_ratio for tau in (0.05, 0.1, 0.2, 0.4)]
+        vals = [duty_cycle(s, tau) for tau in (0.05, 0.1, 0.2, 0.4)]
         assert vals == sorted(vals)
         slower = ChargingScheme.uniform(0, 200)
-        assert duty_cycle(slower, 0.2).expected_ratio < duty_cycle(s, 0.2).expected_ratio
+        assert duty_cycle(slower, 0.2) < duty_cycle(s, 0.2)
+
+    @given(
+        scheme=st.one_of(
+            st.builds(
+                lambda a, width: ChargingScheme.uniform(a, a + width),
+                st.floats(0.0, 500.0),
+                st.floats(0.1, 1000.0),
+            ),
+            st.builds(ChargingScheme.weibull, st.floats(0.5, 5.0), st.floats(0.1, 1000.0)),
+        ),
+        airtime=st.floats(0.01, 1.0),
+    )
+    def test_expectation_bounds_the_mean_figure(self, scheme, airtime):
+        # tau / (nu + tau) is convex in nu, so by Jensen E[tau / (nu + tau)] >= tau / (E[nu] + tau)
+        figure = airtime / (scheme.mean() + airtime)
+        assert collision_fraction(1.0, scheme, airtime, variant="simple") == figure
+        try:
+            duty = duty_cycle(scheme, airtime)
+        except NumericalError:  # the quadrature may fail to converge; nothing else may go wrong
+            return
+        assert figure * (1.0 - 1e-7) <= duty <= 1.0
 
 
 class TestCollisionFraction:
@@ -158,15 +177,15 @@ class TestCollisionFraction:
         assert collision_fraction(0.0, ud, 0.204) == 0.0
 
     def test_always_available(self, ud):
-        assert collision_fraction(1.0, ud, 0.204) == pytest.approx(duty_cycle(ud, 0.204).expected_ratio)
+        assert collision_fraction(1.0, ud, 0.204) == pytest.approx(duty_cycle(ud, 0.204))
 
     def test_product_form(self, ud):
-        expected = 0.92 * duty_cycle(ud, 0.204).expected_ratio
+        expected = 0.92 * duty_cycle(ud, 0.204)
         assert collision_fraction(0.92, ud, 0.204) == pytest.approx(expected, rel=1e-12)
 
     def test_bounded_by_duty(self, ud):
         rng = np.random.default_rng(3)
-        cap = duty_cycle(ud, 0.204).expected_ratio
+        cap = duty_cycle(ud, 0.204)
         for e in rng.uniform(0, 1, 25):
             assert 0.0 <= collision_fraction(e, ud, 0.204) <= cap
 
@@ -179,6 +198,10 @@ class TestCollisionFraction:
             collision_fraction(0.5, ud, 0.204, variant="bogus")
         with pytest.raises(ValueError):
             collision_fraction(1.5, ud, 0.204)
+        for variant in ("expected", "simple", "overlap"):
+            assert collision_fraction(0.5, ud, 0.0, variant=variant) == 0.0
+            with pytest.raises(ValueError):
+                collision_fraction(0.5, ud, -0.204, variant=variant)
 
 
 class TestPhyConfig:
