@@ -8,7 +8,7 @@ from .geometry import coverage_profile, sample_network, sir_success, snr_success
 from .hypergeom import hyp2f1_special
 from .markov import DecayFactorDistribution, StationaryDistribution, steady_state
 from .montecarlo import SimReport, run_simulation
-from .phy import ChargingScheme, PhyConfig, SF_TABLE, collision_fraction, duty_cycle, sf_for_distance
+from .phy import ChargingScheme, PhyConfig, SF_TABLE, collision_fraction, duty_cycle
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "load_config",
     "run_simulation",
     "sample_network",
-    "sf_for_distance",
     "sir_success",
     "snr_success",
     "steady_state",

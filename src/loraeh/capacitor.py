@@ -154,11 +154,11 @@ def simulate_trajectory(
     times[:, 1] = starts[:, 1:] + fracs * airtime
     volts[:, 0] = step_charge(v_start[:, :1], fracs * nu[:, None], m)
     volts[:, 1] = step_discharge(v_start[:, 1:], fracs * airtime, m)
-    labels = np.repeat(np.array(["charge", "tx"], dtype=object), samples_per_phase)
+    labels = np.repeat(np.array(["charge", "tx"]), samples_per_phase)
     return VoltageTrajectory(
         times=np.concatenate(([0.0], times.ravel())),
         voltages=np.concatenate(([float(v0)], volts.ravel())),
-        phases=np.concatenate((np.array(["charge"], dtype=object), np.tile(labels, n_cycles))),
+        phases=np.concatenate((np.array(["charge"]), np.tile(labels, n_cycles))),
         cycle_index=np.concatenate(([0], np.repeat(np.arange(n_cycles), 2 * samples_per_phase))),
     )
 

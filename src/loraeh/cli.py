@@ -16,10 +16,10 @@ import json
 import os
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 
+from . import __version__
 from . import act as act_mod
 from . import markov
 from .capacitor import CapacitorModel, build_model, simulate_trajectory
@@ -34,30 +34,15 @@ _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 _SFS = np.array([e.sf for e in SF_TABLE])
 
 
-def _cell_text(x) -> str:
-    """One cell of an object column, by the cell's own type (the rules of _column_text)."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float | np.floating):
-        return format(float(x), ".10g")
-    return str(x)
-
-
 def _column_text(values: np.ndarray) -> list[str]:
-    """Cells of one column, formatted once by its dtype: floats %.10g, integers
-    in decimal, booleans 1/0, strings verbatim; object cells by their own type."""
+    """Cells of one column, formatted once by its dtype: floats %.10g, booleans
+    1/0, integers in decimal and strings verbatim."""
     kind = values.dtype.kind
     if kind == "f":
         return list(map("%.10g".__mod__, values.tolist()))  # the same text as format(x, ".10g"), faster
     if kind == "b":
         return ["1" if x else "0" for x in values.tolist()]
-    if kind in "iuUS":
-        return list(map(str, values.tolist()))
-    return list(map(_cell_text, values))
+    return list(map(str, values.tolist()))
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -73,17 +58,10 @@ def _write_csv(path: str, columns: dict) -> None:
             writer.writerows(zip(*(_column_text(a[lo : lo + _BLOCK_ROWS]) for a in arrays)))
 
 
-def _tool_version() -> str:
-    try:
-        return version("loraeh")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]):
     manifest = {
         "tool": "loraeh",
-        "version": _tool_version(),
+        "version": __version__,
         "subcommand": args.command,
         "seed": args.seed,
         "config": run.raw,
@@ -99,6 +77,8 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
 def _load(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if getattr(args, "points_per_ring", 1) < 1:
         raise ConfigError(f"--points-per-ring must be at least 1, got {args.points_per_ring}")
     path = args.config or os.environ.get(ENV_CONFIG) or None
@@ -273,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loraeh", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file (INI); falls back to ${ENV_CONFIG}")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")
     common.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
@@ -323,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
         run = _load(args)
         tables = args.func(args, run, build_model(run.phy, run.mode))
         for name, columns in tables.items():

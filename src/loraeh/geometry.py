@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hypergeom import hyp2f1_special
-from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, collision_fraction, ring_index, sf_for_distance
+from .phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, PhyConfig, collision_fraction, ring_index
 
 MIN_DISTANCE_M = 1.0  # clamp to avoid the path-gain singularity at the gateway
 
@@ -27,9 +27,9 @@ def path_gain(d: float, cfg: PhyConfig) -> float:
 
 def snr_success(d: float, cfg: PhyConfig) -> float:
     """P[SNR >= ring threshold] under unit-mean Rayleigh power fading."""
-    entry = sf_for_distance(d, cfg)
+    threshold = SNR_THRESHOLDS[ring_index(d, cfg)]
     d_eff = max(d, MIN_DISTANCE_M)
-    return float(np.exp(-cfg.noise * entry.snr_threshold / (cfg.p_tx * path_gain(d_eff, cfg))))
+    return float(np.exp(-cfg.noise * threshold / (cfg.p_tx * path_gain(d_eff, cfg))))
 
 
 def _ring_integral(d: float, ring: int, cfg: PhyConfig) -> float:
@@ -74,7 +74,7 @@ def connection_prob(
     ring = ring_index(d, cfg)
     d_eff = max(d, MIN_DISTANCE_M)
     gain = path_gain(d_eff, cfg)
-    noise_term = cfg.noise * sf_for_distance(d, cfg).snr_threshold / (cfg.p_tx * gain)
+    noise_term = cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gain)
     lo, hi = cfg.ring_radii[ring], cfg.ring_radii[ring + 1]
     area = np.pi * (hi**2 - lo**2)
     rng = np.random.default_rng(seed)
@@ -110,11 +110,10 @@ def coverage_profile(
     cfg: PhyConfig,
     scheme: ChargingScheme,
     energy_avail: np.ndarray,
-    distances: np.ndarray | None = None,
     points_per_ring: int = 40,
     collision_variant: str = "expected",
 ) -> CoverageProfile:
-    """Evaluate the success chain over a distance grid.
+    """Evaluate the success chain on points_per_ring equally spaced distances per ring.
 
     energy_avail holds the six per-ring probabilities of being energy-capable
     (from the steady-state chain); the co-SF transmitting fraction is
@@ -129,18 +128,16 @@ def coverage_profile(
             for r in range(N_RINGS)
         ]
     )
-    if distances is None:
-        if points_per_ring < 1:
-            raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
-        pieces = []
-        for r in range(N_RINGS):
-            lo, hi = cfg.ring_radii[r], cfg.ring_radii[r + 1]
-            if hi <= lo:
-                continue
-            step = (hi - lo) / points_per_ring
-            pieces.append(lo + step * (np.arange(points_per_ring) + 1))
-        distances = np.concatenate(pieces)
-    distances = np.asarray(distances, dtype=float)
+    if points_per_ring < 1:
+        raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
+    pieces = []
+    for r in range(N_RINGS):
+        lo, hi = cfg.ring_radii[r], cfg.ring_radii[r + 1]
+        if hi <= lo:
+            continue
+        step = (hi - lo) / points_per_ring
+        pieces.append(lo + step * (np.arange(points_per_ring) + 1))
+    distances = np.concatenate(pieces)
     rings = ring_index(distances, cfg)
     snr = np.array([snr_success(d, cfg) for d in distances])
     sir = np.array([sir_success(d, p_ring[r], cfg) for d, r in zip(distances, rings)])

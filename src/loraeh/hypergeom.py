@@ -21,21 +21,22 @@ from .errors import NumericalError
 _SERIES_EDGE = -0.9
 _INVERSION_EDGE = -30.0
 _MAX_TERMS = 200000
+_SERIES_TOL = 1e-16  # a series stops at the first term this small relative to its sum
 
 
-def _series_direct(b: float, z: float, tol: float = 1e-16) -> float:
+def _series_direct(b: float, z: float) -> float:
     # 2F1(1, b; 1+b; z) = sum_m b/(b+m) z^m, |z| < 1
     term = 1.0
     total = 1.0
     for m in range(1, _MAX_TERMS):
         term *= (b + m - 1.0) / (b + m) * z
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _SERIES_TOL * abs(total):
             return total
     raise NumericalError(f"direct 2F1 series did not converge (b={b}, z={z})")
 
 
-def _series_pfaff(b: float, z: float, tol: float = 1e-16) -> float:
+def _series_pfaff(b: float, z: float) -> float:
     # (1-z)^-b * 2F1(b, b; 1+b; z/(z-1))
     w = z / (z - 1.0)
     term = 1.0
@@ -43,7 +44,7 @@ def _series_pfaff(b: float, z: float, tol: float = 1e-16) -> float:
     for m in range(1, _MAX_TERMS):
         term *= (b + m - 1.0) ** 2 / ((b + m) * m) * w
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _SERIES_TOL * abs(total):
             return (1.0 - z) ** (-b) * total
     raise NumericalError(f"Pfaff 2F1 series did not converge (b={b}, z={z})")
 

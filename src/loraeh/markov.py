@@ -38,20 +38,6 @@ class DecayFactorDistribution:
     scheme: ChargingScheme
     tau_charge: float  # charge time constant [s]
 
-    def support(self) -> tuple[float, float]:
-        lo, hi = self.scheme.support()
-        upper = math.exp(-lo / self.tau_charge)
-        lower = 0.0 if math.isinf(hi) else math.exp(-hi / self.tau_charge)
-        return (lower, upper)
-
-    def cdf(self, x):
-        """P[X <= x] = P[nu >= -tau*ln x]; x = 0 gives nu = +inf and so 0."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.scheme.survival(-self.tau_charge * np.log(x))
-        out = np.where(x < 0.0, 0.0, out)
-        return out if out.ndim else float(out)
-
     def mean(self) -> float:
         """E[X]; closed form for uniform and exponential schemes, quadrature otherwise."""
         s, tau = self.scheme, self.tau_charge
@@ -96,33 +82,31 @@ def _leading_run(holds, n_rows: int, n: int) -> np.ndarray:
 
 
 def build_transition_matrix(
-    dist: DecayFactorDistribution,
-    cc: CycleConstants,
-    m: CapacitorModel,
-    n_bins: int = DEFAULT_BINS,
+    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> TransitionMatrix:
     """Transition matrix over n_bins equal voltage bins spanning the two rest levels.
 
-    Cell (i, j) is the probability that one cycle maps the centre c_i of bin i
-    into bin j. The map is decreasing in X, so the edge e of bin j maps to the
-    charging time nu_e = -tau*ln((e - v_after_full) / (retention*(c_i -
-    ceiling))), increasing in e, and the cell is S(nu_j) - S(nu_j+1) with S the
-    survival of nu. Edges at or above v_after_full give nu = +inf. A row is
-    evaluated only on its band, from its last edge with S = 1 to its first
-    edge with S = 0. The image of a row, [v_on + retention*(c_i - v_on),
+    Cell (i, j) is the probability that one cycle of the given airtime maps
+    the centre c_i of bin i into bin j. The map is decreasing in X, so the
+    edge e of bin j maps to the charging time nu_e = -tau_off*ln((e -
+    v_after_full) / (retention*(c_i - ceiling))), increasing in e, and the
+    cell is S(nu_j) - S(nu_j+1) with S the survival of the scheme's nu.
+    Edges at or above v_after_full give nu = +inf. A row is evaluated only on
+    its band, from its last edge with S = 1 to its first edge with S = 0. The image of a row, [v_on + retention*(c_i - v_on),
     v_after_full], lies inside the grid, so every row holds probability 1.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
+    cc = CycleConstants.from_model(m, airtime)
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    # nu_e = tau*(log_d[i] - log_n[e]): one log per row and one per edge
+    # nu_e = tau_off*(log_d[i] - log_n[e]): one log per row and one per edge
     log_d = np.log(cc.retention * (cc.ceiling - centers))  # ceiling = v_limit_off is above every centre
     with np.errstate(divide="ignore"):
         log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
 
     def surv(log_row, e):  # the band ends and the cells use this one expression
-        return dist.scheme.survival(dist.tau_charge * (log_row - log_n[e]))
+        return scheme.survival(m.tau_off * (log_row - log_n[e]))
 
     first = _leading_run(lambda e: surv(log_d, e) >= 1.0, n_bins, n_bins + 1)
     after = _leading_run(lambda e: surv(log_d, e) > 0.0, n_bins, n_bins + 1)
@@ -202,7 +186,10 @@ class StationaryDistribution:
         return self._tails(v_op)[1]
 
 
-def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100000) -> StationaryDistribution:
+RESIDUAL_TOL = 1e-10  # largest entry of |u P - u| a stationary law may leave
+
+
+def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> StationaryDistribution:
     """Left fixed point u = u P of the row-stochastic matrix P, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
@@ -242,8 +229,8 @@ def stationary_distribution(tm: TransitionMatrix, tol: float = 1e-10, max_iter: 
     u = np.maximum(u / u.sum(), 0.0)
     u[labels != closed[0]] = 0.0
     u /= u.sum()
-    if np.abs(mat.T @ u - u).max() > tol:
-        raise NumericalError(f"the stationary law misses its residual {tol}")
+    if np.abs(mat.T @ u - u).max() > RESIDUAL_TOL:
+        raise NumericalError(f"the stationary law misses its residual {RESIDUAL_TOL}")
     return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
 
 
@@ -255,7 +242,5 @@ def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
 def steady_state(
     scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> StationaryDistribution:
-    """Full pipeline: decay law -> transition matrix -> stationary distribution."""
-    dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
-    cc = CycleConstants.from_model(m, airtime)
-    return stationary_distribution(build_transition_matrix(dist, cc, m, n_bins=n_bins))
+    """Full pipeline: transition matrix -> stationary distribution."""
+    return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))

@@ -215,11 +215,6 @@ def ring_index(d, cfg: PhyConfig):
     return int(idx) if idx.ndim == 0 else idx
 
 
-def sf_for_distance(d: float, cfg: PhyConfig) -> SfEntry:
-    """Spreading-factor table entry for a device d meters from the gateway."""
-    return SF_TABLE[ring_index(d, cfg)]
-
-
 DUTY_REL_TOL = 1e-8  # relative error bound of the duty-cycle quadrature
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,14 @@ class TestRoundTrips:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "capacitor-trace"
         assert manifest["seed"] == 5
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert run(["capacitor-trace", "--cycles", 2, "--out", tmp_path / "v"]) == 0
+        manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+        assert manifest["version"] == loraeh.__version__ == declared
 
     def test_trace_zero_cycles(self, tmp_path):
         out = tmp_path / "empty"
@@ -253,6 +262,28 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "g").glob("*.csv"))
         assert not solves  # rejected before any chain is solved
+
+    @pytest.mark.parametrize(
+        "args",
+        [["capacitor-trace"], STEADY, ["outage-sweep", "--bins", 100], COVERAGE, ["act-plan", "--act", "cdc"], SIMULATE],
+        ids=lambda a: a[0],
+    )
+    def test_negative_seed(self, tmp_path, capsys, args):
+        out = tmp_path / "n"
+        assert run(args + ["--seed", -1, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --seed" in err and "Traceback" not in err
+        assert not list(out.glob("*")), "nothing is written"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
+    def test_out_cannot_be_a_directory(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        assert run(["capacitor-trace", "--cycles", 2, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "config error: --out" in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # the Weibull solve fails after the uniform one succeeded: no CSV and no manifest

@@ -25,7 +25,7 @@ import pytest
 
 from loraeh.capacitor import CycleConstants, build_model
 from loraeh.cli import main
-from loraeh.markov import DecayFactorDistribution, build_transition_matrix, stationary_distribution
+from loraeh.markov import build_transition_matrix, stationary_distribution
 from loraeh.phy import ChargingScheme
 
 BINS = 1000
@@ -70,14 +70,15 @@ GOLDEN = {
 }
 
 
-def reference_transition_matrix(dist, cc, m, n_bins):
+def reference_transition_matrix(scheme, airtime, m, n_bins):
     """Dense Ulam matrix: every cell is the decay law's mass between the cell's two mapped edges."""
+    cc = CycleConstants.from_model(m, airtime)
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     log_d = np.log(cc.retention * (cc.ceiling - centers))
     with np.errstate(divide="ignore"):
         log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
-    surv = dist.scheme.survival(dist.tau_charge * (log_d[:, None] - log_n[None, :]))
+    surv = scheme.survival(m.tau_off * (log_d[:, None] - log_n[None, :]))
     raw = surv[:, :-1] - surv[:, 1:]
     return raw / raw.sum(axis=1, keepdims=True)
 
@@ -95,10 +96,8 @@ def reference_stationary(mat):
 @pytest.mark.parametrize("scheme, capacitance, airtime, n_bins", DENSE_CASES)
 def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
-    dist = DecayFactorDistribution(scheme=SCHEMES[scheme], tau_charge=m.tau_off)
-    cc = CycleConstants.from_model(m, airtime)
-    dense = reference_transition_matrix(dist, cc, m, n_bins)
-    tm = build_transition_matrix(dist, cc, m, n_bins=n_bins)
+    dense = reference_transition_matrix(SCHEMES[scheme], airtime, m, n_bins)
+    tm = build_transition_matrix(SCHEMES[scheme], airtime, m, n_bins=n_bins)
     got = tm.matrix.toarray()
     assert np.array_equal(got != 0.0, dense != 0.0)
     assert np.abs(got - dense).max() <= 1e-15
@@ -110,8 +109,7 @@ def test_near_reducible_chain_matches_dense_reference(fig2):
     # one closed class whose 60 bins are linked only by tail probabilities (the
     # second eigenvalue is 1 - 7e-6)
     m = build_model(dataclasses.replace(fig2.phy, capacitance=0.18), "thevenin")
-    dist = DecayFactorDistribution(scheme=ChargingScheme.weibull(1.31, 9.03), tau_charge=m.tau_off)
-    tm = build_transition_matrix(dist, CycleConstants.from_model(m, 0.365), m, n_bins=60)
+    tm = build_transition_matrix(ChargingScheme.weibull(1.31, 9.03), 0.365, m, n_bins=60)
     sd = stationary_distribution(tm)
     assert 0.5 * np.abs(sd.probabilities - reference_stationary(tm.matrix.toarray())).sum() <= 1e-13
 
@@ -119,10 +117,9 @@ def test_near_reducible_chain_matches_dense_reference(fig2):
 def test_every_row_holds_mass(model):
     # the density chain left row 299 of this grid without a target bin; the
     # image of every bin lies inside the grid, so every mass row sums to 1
-    dist = DecayFactorDistribution(scheme=ChargingScheme.uniform(20.0, 100.0), tau_charge=model.tau_off)
-    cc = CycleConstants.from_model(model, 0.204)
-    tm = build_transition_matrix(dist, cc, model, n_bins=300)
-    dense = reference_transition_matrix(dist, cc, model, 300)
+    scheme = ChargingScheme.uniform(20.0, 100.0)
+    tm = build_transition_matrix(scheme, 0.204, model, n_bins=300)
+    dense = reference_transition_matrix(scheme, 0.204, model, 300)
     got = tm.matrix.toarray()
     assert np.all(np.diff(tm.matrix.indptr) > 0)
     assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-15

@@ -81,7 +81,7 @@ def reference_trajectory(v0, scheme, airtime, n_cycles, m, seed=0, samples_per_p
             cyc.append(j)
         v = float(step_discharge(v, airtime, m))
         t += airtime
-    return np.asarray(times), np.asarray(volts), np.asarray(phases, dtype=object), np.asarray(cyc)
+    return np.asarray(times), np.asarray(volts), np.asarray(phases), np.asarray(cyc)
 
 
 def _fmt(x) -> str:
@@ -158,7 +158,7 @@ def test_writer_matches_per_cell_writer(tmp_path):
         rng.random(n) < 0.5,
         rng.integers(-(2**62), 2**62, n),
         [int(x) for x in rng.integers(-(10**6), 10**6, n)],
-        np.asarray(["charge", "tx", "a,b", 'q"t'] * (n // 4) + ["x"] * (n % 4), dtype=object),
+        np.asarray(["charge", "tx", "a,b", 'q"t'] * (n // 4) + ["x"] * (n % 4)),
         [str(i) for i in range(n)],
         floats,
         (rng.standard_normal(n) * 10.0 ** rng.integers(-45, 38, n)).astype(np.float32),

@@ -23,36 +23,25 @@ from loraeh.markov import (
 from loraeh.phy import SF_TABLE, ChargingScheme
 
 
-def decay_pdf(d, x):
+def decay_support(scheme, tau):
+    """Support of X = exp(-nu/tau): the scheme's support mapped through the decreasing exp(-nu/tau)."""
+    lo, hi = scheme.support()
+    return math.exp(-hi / tau), math.exp(-lo / tau)
+
+
+def decay_pdf(scheme, tau, x):
     """Density of X = exp(-nu/tau) at x in (0, 1]: tau/x * f_nu(-tau*ln x)."""
-    return d.tau_charge / x * d.scheme.pdf(-d.tau_charge * math.log(x))
+    return tau / x * scheme.pdf(-tau * math.log(x))
 
 
 class TestDecayFactorDistribution:
-    def test_uniform_support(self, ud):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=6000.0)
-        lo, hi = d.support()
-        assert lo == pytest.approx(math.exp(-100 / 6000), rel=1e-12)
-        assert hi == pytest.approx(1.0)
-
-    def test_weibull_support(self, wd):
-        assert DecayFactorDistribution(scheme=wd, tau_charge=6000.0).support() == (0.0, 1.0)
-
     def test_pdf_normalizes(self, ud, wd, model):
-        # the density of X by change of variables integrates to 1 over support()
+        # the density of X by change of variables integrates to 1 over its support
         for scheme in (ud, wd, ChargingScheme.weibull(2.0, 30.0)):
-            d = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off)
-            lo, hi = d.support()
-            total, _ = integrate.quad(partial(decay_pdf, d), max(lo, 1e-12), hi, epsabs=1e-11, epsrel=1e-11, limit=400)
+            lo, hi = decay_support(scheme, model.tau_off)
+            density = partial(decay_pdf, scheme, model.tau_off)
+            total, _ = integrate.quad(density, max(lo, 1e-12), hi, epsabs=1e-11, epsrel=1e-11, limit=400)
             assert abs(total - 1.0) < 1e-8
-            assert d.cdf(hi) == 1.0 and d.cdf(0.0) == 0.0
-
-    def test_cdf_consistent_with_pdf(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        lo, _ = d.support()
-        for x in (0.5, 0.7, 0.9):
-            mass, _ = integrate.quad(partial(decay_pdf, d), lo, x, epsabs=1e-12, epsrel=1e-12)
-            assert d.cdf(x) == pytest.approx(mass, abs=1e-9)
 
     def test_closed_form_means(self):
         exp50 = DecayFactorDistribution(scheme=ChargingScheme.weibull(1, 50), tau_charge=6000.0)
@@ -75,22 +64,17 @@ class TestDecayFactorDistribution:
 
 class TestTransitionMatrix:
     def test_single_state(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=1)
+        tm = build_transition_matrix(ud, 0.204, model, n_bins=1)
         assert tm.matrix.toarray().tolist() == [[1.0]]
 
     def test_rows_stochastic(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=500)
+        tm = build_transition_matrix(ud, 0.204, model, n_bins=500)
         assert np.abs(tm.matrix.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_out_of_support_zeroed(self, ud, model):
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
         cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=400)
-        lo, hi = d.support()
+        tm = build_transition_matrix(ud, 0.204, model, n_bins=400)
+        lo, hi = decay_support(ud, model.tau_off)
         i = 200
         centers = 0.5 * (tm.bin_edges[:-1] + tm.bin_edges[1:])
         x = (tm.bin_edges - cc.v_after_full) / (cc.retention * (centers[i] - cc.ceiling))  # decreasing
@@ -147,9 +131,7 @@ class TestStationary:
 
     def test_residual_contract(self, ud, model, steady_cache):
         sd = steady_cache("ud", 0.204)
-        d = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off)
-        cc = CycleConstants.from_model(model, 0.204)
-        tm = build_transition_matrix(d, cc, model, n_bins=2000)
+        tm = build_transition_matrix(ud, 0.204, model, n_bins=2000)
         assert np.abs(sd.probabilities @ tm.matrix - sd.probabilities).max() < 1e-10
 
     def test_nonconvergence_raises(self, fig2):
@@ -339,5 +321,4 @@ class TestChainProperties:
     @staticmethod
     def chain(fig2, scheme, capacitance, airtime, n_bins):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
-        dist = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off)
-        return build_transition_matrix(dist, CycleConstants.from_model(m, airtime), m, n_bins)
+        return build_transition_matrix(scheme, airtime, m, n_bins)

@@ -15,7 +15,6 @@ from loraeh.phy import (
     collision_fraction,
     duty_cycle,
     ring_index,
-    sf_for_distance,
 )
 
 
@@ -41,26 +40,24 @@ class TestSfTable:
         assert all(e.snr_threshold < 1 for e in SF_TABLE)
 
 
-class TestSfForDistance:
+class TestRingIndex:
     def test_ring4(self, fig2):
-        entry = sf_for_distance(3500.0, fig2.phy)
+        entry = SF_TABLE[ring_index(3500.0, fig2.phy)]
         assert entry.sf == 10
         assert entry.airtime_s == 0.204
 
     def test_origin_maps_to_sf7(self, fig2):
-        assert sf_for_distance(0.0, fig2.phy).sf == 7
+        assert SF_TABLE[ring_index(0.0, fig2.phy)].sf == 7
 
     def test_interval_lookup(self, fig2):
-        assert sf_for_distance(2500.0, fig2.phy).sf == 9
-        assert sf_for_distance(2000.0, fig2.phy).sf == 8  # boundary belongs to inner ring
-        assert sf_for_distance(6000.0, fig2.phy).sf == 12
+        assert SF_TABLE[ring_index(2500.0, fig2.phy)].sf == 9
+        assert SF_TABLE[ring_index(2000.0, fig2.phy)].sf == 8  # boundary belongs to inner ring
+        assert SF_TABLE[ring_index(6000.0, fig2.phy)].sf == 12
 
     def test_out_of_range(self, fig2):
         with pytest.raises(ValueError):
-            sf_for_distance(6000.1, fig2.phy)
+            ring_index(6000.1, fig2.phy)
 
-
-class TestRingIndex:
     def test_array_matches_scalar(self, fig2):
         cfg = fig2.phy
         rng = np.random.default_rng(17)
@@ -114,6 +111,15 @@ class TestChargingScheme:
             lo, hi = s.support()
             total, err = integrate.quad(s.pdf, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
             assert abs(total - 1.0) < 1e-9
+
+    def test_survival_consistent_with_pdf(self):
+        # 1 - S(x) is the pdf's mass on [lo, x], also where the k = 0.5 density is infinite at 0
+        schemes = [ChargingScheme.uniform(20.0, 100.0)] + [ChargingScheme.weibull(k, 50.0) for k in (0.5, 1.0, 2.0)]
+        for s in schemes:
+            lo, hi = s.support()
+            for x in (25.0, 50.0, 99.0, 200.0):
+                mass, _ = integrate.quad(s.pdf, lo, min(x, hi), epsabs=1e-12, epsrel=1e-12, limit=200)
+                assert abs(1.0 - s.survival(x) - mass) <= 1e-9
 
     def test_means(self):
         assert ChargingScheme.uniform(0, 100).mean() == pytest.approx(50.0)
