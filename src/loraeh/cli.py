@@ -4,7 +4,8 @@ Every run writes its CSVs plus a manifest.json capturing the resolved
 configuration and seed. Given the same config and seed the CSV bytes are
 identical across runs; only the manifest timestamp differs.
 
-Exit codes: 0 ok, 1 config error, 2 numerical error, 3 infeasible target.
+Exit codes: 0 ok, 1 config error (a flag argparse rejects included), 2
+numerical error, 3 infeasible target.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .capacitor import CapacitorModel, build_model, simulate_trajectory
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .geometry import coverage_profile, sample_network
-from .montecarlo import run_simulation
+from .montecarlo import COUNTERS, run_simulation
 from .phy import AIRTIMES_S, N_RINGS, SF_TABLE
 
 ENV_CONFIG = "LORAEH_CONFIG"
@@ -236,13 +237,7 @@ def cmd_simulate(args, run: RunConfig, model: CapacitorModel) -> dict:
             "device": np.arange(dv.ring.size),
             "ring": dv.ring + 1,
             "distance_km": dv.distance / 1e3,
-            "cycles": dv.cycles,
-            "energy_skips": dv.energy_skips,
-            "energy_aborts": dv.energy_aborts,
-            "attempts": dv.attempts,
-            "snr_fails": dv.snr_fails,
-            "sir_fails": dv.sir_fails,
-            "successes": dv.successes,
+            **{name: getattr(dv, name) for name in COUNTERS},
         }
     return tables
 
@@ -301,14 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed --help (0) or why it rejected a flag (2)
+        return 1 if exc.code else 0
+    try:
+        run = _load(args)
+        tables = args.func(args, run, build_model(run.phy, run.mode))
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
-        run = _load(args)
-        tables = args.func(args, run, build_model(run.phy, run.mode))
         for name, columns in tables.items():
             _write_csv(os.path.join(args.out, name), columns)
         _write_manifest(args, run, list(tables))

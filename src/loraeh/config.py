@@ -116,6 +116,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         radii = tuple(n * radius_m / N_RINGS for n in range(N_RINGS + 1))
 
     bandwidth = _getfloat(parser, "radio", "bandwidth_hz")
+    if not (math.isfinite(bandwidth) and bandwidth > 0):  # checked also where noise_dbm sets the floor
+        raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth}")
     _getfloat(parser, "radio", "overhead_power_dbm")  # accepted and checked for compatibility; no model reads it
     if parser.get("radio", "noise_dbm").strip():
         noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
@@ -130,7 +132,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         r_load_on=_getfloat(parser, "capacitor", "r_on_ohm"),
         v_operating=_getfloat(parser, "capacitor", "v_operating_v"),
         p_tx=_dbm_to_w(_getfloat(parser, "radio", "tx_power_dbm")),
-        bandwidth=bandwidth,
         eta=_getfloat(parser, "deployment", "path_loss_exponent"),
         wavelength=_getfloat(parser, "deployment", "wavelength_cm") * 1e-2,
         noise=noise_w,

@@ -8,8 +8,9 @@ converges to the true stationary law as the grid refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins, so
 it is stored as a scipy CSR array. The stationary law is the eigenvector of
-its transpose for the eigenvalue 1, found by one implicitly restarted Arnoldi
-solve (ARPACK). It is unique only when the chain has one closed class; a grid
+its transpose for the eigenvalue 1, found by a dense LU solve on grids of up
+to DENSE_BINS bins and by one implicitly restarted Arnoldi solve (ARPACK) on
+finer ones. It is unique only when the chain has one closed class; a grid
 too coarse for one cycle's change of voltage can split the chain into
 several, and the solver then raises NumericalError.
 """
@@ -29,6 +30,7 @@ from .errors import NumericalError
 from .phy import ChargingScheme
 
 DEFAULT_BINS = 2000
+DENSE_BINS = 300  # largest grid solved by dense LU; ARPACK is the faster one above it
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,12 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> Sta
     """Left fixed point u = u P of the row-stochastic matrix P, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
-    no transition leaves); more than one raises NumericalError. The fixed
-    point is the eigenvector of P^T for the eigenvalue 1, found by
+    no transition leaves); more than one raises NumericalError. Grids of up
+    to DENSE_BINS bins solve u (I - P) = 0, sum(u) = 1 exactly by dense LU.
+    Finer ones take the eigenvector of P^T for the eigenvalue 1, found by
     implicitly restarted Arnoldi (ARPACK) from the uniform law with about
     max_iter products with P at most. Asking for the eigenvalue of largest
-    real part ("LR") picks 1 alone, also on a periodic chain. Chains of one
-    or two bins, too small for ARPACK, take a dense eigensolve. Bins outside
+    real part ("LR") picks 1 alone, also on a periodic chain. Bins outside
     the closed class are transient and get exactly 0. tm.matrix may also be
     a dense array.
     """
@@ -215,8 +217,21 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> Sta
             f"the chain has {closed.size} closed classes, so its stationary law is not unique: "
             f"the grid of {n} bins is too coarse for one cycle's change of voltage"
         )
-    if n < 3:
-        vals, vecs = linalg.eig(mat.toarray().T)
+    if n <= DENSE_BINS:
+        # (I - P^T) u = 0 with its last row replaced by sum(u) = 1; LAPACK is called
+        # directly, so an ill-conditioned system raises here and scipy emits no LinAlgWarning
+        a = np.eye(n) - mat.toarray().T
+        a[-1] = 1.0
+        lu, piv, info = linalg.lapack.dgetrf(a)
+        rcond = linalg.lapack.dgecon(lu, np.abs(a).sum(axis=0).max(), norm="1")[0] if info == 0 else 0.0
+        if not rcond >= np.finfo(float).eps:
+            raise NumericalError(
+                f"the {n}-bin chain's stationary law is singular to working precision (reciprocal condition "
+                f"number {rcond:.2g}): it is too close to having several closed classes"
+            )
+        e_n = np.zeros(n)
+        e_n[-1] = 1.0
+        u = linalg.lapack.dgetrs(lu, piv, e_n)[0]
     else:
         ncv = min(n, 20)
         try:
@@ -225,11 +240,11 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> Sta
             )
         except sparse_linalg.ArpackError as exc:
             raise NumericalError(f"Arnoldi solve for the stationary law failed: {exc}") from exc
-    u = vecs[:, np.argmax(vals.real)].real
+        u = vecs[:, np.argmax(vals.real)].real
     u = np.maximum(u / u.sum(), 0.0)
     u[labels != closed[0]] = 0.0
     u /= u.sum()
-    if np.abs(mat.T @ u - u).max() > RESIDUAL_TOL:
+    if not np.abs(mat.T @ u - u).max() <= RESIDUAL_TOL:  # a NaN fails too
         raise NumericalError(f"the stationary law misses its residual {RESIDUAL_TOL}")
     return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
 

@@ -7,9 +7,9 @@ packet ends, the cycle counts as an energy outage and the packet is neither
 decoded nor does it interfere. Completed packets are checked at the gateway
 against the SNR floor and against summed co-ring interference.
 
-Determinism: every device owns two counter-based RNG streams (charging times
-and fading) keyed by (seed, device index), so results are bit-identical for a
-fixed seed regardless of batching.
+Determinism: every device owns two PCG64 streams (charging times and fading),
+spawned from one SeedSequence of the seed in device order, so results are
+bit-identical for a fixed seed regardless of batching.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 _CHUNK = 2048  # charging-time draws per device stream and refill
 _BLOCK = 256  # cycles stepped per (block x device) array; divides _CHUNK
 _WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
+# the per-device and per-ring counters, in the order of DeviceStats and sim_devices.csv
+COUNTERS = ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes")
 
 
 @dataclass(frozen=True)
 class DeviceStats:
-    """Per-device counters; attempts = successes + snr_fails + sir_fails."""
+    """Per-device COUNTERS; attempts (completed packets) = successes + snr_fails + sir_fails."""
 
     ring: np.ndarray
     distance: np.ndarray
@@ -90,17 +92,15 @@ def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray) -> None:
 def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, collect_traces):
     """Charge/transmit cycles of every device until its clock passes `duration`.
 
-    Returns the per-device counters (cycles, skips, aborts, completed, duty
-    sum), the completed-packet records (device, start, counted, rank) in
-    cycle-major then ascending-device order, where rank numbers each device's
-    packets from 0 in start order, and the voltage traces.
+    Returns the per-device counters up to `attempts` (completed packets) and
+    `duty_sum`, keyed by their DeviceStats names; the completed-packet records
+    (device, start, counted, rank) in cycle-major then ascending-device order,
+    where rank numbers each device's packets from 0 in start order; and the
+    voltage traces.
     """
     n = v0.size
     retention = np.exp(-airtimes / m.tau_on)
-    cycles = np.zeros(n, dtype=np.int64)
-    skips = np.zeros(n, dtype=np.int64)
-    aborts = np.zeros(n, dtype=np.int64)
-    completed = np.zeros(n, dtype=np.int64)
+    counts = {name: np.zeros(n, dtype=np.int64) for name in COUNTERS[:4]}
     duty_sum = np.zeros(n)
     # each list starts with an empty block, so a network of no devices joins to empty records
     rec_dev, rec_rank = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
@@ -157,13 +157,11 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
 
         active = t_hist[:steps] < duration
         start = t_hist[:steps] + nu[:steps]
-        attempt = charged[:steps] & active
-        done = attempt & (v_hist[1 : steps + 1] >= cfg.v_operating)
+        tx = charged[:steps] & active  # a packet starts, to complete or abort
+        done = tx & (v_hist[1 : steps + 1] >= cfg.v_operating)
         counted = active & (start > warmup)
-        cycles += counted.sum(axis=0)
-        skips += (counted & ~attempt).sum(axis=0)
-        aborts += (counted & attempt & ~done).sum(axis=0)
-        completed += (counted & done).sum(axis=0)
+        for name, mask in zip(COUNTERS[:4], (counted, counted & ~tx, counted & tx & ~done, counted & done)):
+            counts[name] += mask.sum(axis=0)
         # added in cycle order per device, as a running sum would
         duty = np.add(nu[:steps], airtimes)
         np.divide(airtimes, duty, out=duty)
@@ -192,7 +190,7 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         parts.clear()  # one list's blocks at a time live next to the joined records
     if collect_traces:
         traces = [np.concatenate(tr) for tr in traces]
-    return (cycles, skips, aborts, completed, duty_sum), records, traces
+    return {**counts, "duty_sum": duty_sum}, records, traces
 
 
 def _stable_order(x):
@@ -299,7 +297,6 @@ def run_simulation(
         counters, (dev, start, counted, rank), traces = _energy_phase(
             nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
         )
-    cycles, skips, aborts, completed_counted, duty_sum = counters
 
     # Fading draws in per-device packet order: device d's draws start at its
     # offset in `draws`, and its packet of rank r takes the r-th of them. The
@@ -340,54 +337,32 @@ def run_simulation(
             interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
         ok_sir[sub] = p >= cfg.sir_threshold * interference
 
-    succ_dev = np.bincount(dev[counted & ok_snr & ok_sir], minlength=n)
-    snrf_dev = np.bincount(dev[counted & ~ok_snr], minlength=n)
-    attempts_dev = completed_counted
-    sirf_dev = attempts_dev - succ_dev - snrf_dev
-
-    def per_ring(arr):
-        return np.array([arr[rings == r].sum() for r in range(N_RINGS)])
-
-    r_ndev = np.array([(rings == r).sum() for r in range(N_RINGS)])
-    r_cycles = per_ring(cycles)
-    r_skips = per_ring(skips)
-    r_aborts = per_ring(aborts)
-    r_attempts = per_ring(attempts_dev)
-    r_succ = per_ring(succ_dev)
-    r_snrf = per_ring(snrf_dev)
-    r_sirf = per_ring(sirf_dev)
-    r_duty = per_ring(duty_sum)
-    q_hat = _ratio(r_succ, r_cycles)
-    ci = 1.96 * np.sqrt(_ratio(q_hat * (1.0 - q_hat), r_cycles))
-
+    successes = np.bincount(dev[counted & ok_snr & ok_sir], minlength=n)
+    snr_fails = np.bincount(dev[counted & ~ok_snr], minlength=n)
+    devices = DeviceStats(
+        ring=rings.copy(),
+        distance=net.distances.copy(),
+        **counters,
+        snr_fails=snr_fails,
+        sir_fails=counters["attempts"] - successes - snr_fails,
+        successes=successes,
+    )
+    # one index-order sum per ring and field: a float sum in any other order moves duty_mean's last bits
+    in_ring = [rings == r for r in range(N_RINGS)]
+    sums = {name: np.array([getattr(devices, name)[k].sum() for k in in_ring]) for name in (*COUNTERS, "duty_sum")}
+    cycles = sums["cycles"]
+    q_hat = _ratio(sums["successes"], cycles)
     return SimReport(
         warmup=warmup,
-        n_devices=r_ndev,
-        cycles=r_cycles,
-        energy_skips=r_skips,
-        energy_aborts=r_aborts,
-        attempts=r_attempts,
-        snr_fails=r_snrf,
-        sir_fails=r_sirf,
-        successes=r_succ,
-        energy_avail=_ratio(r_attempts, r_cycles),
-        conn_rate=_ratio(r_succ, r_attempts),
+        n_devices=np.array([k.sum() for k in in_ring]),
+        **{name: sums[name] for name in COUNTERS},
+        energy_avail=_ratio(sums["attempts"], cycles),
+        conn_rate=_ratio(sums["successes"], sums["attempts"]),
         overall_rate=q_hat,
-        ci_half_width=ci,
-        duty_mean=_ratio(r_duty, r_cycles),
-        devices=DeviceStats(
-            ring=rings.copy(),
-            distance=net.distances.copy(),
-            cycles=cycles,
-            energy_skips=skips,
-            energy_aborts=aborts,
-            attempts=attempts_dev,
-            snr_fails=snrf_dev,
-            sir_fails=sirf_dev,
-            successes=succ_dev,
-            duty_sum=duty_sum,
-        ),
-        traces=traces if collect_traces else None,
+        ci_half_width=1.96 * np.sqrt(_ratio(q_hat * (1.0 - q_hat), cycles)),
+        duty_mean=_ratio(sums["duty_sum"], cycles),
+        devices=devices,
+        traces=traces,
     )
 
 
@@ -399,12 +374,8 @@ def empirical_collision_fraction(report: SimReport, min_attempts: int = 100) -> 
     Rings with zero attempts are dead (0.0); rings with too few attempts for
     a stable estimate raise NumericalError.
     """
-    out = np.zeros(N_RINGS)
-    for r in range(N_RINGS):
-        if report.attempts[r] == 0:
-            out[r] = 0.0
-            continue
-        if report.attempts[r] < min_attempts:
-            raise NumericalError(f"ring {r + 1}: only {report.attempts[r]} attempts (< {min_attempts})")
-        out[r] = report.energy_avail[r] * report.duty_mean[r]
-    return out
+    thin = np.flatnonzero((report.attempts > 0) & (report.attempts < min_attempts))
+    if thin.size:
+        r = thin[0]
+        raise NumericalError(f"ring {r + 1}: only {report.attempts[r]} attempts (< {min_attempts})")
+    return report.energy_avail * report.duty_mean

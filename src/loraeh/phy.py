@@ -134,8 +134,6 @@ def _from_db(db: float) -> float:
 
 def _thermal_noise_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     # -174 dBm/Hz floor plus receiver noise figure
-    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
-        raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth_hz}")
     dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
     return _from_db(dbm) * 1e-3
 
@@ -151,7 +149,6 @@ class PhyConfig:
     r_load_on: float  # load resistance, radio on [ohm]
     v_operating: float  # radio operating threshold [V]
     p_tx: float  # transmit power [W]
-    bandwidth: float  # [Hz]
     eta: float  # path-loss exponent, >= 2
     wavelength: float  # carrier wavelength [m]
     noise: float  # receiver noise power [W]
@@ -183,8 +180,6 @@ class PhyConfig:
             rx_1m = self.p_tx * np.float64(self.wavelength / (4.0 * math.pi)) ** self.eta
         if not math.isfinite(rx_1m):
             raise ConfigError("received power at 1 m is too large for a float: check wavelength, eta and tx power")
-        if self.bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
         if self.density < 0:
             raise ConfigError(f"device density must be non-negative, got {self.density} per m^2")
         if len(self.ring_radii) != N_RINGS + 1:

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +62,7 @@ class TestRoundTrips:
         assert manifest["seed"] == 5
 
     def test_manifest_version_is_the_package_version(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             declared = tomllib.load(fh)["project"]["version"]
@@ -189,11 +189,13 @@ class TestExitCodes:
         bad.write_text("[radio]\ntx_power_dbm = oops\n")
         assert run(["steady-state", "--config", bad, "--out", tmp_path / "x"]) == 1
         assert "tx_power_dbm" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_infeasible_exit(self, tmp_path, capsys):
         code = run(["act-plan", "--act", "cve", "--vartheta", 1.794, "--bins", 200, "--out", tmp_path / "y"])
         assert code == 3
         assert "SF7" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
     def test_unknown_key_is_config_error(self, tmp_path):
         bad = tmp_path / "unknown.ini"
@@ -242,6 +244,28 @@ class TestExitCodes:
     def test_bad_bins(self, tmp_path, capsys, args):
         assert run(args + ["--out", tmp_path / "b"]) == 1
         assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["steady-state", "--ring", 9],
+            ["steady-state", "--bins", "abc"],
+            ["simulate", "--overlap", "none"],
+        ],
+        ids=lambda a: " ".join(map(str, a)),
+    )
+    def test_usage_error_is_config_error(self, tmp_path, capsys, args):
+        # argparse's own rejections exit 1 like every other bad input, with its message kept
+        assert run(args + ["--out", tmp_path / "u"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: loraeh") and "error: argument" in err and "Traceback" not in err
+        assert not (tmp_path / "u").exists()
+
+    def test_help_exits_0(self, tmp_path, capsys):
+        assert run(["steady-state", "--help", "--out", tmp_path / "h"]) == 0
+        assert "--bins" in capsys.readouterr().out
+        assert not (tmp_path / "h").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -273,7 +297,7 @@ class TestExitCodes:
         assert run(args + ["--seed", -1, "--out", out]) == 1
         err = capsys.readouterr().err
         assert "config error: --seed" in err and "Traceback" not in err
-        assert not list(out.glob("*")), "nothing is written"
+        assert not out.exists(), "nothing is written"
 
     @pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
     def test_out_cannot_be_a_directory(self, tmp_path, capsys, under):
@@ -300,7 +324,7 @@ class TestExitCodes:
         out = tmp_path / "f"
         assert run(["steady-state", "--bins", 100, "--out", out]) == 2
         assert "numerical error" in capsys.readouterr().err
-        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "ini, command",
@@ -359,7 +383,7 @@ class TestExitCodes:
         out = tmp_path / "coarse"
         assert run(["act-plan", "--act", "cve", "--bins", 100, "--config", cfg, "--out", out]) == 2
         assert "12 closed classes" in capsys.readouterr().err
-        assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("bins, code", [(100, 2), (200, 2), (300, 0)])
     def test_grid_too_coarse_for_the_exact_mean(self, tmp_path, capsys, bins, code):
@@ -372,7 +396,7 @@ class TestExitCodes:
         assert run(args) == code
         if code:
             assert f"numerical error: SF7: the {bins}-bin chain's mean voltage" in capsys.readouterr().err
-            assert not list(out.glob("*.csv")) and not (out / "manifest.json").exists()
+            assert not out.exists()
         else:
             assert (out / "act_plan.csv").is_file() and (out / "manifest.json").is_file()
 

@@ -12,6 +12,7 @@ from scipy import integrate
 from loraeh.capacitor import CycleConstants, build_model, cycle_voltages, estimate_mean_voltage
 from loraeh.errors import NumericalError
 from loraeh.markov import (
+    DENSE_BINS,
     DecayFactorDistribution,
     StationaryDistribution,
     TransitionMatrix,
@@ -136,10 +137,21 @@ class TestStationary:
 
     def test_nonconvergence_raises(self, fig2):
         # one closed class whose bins are linked only by tail probabilities: in
-        # floating point its next eigenvalues are 1 too, and no solve can separate them
+        # floating point its next eigenvalues are 1 too, and no solve can separate
+        # them; this grid takes the dense LU, whose system is singular to working precision
         tm = TestChainProperties.chain(fig2, ChargingScheme.weibull(1.31, 9.03), 0.18, 0.365, 37)
+        assert tm.n_bins <= DENSE_BINS
         start = time.perf_counter()
-        with pytest.raises(NumericalError, match="converge"):
+        with pytest.raises(NumericalError, match="singular to working precision"):
+            stationary_distribution(tm, max_iter=3000)
+        assert time.perf_counter() - start < 0.1
+
+    def test_arnoldi_nonconvergence_raises(self, fig2):
+        # the same kind of chain on a grid above DENSE_BINS: ARPACK runs out of products
+        tm = TestChainProperties.chain(fig2, ChargingScheme.weibull(1.31, 9.03), 1.0, 0.365, 400)
+        assert tm.n_bins > DENSE_BINS
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="Arnoldi solve .* failed: .*No convergence"):
             stationary_distribution(tm, max_iter=3000)
         assert time.perf_counter() - start < 1.0
 

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from loraeh.capacitor import build_model
 from loraeh.errors import ConfigError, NumericalError
 from loraeh.geometry import NetworkRealization, sample_network
-from loraeh.montecarlo import _WALK, _stable_order, _window_edge, empirical_collision_fraction, run_simulation
+from loraeh.montecarlo import (
+    _WALK,
+    COUNTERS,
+    DeviceStats,
+    SimReport,
+    _stable_order,
+    _window_edge,
+    empirical_collision_fraction,
+    run_simulation,
+)
 from loraeh.phy import AIRTIMES_S, N_RINGS, ChargingScheme
 
 
@@ -60,6 +69,13 @@ class TestSingleDevice:
 
 
 class TestAccounting:
+    def test_counters_name_the_count_fields_in_order(self):
+        # COUNTERS is the one list of counter names: DeviceStats and SimReport hold them in its order
+        for cls in (DeviceStats, SimReport):
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert [n for n in names if n in COUNTERS] == list(COUNTERS)
+        assert [f.name for f in dataclasses.fields(DeviceStats)][2:-1] == list(COUNTERS)
+
     def test_counter_identity(self, fig2, ud):
         net = sample_network(fig2.phy, seed=2, n_devices=150)
         rep = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=2)
@@ -110,9 +126,9 @@ class TestAccounting:
             # sir_fails is attempts - successes - snr_fails by construction, so
             # this identity is checked through sir_fails >= 0 below
             assert np.array_equal(c.attempts, c.successes + c.snr_fails + c.sir_fails)
-            for name in ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes"):
+            for name in COUNTERS:
                 assert np.all(getattr(c, name) >= 0), name
-        for name in ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes"):
+        for name in COUNTERS:
             per_ring = np.bincount(dv.ring, weights=getattr(dv, name), minlength=N_RINGS)
             assert np.array_equal(per_ring, getattr(rep, name)), name
 
