@@ -14,11 +14,11 @@ import numpy as np
 from scipy.special import lambertw
 
 from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
-from .errors import InfeasibleError, NumericalError
+from .errors import ConfigError, InfeasibleError, NumericalError
 from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SF_TABLE
 
-PARAM_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime
+MEAN_NU_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime
 ETSI_DUTY_CAP = 0.01
 
 
@@ -81,21 +81,25 @@ def plan_cdc(
     n_bins: int = DEFAULT_BINS,
 ) -> ActPlan:
     """Constant duty cycle: E[nu] = theta * airtime per SF (duty 1/(1+theta))."""
+    if not math.isfinite(theta):
+        raise ConfigError(f"duty multiplier theta must be finite, got {theta}")
     if theta <= 0:
         raise InfeasibleError(f"duty multiplier must be positive, got {theta}")
     schemes = [_scheme_for(dist_kind, theta * entry.airtime_s) for entry in SF_TABLE]
     return _plan(schemes, m, cfg, n_bins)
 
 
-def _param_for_mean_decay(dist_kind: str, target: float, tau_charge: float) -> float:
-    """The free parameter (uniform b, or exponential w) whose E[exp(-nu/tau)] is target, in closed form.
+def _mean_nu_for_decay(dist_kind: str, target: float, tau_charge: float) -> float:
+    """The mean charging time E[nu] whose E[exp(-nu/tau)] is target, in closed form.
 
+    Exponential of scale w: E[nu] = w = tau * (1 - target) / target.
     Uniform on [0, b]: (1 - e^-y) / y = target with y = b / tau, solved by the
-    principal Lambert W branch (the other real branch gives the root y = 0).
+    principal Lambert W branch (the other real branch gives the root y = 0),
+    and E[nu] = b / 2.
     """
     if dist_kind == "uniform":
         w = float(lambertw(-math.exp(-1.0 / target) / target).real)
-        return tau_charge * (1.0 / target + w)
+        return tau_charge * (1.0 / target + w) / 2.0
     return tau_charge * (1.0 - target) / target
 
 
@@ -106,7 +110,9 @@ def plan_cve(
     m: CapacitorModel,
     n_bins: int = DEFAULT_BINS,
 ) -> ActPlan:
-    """Voltage equalization: solve E[nu] per SF so the stationary mean is vartheta * V_op."""
+    """Voltage equalization: solve E[nu] (at least MEAN_NU_FLOOR_S) per SF so the stationary mean is vartheta * V_op."""
+    if not math.isfinite(vartheta):
+        raise ConfigError(f"mean-voltage multiplier vartheta must be finite, got {vartheta}")
     v_target = vartheta * cfg.v_operating
     if not m.v_limit_on < v_target < m.v_limit_off:
         raise InfeasibleError(
@@ -120,11 +126,11 @@ def plan_cve(
             raise InfeasibleError(
                 f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)", sf=entry.sf
             )
-        par = _param_for_mean_decay(dist_kind, target, m.tau_off)
-        if par < PARAM_FLOOR_S:
+        mean_nu = _mean_nu_for_decay(dist_kind, target, m.tau_off)
+        if mean_nu < MEAN_NU_FLOOR_S:
             raise InfeasibleError(
-                f"SF{entry.sf}: solved charging parameter {par:.3f} s below the {PARAM_FLOOR_S} s floor",
+                f"SF{entry.sf}: solved mean charging time {mean_nu:.3f} s below the {MEAN_NU_FLOOR_S} s floor",
                 sf=entry.sf,
             )
-        schemes.append(_scheme_for(dist_kind, par / 2.0 if dist_kind == "uniform" else par))
+        schemes.append(_scheme_for(dist_kind, mean_nu))
     return _plan(schemes, m, cfg, n_bins)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .phy import ChargingScheme, N_RINGS, PhyConfig, _from_db, _thermal_noise_w
+from .phy import ChargingScheme, N_RINGS, PhyConfig
 
 DEFAULTS = {
     "harvester": {"voltage_v": "3.3", "power_w": "1e-3"},
@@ -60,6 +60,14 @@ class RunConfig:
     mode: str  # "thevenin" | "literal"
     v_initial: float  # trajectory start voltage [V]
     raw: dict  # resolved key/value snapshot (manifest)
+
+
+def _from_db(db: float) -> float:
+    """10^(db/10); a ratio too large for a float reads inf, which PhyConfig rejects."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _dbm_to_w(dbm: float) -> float:
@@ -122,7 +130,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     if parser.get("radio", "noise_dbm").strip():
         noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
     else:
-        noise_w = _thermal_noise_w(bandwidth, _getfloat(parser, "radio", "noise_figure_db"))
+        # -174 dBm/Hz thermal floor plus the receiver noise figure
+        noise_w = _dbm_to_w(-174.0 + 10.0 * math.log10(bandwidth) + _getfloat(parser, "radio", "noise_figure_db"))
 
     phy = PhyConfig(
         v_harvest=_getfloat(parser, "harvester", "voltage_v"),

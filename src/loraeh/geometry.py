@@ -157,12 +157,10 @@ def coverage_profile(
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """Sampled device positions with ring/airtime assignments."""
+    """Sampled device distances and their SF rings; the model is isotropic, so no angle is kept."""
 
     distances: np.ndarray  # [m]
-    angles: np.ndarray  # [rad]
     ring: np.ndarray  # 0..5
-    airtimes: np.ndarray  # [s]
 
     @property
     def n_devices(self) -> int:
@@ -170,23 +168,16 @@ class NetworkRealization:
 
 
 def sample_network(cfg: PhyConfig, seed: int = 0, n_devices: int | None = None) -> NetworkRealization:
-    """Draw device locations from the uniform PPP on the deployment disk.
+    """Draw device distances from the uniform PPP on the deployment disk.
 
     The count is Poisson with mean density * disk area unless n_devices pins
-    it. Distances are clamped away from the gateway singularity.
+    it. The model is isotropic, so only the count and the radii are drawn.
+    Distances are clamped away from the gateway singularity.
     """
     if n_devices is not None and n_devices < 0:
         raise ConfigError(f"device count must be non-negative, got {n_devices}")
     rng = np.random.default_rng(seed)
     if n_devices is None:
         n_devices = int(rng.poisson(cfg.density * np.pi * cfg.radius**2))
-    radii = cfg.radius * np.sqrt(rng.uniform(size=n_devices))
-    radii = np.maximum(radii, MIN_DISTANCE_M)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n_devices)
-    rings = ring_index(radii, cfg)
-    return NetworkRealization(
-        distances=radii,
-        angles=angles,
-        ring=rings,
-        airtimes=AIRTIMES_S[rings],
-    )
+    radii = np.maximum(cfg.radius * np.sqrt(rng.uniform(size=n_devices)), MIN_DISTANCE_M)
+    return NetworkRealization(distances=radii, ring=ring_index(radii, cfg))

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, sparse
+from scipy import linalg, sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
@@ -47,13 +47,7 @@ class DecayFactorDistribution:
             return -tau / (s.b - s.a) * math.exp(-s.a / tau) * math.expm1(-(s.b - s.a) / tau)
         if s.kind == "weibull" and s.k == 1.0:
             return tau / (s.w + tau)
-        lo, hi = s.support()
-        val, err = integrate.quad(
-            lambda t: s.pdf(t) * math.exp(-t / tau), lo, hi, epsabs=0.0, epsrel=1e-11, limit=500
-        )
-        if not math.isfinite(val) or err > max(1e-9 * abs(val), 1e-300):
-            raise NumericalError(f"decay-factor quadrature did not converge (err={err:.2e})")
-        return val
+        return s.quad(lambda t: s.pdf(t) * math.exp(-t / tau), 1e-9)
 
 
 @dataclass(frozen=True)
@@ -140,10 +134,6 @@ class StationaryDistribution:
 
     bin_edges: np.ndarray
     probabilities: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.probabilities.size
 
     @property
     def delta(self) -> float:

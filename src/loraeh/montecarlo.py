@@ -295,7 +295,7 @@ def run_simulation(
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
     with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
         counters, (dev, start, counted, rank), traces = _energy_phase(
-            nu_gens, v, scheme, m, cfg, net.airtimes, duration, warmup, collect_traces
+            nu_gens, v, scheme, m, cfg, AIRTIMES_S[rings], duration, warmup, collect_traces
         )
 
     # Fading draws in per-device packet order: device d's draws start at its

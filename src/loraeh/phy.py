@@ -118,24 +118,18 @@ class ChargingScheme:
             return (self.a, self.b)
         return (0.0, math.inf)
 
+    def quad(self, f, rel_tol: float) -> float:
+        """Integral of f over the support; NumericalError unless its error estimate is within rel_tol."""
+        lo, hi = self.support()
+        val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol / 100, limit=500)
+        if not math.isfinite(val) or err > max(rel_tol * abs(val), 1e-300):
+            raise NumericalError(f"{self.kind} charging-time quadrature did not converge (err={err:.2e})")
+        return val
+
     def sample(self, rng: np.random.Generator, size=None):
         if self.kind == "uniform":
             return rng.uniform(self.a, self.b, size)
         return self.w * rng.weibull(self.k, size)
-
-
-def _from_db(db: float) -> float:
-    """10^(db/10); a ratio too large for a float reads inf, which PhyConfig rejects."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-def _thermal_noise_w(bandwidth_hz: float, noise_figure_db: float) -> float:
-    # -174 dBm/Hz floor plus receiver noise figure
-    dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return _from_db(dbm) * 1e-3
 
 
 @dataclass(frozen=True)
@@ -223,12 +217,7 @@ def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
         if airtime == 0:
             return 0.0
         raise ValueError("airtime must be positive")
-    lo, hi = scheme.support()
-    f = lambda x: scheme.pdf(x) * airtime / (x + airtime)
-    val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=DUTY_REL_TOL * 1e-2, limit=500)
-    if not math.isfinite(val) or err > max(DUTY_REL_TOL * abs(val), 1e-300):
-        raise NumericalError(f"duty-cycle quadrature did not converge (err={err:.2e})")
-    return val
+    return scheme.quad(lambda x: scheme.pdf(x) * airtime / (x + airtime), DUTY_REL_TOL)
 
 
 def collision_fraction(

@@ -115,6 +115,15 @@ class TestCve:
         assert exc.value.sf == 7
         assert "SF7" in str(exc.value)
 
+    @pytest.mark.parametrize("kind", ["uniform", "weibull"])
+    def test_mean_charging_time_floor(self, fig2, kind):
+        # vartheta 0.3 asks SF7 for a mean charging time of about 0.645 s; the
+        # floor tests that mean for both families (a uniform b is twice it)
+        msg = r"SF7: solved mean charging time 0\.64\d s below the 1\.0 s floor"
+        with pytest.raises(InfeasibleError, match=msg) as exc:
+            plan_cve(0.3, kind, fig2.phy, build_model(fig2.phy), n_bins=300)
+        assert exc.value.sf == 7
+
     def test_outage_roundtrip(self, cfg40):
         plan = plan_cve(1.0, "uniform", cfg40, build_model(cfg40), n_bins=300)
         assert np.all((plan.predicted_outage >= 0) & (plan.predicted_outage <= 1))

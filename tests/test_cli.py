@@ -262,6 +262,32 @@ class TestExitCodes:
         assert err.startswith("usage: loraeh") and "error: argument" in err and "Traceback" not in err
         assert not (tmp_path / "u").exists()
 
+    @pytest.mark.parametrize(
+        "act, flag, value",
+        [("cdc", "theta", "nan"), ("cdc", "theta", "inf"), ("cve", "vartheta", "nan"), ("cve", "vartheta", "inf")],
+    )
+    def test_non_finite_multiplier(self, tmp_path, capsys, act, flag, value):
+        out = tmp_path / "m"
+        assert run(["act-plan", "--act", act, f"--{flag}", value, "--bins", 100, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"multiplier {flag} must be finite, got {value}" in err
+        assert not out.exists()
+
+    def test_trace_clock_overflow(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[scheme]\nb_s = 1e308\n")
+        out = tmp_path / "t"
+        assert run(["capacitor-trace", "--config", cfg, "--out", out]) == 2
+        assert "numerical error: the trajectory's clock overflows a float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cdc_above_the_etsi_cap_warns(self, tmp_path, capsys):
+        # theta 50 gives every SF a duty cycle of 1/51, about 2%
+        out = tmp_path / "w"
+        assert run(["act-plan", "--act", "cdc", "--theta", 50, "--bins", 300, "--out", out]) == 0
+        assert "warning: duty cycle above the 1% ETSI cap for SF [7, 8, 9, 10, 11, 12]" in capsys.readouterr().err
+        assert (out / "act_plan.csv").is_file()
+
     def test_help_exits_0(self, tmp_path, capsys):
         assert run(["steady-state", "--help", "--out", tmp_path / "h"]) == 0
         assert "--bins" in capsys.readouterr().out
@@ -365,6 +391,12 @@ class TestExitCodes:
             pytest.param("[harvester]\nvoltage_v = 1e308\n", STEADY, id="harvester-resistance-overflow"),
             pytest.param("[capacitor]\nr_off_ohm = 1e308\n", STEADY, id="tau-off-overflow"),
             pytest.param("[deployment]\nwavelength_cm = 1e308\n", SIMULATE_SMALL, id="path-gain-overflow"),
+            # malformed files, and harvester and capacitor values
+            pytest.param("voltage_v = 3.3\n", STEADY, id="no-section-header"),
+            pytest.param("[harvester]\nvoltage_v\n", STEADY, id="key-without-value"),
+            pytest.param("[harvester]\npower_w = 0\n", STEADY, id="harvest-power-0"),
+            pytest.param("[capacitor]\nv_initial_v = inf\n", ["capacitor-trace", "--cycles", 5], id="v-initial-inf"),
+            pytest.param("[capacitor]\nmode = norton\n", STEADY, id="mode-unknown"),
         ],
     )
     def test_bad_radio_config(self, tmp_path, capsys, ini, command):

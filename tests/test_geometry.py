@@ -199,7 +199,6 @@ class TestSampleNetwork:
     def test_assignments_consistent(self, fig2):
         net = sample_network(fig2.phy, seed=3, n_devices=500)
         assert net.distances.min() >= MIN_DISTANCE_M
-        assert np.array_equal(net.airtimes, AIRTIMES_S[net.ring])
         edges = np.asarray(fig2.phy.ring_radii)
         for dev in range(0, 500, 37):
             r = net.ring[dev]

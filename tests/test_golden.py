@@ -71,7 +71,7 @@ GOLDEN = {
     ),
 }
 GOLDEN_REPORTS = "6f2d658157694072b55b8dc34640f63783075ef77047907598f165e1c1874d0f"
-GOLDEN_NETWORKS = "61c6b77eb53abf6f76ef416c61094804d099f426c625dd1f28dbc51cf1f143b0"
+GOLDEN_NETWORKS = "b0196f5f6a87cf376c926cd8b30e8b7c7174528e72b16dce0beafa46e713c109"
 
 
 def _sha(data: bytes) -> str:
@@ -125,12 +125,12 @@ def report_digest():
 
 
 def networks_digest():
-    """Digest of distances, angles, rings and airtimes over 50 Poisson realizations."""
+    """Digest of distances and rings over 50 Poisson realizations."""
     phy = load_config().phy
     h = hashlib.sha256()
     for seed in range(50):
         net = sample_network(phy, seed=seed)
-        for arr in (net.distances, net.angles, net.ring.astype(np.int64), net.airtimes):
+        for arr in (net.distances, net.ring.astype(np.int64)):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -140,7 +140,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
     per-cycle simulator."""
     n, chunk = net.n_devices, 2048
     m = build_model(cfg, "thevenin")
-    airtimes = net.airtimes
+    airtimes = AIRTIMES_S[net.ring]
     gains = np.array([path_gain(d, cfg) for d in net.distances])
     retention = np.exp(-airtimes / m.tau_on)
     streams = np.random.SeedSequence(seed).spawn(2 * n)
@@ -243,7 +243,7 @@ def test_matches_reference_with_tied_starts(fig2, overlap):
     radii = fig2.phy.ring_radii
     d = np.random.default_rng(2).uniform(radii[0] + 1.0, radii[1], 60)
     rings = ring_index(d, fig2.phy)
-    net = NetworkRealization(d, np.zeros(60), rings, AIRTIMES_S[rings])
+    net = NetworkRealization(d, rings)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
     _, start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
@@ -260,7 +260,7 @@ def test_matches_reference_with_heavy_overlap(fig2, overlap):
     # a low capture threshold keeps both SIR outcomes common
     cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
     rings = ring_index(d, cfg)
-    net = NetworkRealization(d, np.zeros(n), rings, AIRTIMES_S[rings])
+    net = NetworkRealization(d, rings)
     rep, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
     assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
     s = np.sort(start)

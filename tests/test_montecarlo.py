@@ -25,12 +25,7 @@ from loraeh.phy import AIRTIMES_S, N_RINGS, ChargingScheme
 def fixed_network(distances):
     distances = np.asarray(distances, dtype=float)
     rings = np.minimum((distances // 1000).astype(int), 5)
-    return NetworkRealization(
-        distances=distances,
-        angles=np.zeros(distances.size),
-        ring=rings,
-        airtimes=AIRTIMES_S[rings],
-    )
+    return NetworkRealization(distances=distances, ring=rings)
 
 
 def report_fields(rep):
@@ -160,7 +155,7 @@ class TestEnergyBookkeeping:
         streams = np.random.SeedSequence(seed).spawn(6)
         gen = np.random.Generator(np.random.PCG64(streams[2 * dev]))
         v = gen.uniform(fig2.phy.v_operating, m.v_limit_off)
-        airtime = net.airtimes[dev]
+        airtime = AIRTIMES_S[net.ring[dev]]
         trace = rep.traces[dev]
         t = 0.0
         replayed = []
