@@ -24,8 +24,7 @@ from .errors import ConfigError, NumericalError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
-_CHUNK = 2048  # charging-time draws per device stream and refill
-_BLOCK = 256  # cycles stepped per (block x device) array; divides _CHUNK
+_BLOCK = 256  # cycles drawn and stepped per (block x device) array
 _WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
 # the per-device and per-ring counters, in the order of DeviceStats and sim_devices.csv
 COUNTERS = ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes")
@@ -75,7 +74,7 @@ def _ratio(num, den):
 
 
 def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray) -> None:
-    """Fill u with one chunk of charging times; row i comes from device i's stream."""
+    """Fill u with one block of charging times; row i comes from device i's stream."""
     for row, g in zip(u, gens):
         g.random(out=row)
     if scheme.kind == "uniform":
@@ -108,10 +107,10 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     sent = np.zeros(n, dtype=np.int32)  # completed packets so far, counted or not
     traces = [[] for _ in range(n)] if collect_traces else None
 
-    # Draws come a chunk at a time (device-major), cycles are stepped a block
-    # at a time on step-major (block x device) arrays: row 0 of v_hist/t_hist
-    # holds the state at the block start, row j + 1 the state after cycle j.
-    u = np.empty((n, _CHUNK))
+    # Each block is drawn device-major into u, then stepped on step-major
+    # (block x device) arrays: row 0 of v_hist/t_hist holds the state at the
+    # block start, row j + 1 the state after cycle j.
+    u = np.empty((n, _BLOCK))
     nu = np.empty((_BLOCK, n))
     decay = np.empty((_BLOCK, n))
     v_hist = np.empty((_BLOCK + 1, n))
@@ -122,15 +121,11 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     discharged = np.empty(n)
     air = np.empty(n)
     sub, mul, add = np.subtract, np.multiply, np.add  # the loop below is call-bound
-    col = _CHUNK  # next unused column of u
     while n and t_hist[0].min() < duration:
-        if col == _CHUNK:
-            _draw_charging_times(nu_gens, scheme, u)
-            col = 0
+        _draw_charging_times(nu_gens, scheme, u)
         # transposed in blocks of devices: several times faster than one .T copy
         for i in range(0, n, 64):
-            nu[:, i : i + 64] = u[i : i + 64, col : col + _BLOCK].T
-        col += _BLOCK
+            nu[:, i : i + 64] = u[i : i + 64].T
         np.divide(nu, -m.tau_off, out=decay)
         np.exp(decay, out=decay)
 

@@ -7,6 +7,7 @@ dB/dBm values are converted once when a config is built.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -120,8 +121,11 @@ class ChargingScheme:
 
     def quad(self, f, rel_tol: float) -> float:
         """Integral of f over the support; NumericalError unless its error estimate is within rel_tol."""
-        lo, hi = self.support()
-        val, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol / 100, limit=500)
+        pts = self.support() if self.kind == "uniform" else (0.0, self.w, math.inf)  # small k: spike at 0, long tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)  # err is judged below
+            parts = [integrate.quad(f, *ab, epsabs=0.0, epsrel=rel_tol / 100, limit=500) for ab in zip(pts, pts[1:])]
+        val, err = map(sum, zip(*parts))
         if not math.isfinite(val) or err > max(rel_tol * abs(val), 1e-300):
             raise NumericalError(f"{self.kind} charging-time quadrature did not converge (err={err:.2e})")
         return val

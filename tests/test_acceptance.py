@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 from loraeh.capacitor import build_model, cycle_voltages
@@ -21,7 +20,7 @@ from loraeh.geometry import MIN_DISTANCE_M, sample_network, sir_success, snr_suc
 from loraeh.hypergeom import hyp2f1_special
 from loraeh.markov import steady_state
 from loraeh.montecarlo import empirical_collision_fraction, run_simulation
-from loraeh.phy import AIRTIMES_S, ChargingScheme, SF_TABLE, collision_fraction
+from loraeh.phy import AIRTIMES_S, SF_TABLE, collision_fraction
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from loraeh.capacitor import CycleConstants, build_model
 from loraeh.cli import main
 from loraeh.errors import InfeasibleError, NumericalError
 from loraeh.markov import DecayFactorDistribution, steady_state
-from loraeh.phy import ChargingScheme, SF_TABLE
+from loraeh.phy import SF_TABLE
 
 
 @pytest.fixture(scope="module")

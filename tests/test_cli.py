@@ -20,7 +20,6 @@ from loraeh.capacitor import build_model, cycle_voltages
 from loraeh.cli import build_parser, main
 from loraeh.config import DEFAULTS
 from loraeh.errors import NumericalError
-from loraeh.phy import ChargingScheme
 
 
 def read_csv(path):
@@ -272,6 +271,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"multiplier {flag} must be finite, got {value}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k, code", [(0.2, 0), (0.05, 2)])
+    def test_small_weibull_shape(self, tmp_path, capsys, recwarn, k, code):
+        # k = 0.2 converges once the quadrature splits at w; k = 0.05 still does not, and says so in one line
+        cfg = tmp_path / "k.ini"
+        cfg.write_text(f"[scheme]\nkind = weibull\nk = {k}\nw_s = 50\n")
+        assert run([*COVERAGE, "--scheme", "wd", "--config", cfg, "--out", tmp_path / "c"]) == code
+        err = capsys.readouterr().err
+        assert not recwarn.list  # nothing reaches the warnings channel, so nothing else is printed
+        if code:
+            assert err.startswith("numerical error: weibull charging-time quadrature") and err.count("\n") == 1
+        else:
+            assert err == ""
 
     def test_trace_clock_overflow(self, tmp_path, capsys):
         cfg = tmp_path / "huge.ini"

@@ -23,7 +23,8 @@ from loraeh.montecarlo import _WALK, run_simulation
 from loraeh.phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, ring_index
 
 WEIBULL_HALF = "[scheme]\nk = 0.5\n"
-# mean charging time 1 s: one device crosses several 2048-cycle chunks in 1e4 s
+# mean charging time 1 s: in 1e4 s one device crosses many of the simulator's
+# 256-cycle blocks and several of reference_simulation's 2048-cycle chunks
 FAST_CHARGE = "[scheme]\nb_s = 2\n"
 
 # name -> (config text or None, CLI arguments)
@@ -103,8 +104,8 @@ DEVICE_FIELDS = (
 def report_digest():
     """Digest of every report and per-device array, and of every voltage trace.
 
-    The traced run crosses chunk boundaries; the Weibull run uses the default
-    warm-up.
+    The traced run crosses block and chunk boundaries; the Weibull run uses
+    the default warm-up.
     """
     run = load_config()
     fast = ChargingScheme.uniform(0.0, 2.0)

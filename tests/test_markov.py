@@ -14,7 +14,6 @@ from loraeh.errors import NumericalError
 from loraeh.markov import (
     DENSE_BINS,
     DecayFactorDistribution,
-    StationaryDistribution,
     TransitionMatrix,
     build_transition_matrix,
     stationary_distribution,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from loraeh import montecarlo
 from loraeh.capacitor import build_model
 from loraeh.errors import ConfigError, NumericalError
 from loraeh.geometry import NetworkRealization, sample_network
@@ -141,6 +142,35 @@ class TestDeterminism:
         a = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=11)
         b = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=4e4, seed=12)
         assert not np.array_equal(a.successes, b.successes)
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("overlap", ["full", "fractional"])
+    @pytest.mark.parametrize(
+        "scheme, duration",
+        [
+            (ChargingScheme.uniform(0.0, 100.0), 3e4),
+            (ChargingScheme.weibull(0.5, 50.0), 3e4),
+            (ChargingScheme.uniform(0.5, 1.5), 3e3),  # about 3000 cycles a device: many blocks of 256
+        ],
+        ids=["ud", "wd-half", "fast"],
+    )
+    def test_output_does_not_depend_on_the_block_size(self, fig2, monkeypatch, scheme, duration, overlap):
+        # each device's stream is consumed in cycle order, so no block size moves a bit
+        net = sample_network(fig2.phy, seed=21, n_devices=40)
+        m = build_model(fig2.phy)
+
+        def outputs(block):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            rep = run_simulation(net, fig2.phy, m, scheme, duration=duration, seed=21, overlap=overlap, collect_traces=True)
+            stats = {f.name: getattr(rep.devices, f.name).tobytes() for f in dataclasses.fields(DeviceStats)}
+            return stats, [tr.tobytes() for tr in rep.traces]
+
+        shipped = outputs(256)
+        for block in (1, 7, 1000):
+            stats, traces = outputs(block)
+            assert stats == shipped[0], block
+            assert traces == shipped[1], block
 
 
 class TestEnergyBookkeeping:

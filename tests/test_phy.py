@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from loraeh.errors import ConfigError, NumericalError
+from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import (
+    AIRTIMES_S,
     ChargingScheme,
     SF_TABLE,
     collision_fraction,
@@ -176,6 +179,30 @@ class TestDutyCycle:
         except NumericalError:  # the quadrature may fail to converge; nothing else may go wrong
             return
         assert figure * (1.0 - 1e-7) <= duty <= 1.0
+
+
+def weibull_expectation(k, w, g, knee):
+    """E[g(nu)] for nu ~ Weibull(k, w) by mpmath, as the integral of exp(-u) g(w u^(1/k)) over u > 0.
+
+    g turns over near nu = knee, at u = (knee / w)^k; the quadrature is split there.
+    """
+    with mpmath.workdps(30):
+        points = sorted({0, (knee / w) ** k, 1}) + [mpmath.inf]
+        return float(mpmath.quad(lambda u: mpmath.exp(-u) * g(w * u ** (mpmath.mpf(1) / k)), points))
+
+
+class TestWeibullQuadrature:
+    # k = 0.2 and (0.31, 137) converge only with the support split at w
+    @pytest.mark.parametrize("k, w", [(0.2, 50.0), (0.31, 137.0), (0.5, 50.0), (1.7, 50.0), (4.0, 50.0)])
+    def test_duty_cycle_matches_mpmath(self, k, w):
+        for tau in (AIRTIMES_S[0], AIRTIMES_S[-1]):
+            exact = weibull_expectation(k, w, lambda x: tau / (x + tau), tau)
+            assert duty_cycle(ChargingScheme.weibull(k, w), tau) == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("k, w, tau", [(0.2, 50.0, 107.0), (0.2, 50.0, 4327.0), (0.308, 137.4, 4327.0), (3.0, 50.0, 107.0)])
+    def test_decay_mean_matches_mpmath(self, k, w, tau):
+        exact = weibull_expectation(k, w, lambda x: mpmath.exp(-x / tau), tau)
+        assert DecayFactorDistribution(ChargingScheme.weibull(k, w), tau).mean() == pytest.approx(exact, rel=1e-8)
 
 
 class TestCollisionFraction:
