@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .capacitor import CapacitorModel, CycleConstants, estimate_mean_voltage
+from .capacitor import DEFAULT_BINS, CapacitorModel, CycleConstants, estimate_mean_voltage
 from .errors import ConfigError, InfeasibleError, NumericalError
-from .markov import DEFAULT_BINS, DecayFactorDistribution, StationaryDistribution, steady_state
+from .markov import DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SF_TABLE
 
 MEAN_NU_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime

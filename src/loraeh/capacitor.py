@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .phy import ChargingScheme, PhyConfig
 
+DEFAULT_BINS = 2000  # equal voltage bins of the Markov chain's grid
+
 
 @dataclass(frozen=True)
 class CapacitorModel:

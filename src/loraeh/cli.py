@@ -21,9 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from . import act as act_mod
-from . import markov
-from .capacitor import CapacitorModel, build_model, simulate_trajectory
+from .capacitor import DEFAULT_BINS, CapacitorModel, build_model, simulate_trajectory
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .geometry import coverage_profile, sample_network
@@ -98,6 +96,8 @@ def _scheme_pair(run: RunConfig):
 
 # Each cmd_* computes its subcommand's outputs as {csv name: {header: column}},
 # in the order the manifest lists them; main writes them.
+# The chain's subcommands import markov and act in their bodies, so a run
+# that solves no chain loads no scipy.
 
 
 def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:
@@ -117,6 +117,8 @@ def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:
 
 
 def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
+    from . import markov
+
     if args.bins < 100:
         print(f"warning: {args.bins} bins is a coarse voltage grid; expect visible discretization", file=sys.stderr)
     airtime = SF_TABLE[args.ring - 1].airtime_s
@@ -141,6 +143,8 @@ def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
 
 
 def cmd_outage_sweep(args, run: RunConfig, model: CapacitorModel) -> dict:
+    from . import markov
+
     columns = {"sf": _SFS, "airtime_s": AIRTIMES_S}
     for label, scheme in _scheme_pair(run):
         columns[f"outage_{label}"] = [
@@ -151,6 +155,8 @@ def cmd_outage_sweep(args, run: RunConfig, model: CapacitorModel) -> dict:
 
 
 def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
+    from . import markov
+
     avail = np.empty(N_RINGS)
     for r, entry in enumerate(SF_TABLE):
         sd = markov.steady_state(run.scheme, entry.airtime_s, model, n_bins=args.bins)
@@ -175,10 +181,12 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
 
 
 def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
+    from . import act, markov
+
     if args.act == "cdc":
-        plan = act_mod.plan_cdc(args.theta, run.scheme.kind, run.phy, model, n_bins=args.bins)
+        plan = act.plan_cdc(args.theta, run.scheme.kind, run.phy, model, n_bins=args.bins)
     else:
-        plan = act_mod.plan_cve(args.vartheta, run.scheme.kind, run.phy, model, n_bins=args.bins)
+        plan = act.plan_cve(args.vartheta, run.scheme.kind, run.phy, model, n_bins=args.bins)
     if not plan.etsi_ok.all():
         bad = [SF_TABLE[r].sf for r in range(N_RINGS) if not plan.etsi_ok[r]]
         print(f"warning: duty cycle above the 1% ETSI cap for SF {bad}", file=sys.stderr)
@@ -253,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")
     common.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
     bins = argparse.ArgumentParser(add_help=False)
-    bins.add_argument("--bins", type=int, default=markov.DEFAULT_BINS)
+    bins.add_argument("--bins", type=int, default=DEFAULT_BINS)
     ring = argparse.ArgumentParser(add_help=False)
     ring.add_argument("--ring", type=int, default=4, choices=range(1, 7), help="SF ring for the airtime")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -122,14 +122,14 @@ def coverage_profile(
     energy_avail = np.asarray(energy_avail, dtype=float)
     if energy_avail.shape != (N_RINGS,):
         raise ValueError(f"need {N_RINGS} per-ring energy availabilities")
+    if points_per_ring < 1:
+        raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
     p_ring = np.array(
         [
             collision_fraction(energy_avail[r], scheme, AIRTIMES_S[r], variant=collision_variant)
             for r in range(N_RINGS)
         ]
     )
-    if points_per_ring < 1:
-        raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
     pieces = []
     for r in range(N_RINGS):
         lo, hi = cfg.ring_radii[r], cfg.ring_radii[r + 1]

@@ -25,11 +25,10 @@ from scipy import linalg, sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .capacitor import CapacitorModel, CycleConstants
+from .capacitor import DEFAULT_BINS, CapacitorModel, CycleConstants
 from .errors import NumericalError
 from .phy import ChargingScheme
 
-DEFAULT_BINS = 2000
 DENSE_BINS = 300  # largest grid solved by dense LU; ARPACK is the faster one above it
 
 

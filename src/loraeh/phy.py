@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, NumericalError
 
@@ -121,6 +120,8 @@ class ChargingScheme:
 
     def quad(self, f, rel_tol: float) -> float:
         """Integral of f over the support; NumericalError unless its error estimate is within rel_tol."""
+        from scipy import integrate  # loaded on first use: only the analytic subcommands integrate
+
         pts = self.support() if self.kind == "uniform" else (0.0, self.w, math.inf)  # small k: spike at 0, long tail
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)  # err is judged below

@@ -6,6 +6,7 @@ that breaks either would otherwise only show when the benchmark runs. These
 tests import perfbench/ and read it; they write nothing there.
 """
 
+import importlib
 import inspect
 import subprocess
 import sys
@@ -56,7 +57,11 @@ def _bindings():
 def test_traced_jobs_report_every_layer(bench, tmp_path, capsys):
     run, tracing = bench
     tracer = tracing.Tracer(0)
-    before = _bindings()  # loraeh.cli has imported every module the tracer patches
+    traced = {spec[1] for spec in (*tracing.SPANS, *tracing.COUNTS)}
+    for module in traced:  # loraeh.cli imports markov and act only when a subcommand runs
+        importlib.import_module(module)
+    before = _bindings()
+    assert traced <= {module for module, _ in before}  # every binding the tracer may patch is compared below
     with tracing.installed(tracer):
         for job_no, argv in enumerate(JOBS):
             with tracer.root("cli", job_no):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from loraeh import phy
+from loraeh.errors import ConfigError
 from loraeh.geometry import (
     MIN_DISTANCE_M,
     connection_prob,
@@ -153,6 +155,14 @@ class TestCoverageProfile:
         for r in range(6):
             expected = collision_fraction(ring_availability[r], ud, AIRTIMES_S[r])
             assert prof.collision_p[r] == pytest.approx(expected, rel=1e-12)
+
+    def test_points_per_ring_checked_before_any_quadrature(self, fig2, ud, monkeypatch):
+        calls = []
+        duty_cycle = phy.duty_cycle
+        monkeypatch.setattr(phy, "duty_cycle", lambda *args: calls.append(args) or duty_cycle(*args))
+        with pytest.raises(ConfigError, match="points per ring"):
+            coverage_profile(fig2.phy, ud, np.ones(6), points_per_ring=0)
+        assert calls == []
 
     def test_tradeoff_unimodal(self, fig2, ud):
         # with p linear in availability, Q(E) = E * snr * exp(-A*E): argmax at min(1, 1/A)

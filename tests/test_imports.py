@@ -1,7 +1,12 @@
 """Import hygiene: no module of the package imports another module's private
-name, and no module of the package or the tests imports a name it never reads."""
+name, no module of the package or the tests imports a name it never reads,
+and a CLI run loads scipy only for a subcommand that uses it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import loraeh
@@ -55,3 +60,39 @@ def test_every_import_is_read():
         for line, name in unused_imports(path)
     ]
     assert not found
+
+
+# Runs in a fresh interpreter: after `import loraeh.cli` and after each CLI run,
+# prints the scipy modules loaded so far.
+SCIPY_LOADED_PER_STEP = """
+import json, sys
+def scipy_loaded():
+    return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+import loraeh.cli
+loaded = [scipy_loaded()]
+for argv in json.loads(sys.argv[1]):
+    assert loraeh.cli.main(argv) == 0, argv
+    loaded.append(scipy_loaded())
+print(json.dumps(loaded))
+"""
+
+
+def test_a_subcommand_loads_scipy_only_if_it_solves_a_chain(tmp_path):
+    runs = [
+        ["--help"],
+        ["capacitor-trace", "--cycles", "5", "--out", str(tmp_path / "trace")],
+        ["simulate", "--devices", "5", "--duration", "1e3", "--out", str(tmp_path / "sim")],
+        ["steady-state", "--bins", "100", "--out", str(tmp_path / "steady")],
+    ]
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_LOADED_PER_STEP, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    *no_chain, chain = json.loads(proc.stdout.splitlines()[-1])
+    assert no_chain == [[]] * 4  # import, --help, capacitor-trace, simulate
+    assert "scipy.sparse" in chain  # so the check above cannot pass vacuously
