@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .capacitor import DEFAULT_BINS, CapacitorModel, CycleConstants, estimate_mean_voltage
+from .capacitor import DEFAULT_BINS, CapacitorModel, estimate_mean_voltage
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .markov import DecayFactorDistribution, StationaryDistribution, steady_state
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SF_TABLE
@@ -50,9 +50,8 @@ def _plan(schemes: list[ChargingScheme], m: CapacitorModel, cfg: PhyConfig, n_bi
     sds = []
     for r, scheme in enumerate(schemes):
         airtime = SF_TABLE[r].airtime_s
-        cc = CycleConstants.from_model(m, airtime)
         decay = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
-        mean_v[r] = estimate_mean_voltage(cc, decay)
+        mean_v[r] = estimate_mean_voltage(m, airtime, decay)
         sd = steady_state(scheme, airtime, m, n_bins=n_bins)
         if abs(sd.mean() - mean_v[r]) > sd.delta:
             raise NumericalError(
@@ -120,8 +119,8 @@ def plan_cve(
         )
     schemes = []
     for entry in SF_TABLE:
-        cc = CycleConstants.from_model(m, entry.airtime_s)
-        target = (v_target - cc.v_after_full) / (cc.retention * (v_target - cc.ceiling))
+        airtime = entry.airtime_s
+        target = (v_target - m.v_after_full(airtime)) / (m.retention(airtime) * (v_target - m.v_limit_off))
         if not 0.0 < target < 1.0:
             raise InfeasibleError(
                 f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)", sf=entry.sf

@@ -3,7 +3,9 @@
 Each cycle charges the capacitor for a random time nu toward the radio-off
 rest voltage, then discharges it for one packet airtime toward the radio-on
 rest voltage, both as first-order exponentials. End-of-phase voltages are
-always evaluated in closed form.
+always evaluated in closed form. One cycle is the affine map v' = v_after_full
++ retention*X*(v - v_limit_off) in the random decay X = exp(-nu/tau_off),
+with the two constants that CapacitorModel gives for the airtime.
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ class CapacitorModel:
         if not 0 < self.tau_on < self.tau_off:
             raise ConfigError("time constants must satisfy 0 < tau_on < tau_off")
 
+    def retention(self, airtime):
+        """Discharge retention exp(-airtime/tau_on) of one transmission, in (0, 1]."""
+        return np.exp(-np.asarray(airtime, dtype=float) / self.tau_on)
+
+    def v_after_full(self, airtime):
+        """Voltage at which a capacitor charged to v_limit_off ends one transmission."""
+        return self.v_limit_on + (self.v_limit_off - self.v_limit_on) * self.retention(airtime)
+
 
 def build_model(cfg: PhyConfig, mode: str = "thevenin") -> CapacitorModel:
     """Reduce the harvester/capacitor/load circuit to per-state RC constants.
@@ -67,36 +77,7 @@ def step_charge(v0, nu, m: CapacitorModel):
 
 def step_discharge(v0, airtime, m: CapacitorModel):
     """Voltage after transmitting for airtime seconds from v0."""
-    return m.v_limit_on + (v0 - m.v_limit_on) * np.exp(-np.asarray(airtime, dtype=float) / m.tau_on)
-
-
-@dataclass(frozen=True)
-class CycleConstants:
-    """Affine one-cycle voltage map v' = v_after_full + retention*decay*(v - ceiling).
-
-    decay = exp(-nu/tau_off) is the random charge-phase factor; retention is
-    the deterministic discharge survival exp(-airtime/tau_on); ceiling is the
-    charge asymptote, and v_after_full is where a fully charged capacitor
-    lands after one transmission.
-    """
-
-    v_after_full: float  # [V]
-    retention: float  # in (0, 1)
-    ceiling: float  # [V]
-
-    @classmethod
-    def from_model(cls, m: CapacitorModel, airtime: float) -> "CycleConstants":
-        retention = float(np.exp(-airtime / m.tau_on))
-        ceiling = m.v_limit_off
-        return cls(
-            v_after_full=m.v_limit_on + (ceiling - m.v_limit_on) * retention,
-            retention=retention,
-            ceiling=ceiling,
-        )
-
-    def apply(self, v, decay):
-        """End-of-cycle voltage given start voltage v and charge-phase decay factor."""
-        return self.v_after_full + self.retention * np.asarray(decay, dtype=float) * (v - self.ceiling)
+    return m.v_limit_on + (v0 - m.v_limit_on) * m.retention(airtime)
 
 
 @dataclass(frozen=True)
@@ -144,7 +125,7 @@ def simulate_trajectory(
     # phase start voltages: the scalar recurrence of step_charge then step_discharge
     v_start = np.empty((n_cycles, 2))
     decay = np.exp(-nu / m.tau_off).tolist()
-    retention = float(np.exp(-float(airtime) / m.tau_on))
+    retention = float(m.retention(airtime))
     v = float(v0)
     for j in range(n_cycles):
         v_start[j, 0] = v
@@ -176,20 +157,21 @@ def cycle_voltages(
     """End-of-cycle voltages for one or many parallel chains (rows: chains)."""
     v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
     out = np.empty((n_cycles, v.size))
-    cc = CycleConstants.from_model(m, airtime)
+    v_after_full, retention = m.v_after_full(airtime), m.retention(airtime)
     for j in range(n_cycles):
         decay = np.exp(-scheme.sample(rng, v.size) / m.tau_off)
-        v = cc.apply(v, decay)
+        v = v_after_full + retention * decay * (v - m.v_limit_off)
         out[j] = v
     return out
 
 
-def estimate_mean_voltage(cc: CycleConstants, mean_decay: float) -> float:
+def estimate_mean_voltage(m: CapacitorModel, airtime: float, mean_decay: float) -> float:
     """Fixed point of the mean one-cycle map: the stationary mean voltage.
 
     mean_decay is E[exp(-nu/tau_off)] for the charging-time distribution.
     """
-    denom = cc.retention * mean_decay - 1.0
+    retention = m.retention(airtime)
+    denom = retention * mean_decay - 1.0
     if abs(denom) < 1e-12:
         raise NumericalError("mean-voltage estimator degenerate: retention * E[decay] == 1")
-    return (cc.retention * cc.ceiling * mean_decay - cc.v_after_full) / denom
+    return float((retention * m.v_limit_off * mean_decay - m.v_after_full(airtime)) / denom)

@@ -1,10 +1,12 @@
 """Discretized Markov chain over end-of-cycle capacitor voltages.
 
-The end-of-cycle voltage obeys v' = v_after_full + retention*X*(v - ceiling)
-with X = exp(-nu/tau_off) a random decay factor. On a grid of equal voltage
-bins, the chain moves from bin i to bin j with the exact probability that this
-map sends the centre of bin i into bin j (Ulam's discretization), which
-converges to the true stationary law as the grid refines.
+The end-of-cycle voltage obeys v' = v_after_full + retention*X*(v - v_limit_off)
+with X = exp(-nu/tau_off) a random decay factor, and retention and
+v_after_full the constants that the capacitor model gives for the airtime.
+On a grid of equal voltage bins, the chain moves from bin i to bin j with the
+exact probability that this map sends the centre of bin i into bin j (Ulam's
+discretization), which converges to the true stationary law as the grid
+refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins, so
 it is stored as a scipy CSR array. The stationary law is the eigenvector of
@@ -25,7 +27,7 @@ from scipy import linalg, sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from .capacitor import DEFAULT_BINS, CapacitorModel, CycleConstants
+from .capacitor import DEFAULT_BINS, CapacitorModel
 from .errors import NumericalError
 from .phy import ChargingScheme
 
@@ -84,21 +86,21 @@ def build_transition_matrix(
     Cell (i, j) is the probability that one cycle of the given airtime maps
     the centre c_i of bin i into bin j. The map is decreasing in X, so the
     edge e of bin j maps to the charging time nu_e = -tau_off*ln((e -
-    v_after_full) / (retention*(c_i - ceiling))), increasing in e, and the
+    v_after_full) / (retention*(c_i - v_limit_off))), increasing in e, and the
     cell is S(nu_j) - S(nu_j+1) with S the survival of the scheme's nu.
     Edges at or above v_after_full give nu = +inf. A row is evaluated only on
-    its band, from its last edge with S = 1 to its first edge with S = 0. The image of a row, [v_on + retention*(c_i - v_on),
-    v_after_full], lies inside the grid, so every row holds probability 1.
+    its band, from its last edge with S = 1 to its first edge with S = 0. The
+    image of a row, [v_on + retention*(c_i - v_on), v_after_full], lies inside
+    the grid, so every row holds probability 1.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
-    cc = CycleConstants.from_model(m, airtime)
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # nu_e = tau_off*(log_d[i] - log_n[e]): one log per row and one per edge
-    log_d = np.log(cc.retention * (cc.ceiling - centers))  # ceiling = v_limit_off is above every centre
+    log_d = np.log(m.retention(airtime) * (m.v_limit_off - centers))  # v_limit_off is above every centre
     with np.errstate(divide="ignore"):
-        log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
+        log_n = np.log(np.maximum(m.v_after_full(airtime) - edges, 0.0))
 
     def surv(log_row, e):  # the band ends and the cells use this one expression
         return scheme.survival(m.tau_off * (log_row - log_n[e]))
@@ -157,6 +159,8 @@ class StationaryDistribution:
         and a tail near 0 keeps full precision.
         """
         edges, u = self.bin_edges, self.probabilities
+        if math.isnan(v_op):
+            raise ValueError("the threshold v_op is NaN")
         if v_op <= edges[0]:
             return 0.0, 1.0
         if v_op >= edges[-1]:

@@ -98,7 +98,7 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     voltage traces.
     """
     n = v0.size
-    retention = np.exp(-airtimes / m.tau_on)
+    retention = m.retention(airtimes)
     counts = {name: np.zeros(n, dtype=np.int64) for name in COUNTERS[:4]}
     duty_sum = np.zeros(n)
     # each list starts with an empty block, so a network of no devices joins to empty records

@@ -215,14 +215,23 @@ DUTY_REL_TOL = 1e-8  # relative error bound of the duty-cycle quadrature
 def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
     """E[tau / (nu + tau)], the expected fraction of a cycle spent transmitting.
 
-    Computed by adaptive quadrature against the scheme pdf. The ETSI-style
-    figure tau / (E[nu] + tau) needs only the mean and no quadrature.
+    Closed form for a uniform scheme, tau/(b - a) * ln(1 + (b - a)/(a + tau)),
+    and for an exponential one, x e^x E1(x) with x = tau/w; quadrature against
+    the pdf for other Weibull shapes and where e^x overflows. The ETSI-style
+    figure tau / (E[nu] + tau) needs only the mean.
     """
-    if airtime <= 0:
+    if not airtime > 0:
         if airtime == 0:
             return 0.0
-        raise ValueError("airtime must be positive")
-    return scheme.quad(lambda x: scheme.pdf(x) * airtime / (x + airtime), DUTY_REL_TOL)
+        raise ValueError(f"airtime must be positive, got {airtime}")
+    if scheme.kind == "uniform":
+        return airtime / (scheme.b - scheme.a) * math.log1p((scheme.b - scheme.a) / (scheme.a + airtime))
+    x = airtime / scheme.w
+    if scheme.k == 1.0 and x < 700.0:
+        from scipy.special import exp1  # loaded on first use, so that importing phy loads no scipy
+
+        return x * math.exp(x) * float(exp1(x))
+    return scheme.quad(lambda t: scheme.pdf(t) * airtime / (t + airtime), DUTY_REL_TOL)
 
 
 def collision_fraction(
@@ -233,7 +242,7 @@ def collision_fraction(
 ) -> float:
     """Fraction of co-SF devices modeled as concurrently transmitting.
 
-    variant "expected": energy_avail * E[tau/(nu+tau)] (exact quadrature).
+    variant "expected": energy_avail * E[tau/(nu+tau)] (duty_cycle).
     variant "simple":   energy_avail * tau/(E[nu]+tau) (long-run transmit-time
                         fraction of an always-available device).
     variant "overlap":  2*energy_avail*tau / (E[nu] + energy_avail*tau), the

@@ -7,7 +7,7 @@ import pytest
 import loraeh.act
 import loraeh.markov
 from loraeh.act import plan_cdc, plan_cve
-from loraeh.capacitor import CycleConstants, build_model
+from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.errors import InfeasibleError, NumericalError
 from loraeh.markov import DecayFactorDistribution, steady_state
@@ -65,9 +65,8 @@ class TestCve:
             for kind in ("uniform", "weibull"):
                 plan = plan_cve(1.0, kind, cfg, m, n_bins=300)
                 for r, entry in enumerate(SF_TABLE):
-                    cc = CycleConstants.from_model(m, entry.airtime_s)
-                    v = cfg.v_operating
-                    t = (v - cc.v_after_full) / (cc.retention * (v - cc.ceiling))
+                    v, airtime = cfg.v_operating, entry.airtime_s
+                    t = (v - m.v_after_full(airtime)) / (m.retention(airtime) * (v - m.v_limit_off))
                     scheme = plan.schemes[r]
                     if kind == "weibull":
                         w_closed = m.tau_off * (1.0 - t) / t

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loraeh.capacitor import (
-    CycleConstants,
     build_model,
     cycle_voltages,
     estimate_mean_voltage,
@@ -75,36 +74,45 @@ class TestSteps:
         assert np.all(np.diff(discharges) < 0)
 
     def test_chained_cycle_is_affine(self, model):
-        # disc(charge(v, nu)) == v_after_full + retention * decay * (v - ceiling)
-        cc = CycleConstants.from_model(model, 0.204)
+        # disc(charge(v, nu)) == v_after_full + retention * decay * (v - v_limit_off)
         rng = np.random.default_rng(11)
         for _ in range(1000):
             v = rng.uniform(model.v_limit_on, model.v_limit_off)
             nu = rng.uniform(0, 300)
             direct = step_discharge(step_charge(v, nu, model), 0.204, model)
-            affine = cc.apply(v, math.exp(-nu / model.tau_off))
+            affine = cycle_map(model, 0.204, v, math.exp(-nu / model.tau_off))
             assert abs(direct - affine) < 1e-12
 
     def test_contraction_is_exact(self, model):
-        cc = CycleConstants.from_model(model, 0.204)
         rng = np.random.default_rng(5)
         for _ in range(200):
             v1, v2 = rng.uniform(model.v_limit_on, model.v_limit_off, 2)
             nu = rng.uniform(1e-3, 200)
             decay = math.exp(-nu / model.tau_off)
-            gap = abs(cc.apply(v1, decay) - cc.apply(v2, decay))
-            assert abs(gap - cc.retention * decay * abs(v1 - v2)) < 1e-12
+            gap = abs(cycle_map(model, 0.204, v1, decay) - cycle_map(model, 0.204, v2, decay))
+            assert abs(gap - model.retention(0.204) * decay * abs(v1 - v2)) < 1e-12
             assert gap < abs(v1 - v2)
 
 
-class TestCycleConstants:
+def cycle_map(m, airtime, v, decay):
+    """End-of-cycle voltage from start voltage v and charge-phase decay factor."""
+    return m.v_after_full(airtime) + m.retention(airtime) * decay * (v - m.v_limit_off)
+
+
+class TestCycleMap:
     def test_definitions(self, model):
-        cc = CycleConstants.from_model(model, 0.204)
-        assert cc.retention == pytest.approx(math.exp(-0.204 / model.tau_on), rel=1e-15)
-        assert cc.ceiling == model.v_limit_off
-        expected = model.v_limit_on + (cc.ceiling - model.v_limit_on) * cc.retention
-        assert cc.v_after_full == pytest.approx(expected, rel=1e-15)
-        assert 0 < cc.retention < 1
+        retention = model.retention(0.204)
+        assert retention == pytest.approx(math.exp(-0.204 / model.tau_on), rel=1e-15)
+        expected = model.v_limit_on + (model.v_limit_off - model.v_limit_on) * retention
+        assert model.v_after_full(0.204) == pytest.approx(expected, rel=1e-15)
+        assert 0 < retention < 1
+        assert model.retention(0.0) == 1.0
+        assert model.v_after_full(0.0) == model.v_limit_off
+
+    def test_an_array_of_airtimes_is_taken_elementwise(self, model):
+        airtimes = np.array([0.0366, 0.204, 0.682])
+        assert model.retention(airtimes).tolist() == [model.retention(a) for a in airtimes]
+        assert model.v_after_full(airtimes).tolist() == [model.v_after_full(a) for a in airtimes]
 
 
 class TestTrajectory:
@@ -133,9 +141,9 @@ class TestTrajectory:
 
     def test_degenerate_scheme_converges_to_fixed_point(self, model):
         scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-        cc = CycleConstants.from_model(model, 0.204)
+        r, v_full = model.retention(0.204), model.v_after_full(0.204)
         decay = math.exp(-50.0 / model.tau_off)
-        v_star = (cc.v_after_full - cc.retention * cc.ceiling * decay) / (1.0 - cc.retention * decay)
+        v_star = (v_full - r * model.v_limit_off * decay) / (1.0 - r * decay)
         rng = np.random.default_rng(2)
         v = cycle_voltages(1.8, scheme, 0.204, 200, model, rng)
         assert v[-1, 0] == pytest.approx(v_star, abs=1e-9)
@@ -143,9 +151,8 @@ class TestTrajectory:
         assert np.all(gaps[1:20] < gaps[:19])  # geometric approach
 
     def test_empirical_mean_matches_estimator(self, model, ud):
-        cc = CycleConstants.from_model(model, 0.204)
         mean_decay = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off).mean()
-        est = estimate_mean_voltage(cc, mean_decay)
+        est = estimate_mean_voltage(model, 0.204, mean_decay)
         rng = np.random.default_rng(8)
         v = cycle_voltages(np.full(100, 1.8), ud, 0.204, 200, model, rng)
         empirical = v[100:].mean()  # discard transient
@@ -154,15 +161,12 @@ class TestTrajectory:
 
 class TestMeanVoltageEstimator:
     def test_zero_airtime_limit(self, model, ud):
-        cc = CycleConstants.from_model(model, 1e-9)
         mean_decay = DecayFactorDistribution(scheme=ud, tau_charge=model.tau_off).mean()
-        assert estimate_mean_voltage(cc, mean_decay) == pytest.approx(model.v_limit_off, rel=1e-6)
+        assert estimate_mean_voltage(model, 1e-9, mean_decay) == pytest.approx(model.v_limit_off, rel=1e-6)
 
     def test_zero_charging_limit(self, model):
-        cc = CycleConstants.from_model(model, 0.204)
-        assert estimate_mean_voltage(cc, 1.0 - 1e-9) == pytest.approx(model.v_limit_on, abs=1e-4)
+        assert estimate_mean_voltage(model, 0.204, 1.0 - 1e-9) == pytest.approx(model.v_limit_on, abs=1e-4)
 
     def test_singularity(self, model):
-        cc = CycleConstants.from_model(model, 0.0)  # retention exactly 1
         with pytest.raises(NumericalError):
-            estimate_mean_voltage(cc, 1.0)
+            estimate_mean_voltage(model, 0.0, 1.0)  # retention exactly 1

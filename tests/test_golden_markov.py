@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loraeh.capacitor import CycleConstants, build_model
+from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.markov import build_transition_matrix, stationary_distribution
 from loraeh.phy import ChargingScheme
@@ -74,12 +74,11 @@ GOLDEN = {
 
 def reference_transition_matrix(scheme, airtime, m, n_bins):
     """Dense Ulam matrix: every cell is the decay law's mass between the cell's two mapped edges."""
-    cc = CycleConstants.from_model(m, airtime)
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    log_d = np.log(cc.retention * (cc.ceiling - centers))
+    log_d = np.log(m.retention(airtime) * (m.v_limit_off - centers))
     with np.errstate(divide="ignore"):
-        log_n = np.log(np.maximum(cc.v_after_full - edges, 0.0))
+        log_n = np.log(np.maximum(m.v_after_full(airtime) - edges, 0.0))
     surv = scheme.survival(m.tau_off * (log_d[:, None] - log_n[None, :]))
     raw = surv[:, :-1] - surv[:, 1:]
     return raw / raw.sum(axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package imports another module's private
 name, no module of the package or the tests imports a name it never reads,
-and a CLI run loads scipy only for a subcommand that uses it."""
+and a CLI run loads scipy only for a subcommand that uses it, and
+scipy.integrate only where no closed form serves."""
 
 import ast
 import json
@@ -83,6 +84,7 @@ def test_a_subcommand_loads_scipy_only_if_it_solves_a_chain(tmp_path):
         ["capacitor-trace", "--cycles", "5", "--out", str(tmp_path / "trace")],
         ["simulate", "--devices", "5", "--duration", "1e3", "--out", str(tmp_path / "sim")],
         ["steady-state", "--bins", "100", "--out", str(tmp_path / "steady")],
+        ["coverage", "--bins", "100", "--out", str(tmp_path / "coverage")],
     ]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -93,6 +95,7 @@ def test_a_subcommand_loads_scipy_only_if_it_solves_a_chain(tmp_path):
         timeout=120,
         check=True,
     )
-    *no_chain, chain = json.loads(proc.stdout.splitlines()[-1])
+    *no_chain, chain, coverage = json.loads(proc.stdout.splitlines()[-1])
     assert no_chain == [[]] * 4  # import, --help, capacitor-trace, simulate
     assert "scipy.sparse" in chain  # so the check above cannot pass vacuously
+    assert "scipy.integrate" not in coverage  # the default schemes' duty figures are closed forms

@@ -159,6 +159,27 @@ class TestDutyCycle:
         slower = ChargingScheme.uniform(0, 200)
         assert duty_cycle(slower, 0.2) < duty_cycle(s, 0.2)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            ChargingScheme.uniform(0.0, 100.0),
+            ChargingScheme.uniform(20.0, 300.0),
+            ChargingScheme.weibull(1.0, 50.0),
+            ChargingScheme.weibull(1.0, 0.5),
+        ],
+        ids=["ud", "uniform-20-300", "wd", "exponential-0.5"],
+    )
+    def test_closed_forms_match_mpmath(self, scheme, monkeypatch):
+        # uniform and exponential schemes (the defaults first) run no quadrature
+        monkeypatch.setattr(ChargingScheme, "quad", lambda *args: pytest.fail("quadrature run"))
+        for tau in AIRTIMES_S:
+            if scheme.kind == "uniform":
+                with mpmath.workdps(30):
+                    exact = float(mpmath.quad(lambda x: tau / (x + tau), [scheme.a, scheme.b]) / (scheme.b - scheme.a))
+            else:
+                exact = weibull_expectation(1.0, scheme.w, lambda x: tau / (x + tau), tau)
+            assert duty_cycle(scheme, tau) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     @given(
         scheme=st.one_of(
             st.builds(
