@@ -35,7 +35,10 @@ class ActPlan:
     etsi_ok: np.ndarray  # duty_simple <= 1%
 
 
-def _scheme_for(dist_kind: str, mean_nu: float) -> ChargingScheme:
+def _scheme_for(dist_kind: str, mean_nu: float, sf: int) -> ChargingScheme:
+    """SF's scheme of mean mean_nu; InfeasibleError below MEAN_NU_FLOOR_S, before any chain is solved."""
+    if mean_nu < MEAN_NU_FLOOR_S:
+        raise InfeasibleError(f"SF{sf}: mean charging time {mean_nu:.3f} s below the {MEAN_NU_FLOOR_S} s floor")
     if dist_kind == "uniform":
         return ChargingScheme.uniform(0.0, 2.0 * mean_nu)
     if dist_kind == "weibull":
@@ -79,12 +82,12 @@ def plan_cdc(
     m: CapacitorModel,
     n_bins: int = DEFAULT_BINS,
 ) -> ActPlan:
-    """Constant duty cycle: E[nu] = theta * airtime per SF (duty 1/(1+theta))."""
+    """Constant duty cycle: E[nu] = theta * airtime per SF (duty 1/(1+theta)), at least MEAN_NU_FLOOR_S."""
     if not math.isfinite(theta):
         raise ConfigError(f"duty multiplier theta must be finite, got {theta}")
     if theta <= 0:
         raise InfeasibleError(f"duty multiplier must be positive, got {theta}")
-    schemes = [_scheme_for(dist_kind, theta * entry.airtime_s) for entry in SF_TABLE]
+    schemes = [_scheme_for(dist_kind, theta * entry.airtime_s, entry.sf) for entry in SF_TABLE]
     return _plan(schemes, m, cfg, n_bins)
 
 
@@ -122,14 +125,6 @@ def plan_cve(
         airtime = entry.airtime_s
         target = (v_target - m.v_after_full(airtime)) / (m.retention(airtime) * (v_target - m.v_limit_off))
         if not 0.0 < target < 1.0:
-            raise InfeasibleError(
-                f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)", sf=entry.sf
-            )
-        mean_nu = _mean_nu_for_decay(dist_kind, target, m.tau_off)
-        if mean_nu < MEAN_NU_FLOOR_S:
-            raise InfeasibleError(
-                f"SF{entry.sf}: solved mean charging time {mean_nu:.3f} s below the {MEAN_NU_FLOOR_S} s floor",
-                sf=entry.sf,
-            )
-        schemes.append(_scheme_for(dist_kind, mean_nu))
+            raise InfeasibleError(f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)")
+        schemes.append(_scheme_for(dist_kind, _mean_nu_for_decay(dist_kind, target, m.tau_off), entry.sf))
     return _plan(schemes, m, cfg, n_bins)

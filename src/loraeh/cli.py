@@ -4,8 +4,8 @@ Every run writes its CSVs plus a manifest.json capturing the resolved
 configuration and seed. Given the same config and seed the CSV bytes are
 identical across runs; only the manifest timestamp differs.
 
-Exit codes: 0 ok, 1 config error (a flag argparse rejects included), 2
-numerical error, 3 infeasible target.
+Exit codes: 0 ok, 1 config error (a flag argparse rejects and a size too
+large to allocate included), 2 numerical error, 3 infeasible target.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .phy import AIRTIMES_S, N_RINGS, SF_TABLE
 ENV_CONFIG = "LORAEH_CONFIG"
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 _SFS = np.array([e.sf for e in SF_TABLE])
+# numpy's byte sizes are int64: 2**60 8-byte values (or a length rounded up to it) is a
+# ValueError, while every size below 2**59 can at most fail to allocate (MemoryError)
+_MAX_SIZE = 2**59
 
 
 def _column_text(values: np.ndarray) -> list[str]:
@@ -74,6 +77,10 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
+    for name in ("bins", "points_per_ring", "cycles", "samples_per_phase", "devices"):
+        value = getattr(args, name, None)
+        if value is not None and value >= _MAX_SIZE:
+            raise ConfigError(f"--{name.replace('_', '-')} must be below 2**59, got {value}")
     if getattr(args, "bins", 1) < 1:
         raise ConfigError(f"--bins must be at least 1, got {args.bins}")
     if args.seed < 0:
@@ -161,13 +168,7 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
     for r, entry in enumerate(SF_TABLE):
         sd = markov.steady_state(run.scheme, entry.airtime_s, model, n_bins=args.bins)
         avail[r] = sd.availability(run.phy.v_operating)
-    profile = coverage_profile(
-        run.phy,
-        run.scheme,
-        avail,
-        points_per_ring=args.points_per_ring,
-        collision_variant=args.collision_variant,
-    )
+    profile = coverage_profile(run.phy, run.scheme, avail, points_per_ring=args.points_per_ring)
     columns = {
         "distance_km": profile.distances / 1e3,
         "sf": _SFS[profile.ring],
@@ -279,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", parents=[common, bins], help="distance-resolved uplink success columns")
     p.add_argument("--points-per-ring", type=int, default=40)
-    p.add_argument(
-        "--collision-variant",
-        choices=["expected", "simple", "overlap"],
-        default="expected",
-        help="duty figure entering the co-SF transmitting fraction",
-    )
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("act-plan", parents=[common, bins], help="adaptive charging-time plan per SF")
@@ -319,7 +314,7 @@ def main(argv=None) -> int:
             _write_csv(os.path.join(args.out, name), columns)
         _write_manifest(args, run, list(tables))
         return 0
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

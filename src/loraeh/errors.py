@@ -10,8 +10,4 @@ class NumericalError(Exception):
 
 
 class InfeasibleError(Exception):
-    """A solver target cannot be met; carries the offending spreading factor."""
-
-    def __init__(self, message, sf=None):
-        super().__init__(message)
-        self.sf = sf
+    """A solver target cannot be met; the message names the offending spreading factor where there is one."""

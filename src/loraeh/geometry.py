@@ -111,25 +111,20 @@ def coverage_profile(
     scheme: ChargingScheme,
     energy_avail: np.ndarray,
     points_per_ring: int = 40,
-    collision_variant: str = "expected",
 ) -> CoverageProfile:
     """Evaluate the success chain on points_per_ring equally spaced distances per ring.
 
     energy_avail holds the six per-ring probabilities of being energy-capable
     (from the steady-state chain); the co-SF transmitting fraction is
-    energy_avail times the scheme duty figure selected by collision_variant.
+    energy_avail times the expected duty figure E[tau/(nu+tau)]
+    (collision_fraction's "expected" variant).
     """
     energy_avail = np.asarray(energy_avail, dtype=float)
     if energy_avail.shape != (N_RINGS,):
         raise ValueError(f"need {N_RINGS} per-ring energy availabilities")
     if points_per_ring < 1:
         raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
-    p_ring = np.array(
-        [
-            collision_fraction(energy_avail[r], scheme, AIRTIMES_S[r], variant=collision_variant)
-            for r in range(N_RINGS)
-        ]
-    )
+    p_ring = np.array([collision_fraction(energy_avail[r], scheme, AIRTIMES_S[r]) for r in range(N_RINGS)])
     pieces = []
     for r in range(N_RINGS):
         lo, hi = cfg.ring_radii[r], cfg.ring_radii[r + 1]

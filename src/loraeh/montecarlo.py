@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacitor import CapacitorModel
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
@@ -359,18 +359,3 @@ def run_simulation(
         devices=devices,
         traces=traces,
     )
-
-
-def empirical_collision_fraction(report: SimReport, min_attempts: int = 100) -> np.ndarray:
-    """Per-ring estimate of the co-SF transmitting fraction.
-
-    Estimated as measured availability times the sample mean of
-    airtime/(nu+airtime) over cycles, mirroring the analytical product form.
-    Rings with zero attempts are dead (0.0); rings with too few attempts for
-    a stable estimate raise NumericalError.
-    """
-    thin = np.flatnonzero((report.attempts > 0) & (report.attempts < min_attempts))
-    if thin.size:
-        r = thin[0]
-        raise NumericalError(f"ring {r + 1}: only {report.attempts[r]} attempts (< {min_attempts})")
-    return report.energy_avail * report.duty_mean

@@ -113,16 +113,12 @@ class ChargingScheme:
             return 0.5 * (self.a + self.b)
         return self.w * math.gamma(1.0 + 1.0 / self.k)
 
-    def support(self) -> tuple[float, float]:
-        if self.kind == "uniform":
-            return (self.a, self.b)
-        return (0.0, math.inf)
-
     def quad(self, f, rel_tol: float) -> float:
-        """Integral of f over the support; NumericalError unless its error estimate is within rel_tol."""
+        """Integral of f over (0, inf) for a Weibull law (uniform expectations have closed forms);
+        NumericalError unless its error estimate is within rel_tol."""
         from scipy import integrate  # loaded on first use: only the analytic subcommands integrate
 
-        pts = self.support() if self.kind == "uniform" else (0.0, self.w, math.inf)  # small k: spike at 0, long tail
+        pts = (0.0, self.w, math.inf)  # split at the scale: small k has a spike at 0 and a long tail
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)  # err is judged below
             parts = [integrate.quad(f, *ab, epsabs=0.0, epsrel=rel_tol / 100, limit=500) for ab in zip(pts, pts[1:])]

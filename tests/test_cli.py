@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import filecmp
@@ -325,6 +326,27 @@ class TestExitCodes:
         assert not list((tmp_path / "g").glob("*.csv"))
         assert not solves  # rejected before any chain is solved
 
+    @pytest.mark.parametrize("size", [2**59 - 1, 10**18, 10**20], ids=["2**59-1", "10**18", "10**20"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["capacitor-trace", "--cycles"],
+            ["capacitor-trace", "--samples-per-phase"],
+            ["simulate", "--devices"],
+            ["coverage", "--bins", 100, "--points-per-ring"],
+            ["steady-state", "--bins"],
+        ],
+        ids=lambda a: a[-1],
+    )
+    def test_size_too_large_to_allocate(self, tmp_path, capsys, args, size):
+        # each size is rejected up front or asks for exbibytes, beyond any address space,
+        # so the allocation fails before any memory is touched
+        out = tmp_path / "big"
+        assert run(args + [size, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [["capacitor-trace"], STEADY, ["outage-sweep", "--bins", 100], COVERAGE, ["act-plan", "--act", "cdc"], SIMULATE],
@@ -509,6 +531,21 @@ class TestFuzz:
                 code = run(command + bins_arg + ["--config", cfg, "--out", Path(tmp) / "out"])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+class TestFlags:
+    def test_every_flag_is_set_by_some_test(self):
+        # a flag that no test names is a knob that no run is known to reach
+        text = "".join(path.read_text() for path in Path(__file__).parent.glob("*.py"))
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        unset = [
+            (command, flag)
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and f'"{flag}"' not in text and f"'{flag}'" not in text
+        ]
+        assert not unset
 
 
 class TestOneModel:

@@ -26,7 +26,7 @@ from loraeh.phy import SF_TABLE, ChargingScheme
 
 def decay_support(scheme, tau):
     """Support of X = exp(-nu/tau): the scheme's support mapped through the decreasing exp(-nu/tau)."""
-    lo, hi = scheme.support()
+    lo, hi = (scheme.a, scheme.b) if scheme.kind == "uniform" else (0.0, math.inf)
     return math.exp(-hi / tau), math.exp(-lo / tau)
 
 
