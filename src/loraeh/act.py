@@ -16,7 +16,7 @@ from scipy.special import lambertw
 from .capacitor import DEFAULT_BINS, CapacitorModel, estimate_mean_voltage
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .markov import DecayFactorDistribution, StationaryDistribution, steady_state
-from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SF_TABLE
+from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SFS
 
 MEAN_NU_FLOOR_S = 1.0  # sub-second mean recharge is outside the model's regime
 ETSI_DUTY_CAP = 0.01
@@ -51,14 +51,13 @@ def _plan(schemes: list[ChargingScheme], m: CapacitorModel, cfg: PhyConfig, n_bi
     lie within one bin of the exact stationary mean (the mean map's fixed point)."""
     mean_v = np.empty(N_RINGS)
     sds = []
-    for r, scheme in enumerate(schemes):
-        airtime = SF_TABLE[r].airtime_s
+    for r, (scheme, sf, airtime) in enumerate(zip(schemes, SFS, AIRTIMES_S)):
         decay = DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean()
         mean_v[r] = estimate_mean_voltage(m, airtime, decay)
         sd = steady_state(scheme, airtime, m, n_bins=n_bins)
         if abs(sd.mean() - mean_v[r]) > sd.delta:
             raise NumericalError(
-                f"SF{SF_TABLE[r].sf}: the {n_bins}-bin chain's mean voltage {sd.mean():.4f} V misses the exact "
+                f"SF{sf}: the {n_bins}-bin chain's mean voltage {sd.mean():.4f} V misses the exact "
                 f"stationary mean {mean_v[r]:.4f} V by more than one bin: the grid is too coarse"
             )
         sds.append(sd)
@@ -87,7 +86,7 @@ def plan_cdc(
         raise ConfigError(f"duty multiplier theta must be finite, got {theta}")
     if theta <= 0:
         raise InfeasibleError(f"duty multiplier must be positive, got {theta}")
-    schemes = [_scheme_for(dist_kind, theta * entry.airtime_s, entry.sf) for entry in SF_TABLE]
+    schemes = [_scheme_for(dist_kind, theta * airtime, sf) for sf, airtime in zip(SFS, AIRTIMES_S)]
     return _plan(schemes, m, cfg, n_bins)
 
 
@@ -121,10 +120,9 @@ def plan_cve(
             f"target mean voltage {v_target:.4f} V outside ({m.v_limit_on:.4f}, {m.v_limit_off:.4f}) V"
         )
     schemes = []
-    for entry in SF_TABLE:
-        airtime = entry.airtime_s
+    for sf, airtime in zip(SFS, AIRTIMES_S):
         target = (v_target - m.v_after_full(airtime)) / (m.retention(airtime) * (v_target - m.v_limit_off))
         if not 0.0 < target < 1.0:
-            raise InfeasibleError(f"SF{entry.sf}: required mean decay factor {target:.6f} outside (0, 1)")
-        schemes.append(_scheme_for(dist_kind, _mean_nu_for_decay(dist_kind, target, m.tau_off), entry.sf))
+            raise InfeasibleError(f"SF{sf}: required mean decay factor {target:.6f} outside (0, 1)")
+        schemes.append(_scheme_for(dist_kind, _mean_nu_for_decay(dist_kind, target, m.tau_off), sf))
     return _plan(schemes, m, cfg, n_bins)

@@ -1,8 +1,8 @@
 """Command-line front end: analysis subcommands emitting CSV data files.
 
 Every run writes its CSVs plus a manifest.json capturing the resolved
-configuration and seed. Given the same config and seed the CSV bytes are
-identical across runs; only the manifest timestamp differs.
+configuration, the seed and every parsed flag. Given the same config and seed
+the CSV bytes are identical across runs; only the manifest timestamp differs.
 
 Exit codes: 0 ok, 1 config error (a flag argparse rejects and a size too
 large to allocate included), 2 numerical error, 3 infeasible target.
@@ -26,11 +26,10 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .geometry import coverage_profile, sample_network
 from .montecarlo import COUNTERS, run_simulation
-from .phy import AIRTIMES_S, N_RINGS, SF_TABLE
+from .phy import AIRTIMES_S, N_RINGS, SFS
 
 ENV_CONFIG = "LORAEH_CONFIG"
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
-_SFS = np.array([e.sf for e in SF_TABLE])
 # numpy's byte sizes are int64: 2**60 8-byte values (or a length rounded up to it) is a
 # ValueError, while every size below 2**59 can at most fail to allocate (MemoryError)
 _MAX_SIZE = 2**59
@@ -66,6 +65,7 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
         "version": __version__,
         "subcommand": args.command,
         "seed": args.seed,
+        "args": {name: value for name, value in vars(args).items() if name != "func"},
         "config": run.raw,
         "mode": run.mode,
         "outputs": outputs,
@@ -108,7 +108,7 @@ def _scheme_pair(run: RunConfig):
 
 
 def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:
-    airtime = SF_TABLE[args.ring - 1].airtime_s
+    airtime = AIRTIMES_S[args.ring - 1]
     tables = {}
     for label, scheme in _scheme_pair(run):
         traj = simulate_trajectory(
@@ -128,7 +128,7 @@ def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
 
     if args.bins < 100:
         print(f"warning: {args.bins} bins is a coarse voltage grid; expect visible discretization", file=sys.stderr)
-    airtime = SF_TABLE[args.ring - 1].airtime_s
+    airtime = AIRTIMES_S[args.ring - 1]
     tables = {}
     summary = {"scheme": [], "bins": [], "mean_V": [], "std_V": [], "outage": []}
     conv = {"scheme": [], "bins": [], "outage": []}
@@ -152,11 +152,11 @@ def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
 def cmd_outage_sweep(args, run: RunConfig, model: CapacitorModel) -> dict:
     from . import markov
 
-    columns = {"sf": _SFS, "airtime_s": AIRTIMES_S}
+    columns = {"sf": SFS, "airtime_s": AIRTIMES_S}
     for label, scheme in _scheme_pair(run):
         columns[f"outage_{label}"] = [
-            markov.steady_state(scheme, e.airtime_s, model, n_bins=args.bins).outage(run.phy.v_operating)
-            for e in SF_TABLE
+            markov.steady_state(scheme, airtime, model, n_bins=args.bins).outage(run.phy.v_operating)
+            for airtime in AIRTIMES_S
         ]
     return {"outage_sweep.csv": columns}
 
@@ -165,13 +165,13 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
     from . import markov
 
     avail = np.empty(N_RINGS)
-    for r, entry in enumerate(SF_TABLE):
-        sd = markov.steady_state(run.scheme, entry.airtime_s, model, n_bins=args.bins)
+    for r, airtime in enumerate(AIRTIMES_S):
+        sd = markov.steady_state(run.scheme, airtime, model, n_bins=args.bins)
         avail[r] = sd.availability(run.phy.v_operating)
     profile = coverage_profile(run.phy, run.scheme, avail, points_per_ring=args.points_per_ring)
     columns = {
         "distance_km": profile.distances / 1e3,
-        "sf": _SFS[profile.ring],
+        "sf": SFS[profile.ring],
         "snr_success": profile.snr_success,
         "sir_success": profile.sir_success,
         "conn_lower": profile.conn_lower,
@@ -189,14 +189,13 @@ def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
     else:
         plan = act.plan_cve(args.vartheta, run.scheme.kind, run.phy, model, n_bins=args.bins)
     if not plan.etsi_ok.all():
-        bad = [SF_TABLE[r].sf for r in range(N_RINGS) if not plan.etsi_ok[r]]
-        print(f"warning: duty cycle above the 1% ETSI cap for SF {bad}", file=sys.stderr)
+        print(f"warning: duty cycle above the 1% ETSI cap for SF {SFS[~plan.etsi_ok].tolist()}", file=sys.stderr)
     params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
     pdfs = [markov.stationary_pdf(sd) for sd in plan.stationary]
     keep = [dens > 0 for _, dens in pdfs]
     return {
         "act_plan.csv": {
-            "sf": _SFS,
+            "sf": SFS,
             "dist_kind": [s.kind for s in plan.schemes],
             "param_a_or_k": [p for p, _ in params],
             "param_b_or_w": [p for _, p in params],
@@ -206,7 +205,7 @@ def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
             "predicted_outage": plan.predicted_outage,
         },
         "act_pdfs.csv": {
-            "sf": np.repeat(_SFS, [k.sum() for k in keep]),
+            "sf": np.repeat(SFS, [k.sum() for k in keep]),
             "voltage_V": np.concatenate([c[k] for (c, _), k in zip(pdfs, keep)]),
             "pdf": np.concatenate([d[k] for (_, d), k in zip(pdfs, keep)]),
         },

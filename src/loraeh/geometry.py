@@ -173,6 +173,9 @@ def sample_network(cfg: PhyConfig, seed: int = 0, n_devices: int | None = None) 
         raise ConfigError(f"device count must be non-negative, got {n_devices}")
     rng = np.random.default_rng(seed)
     if n_devices is None:
-        n_devices = int(rng.poisson(cfg.density * np.pi * cfg.radius**2))
+        mean = cfg.density * np.pi * cfg.radius**2
+        if not mean < 2**59:  # the CLI's size bound, below numpy's Poisson limit
+            raise ConfigError(f"mean device count density * disk area must be below 2**59, got {mean:.3g}")
+        n_devices = int(rng.poisson(mean))
     radii = np.maximum(cfg.radius * np.sqrt(rng.uniform(size=n_devices)), MIN_DISTANCE_M)
     return NetworkRealization(distances=radii, ring=ring_index(radii, cfg))

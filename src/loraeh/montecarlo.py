@@ -94,8 +94,8 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
     Returns the per-device counters up to `attempts` (completed packets) and
     `duty_sum`, keyed by their DeviceStats names; the completed-packet records
     (device, start, counted, rank) in cycle-major then ascending-device order,
-    where rank numbers each device's packets from 0 in start order; and the
-    voltage traces.
+    where rank numbers each device's packets from 0 in start order; each
+    device's number of records, counted or not; and the voltage traces.
     """
     n = v0.size
     retention = m.retention(airtimes)
@@ -185,7 +185,7 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         parts.clear()  # one list's blocks at a time live next to the joined records
     if collect_traces:
         traces = [np.concatenate(tr) for tr in traces]
-    return {**counts, "duty_sum": duty_sum}, records, traces
+    return {**counts, "duty_sum": duty_sum}, records, sent, traces
 
 
 def _stable_order(x):
@@ -289,14 +289,13 @@ def run_simulation(
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
     with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
-        counters, (dev, start, counted, rank), traces = _energy_phase(
+        counters, (dev, start, counted, rank), sent, traces = _energy_phase(
             nu_gens, v, scheme, m, cfg, AIRTIMES_S[rings], duration, warmup, collect_traces
         )
 
     # Fading draws in per-device packet order: device d's draws start at its
     # offset in `draws`, and its packet of rank r takes the r-th of them. The
     # received power and the SNR test are per record, in record order.
-    sent = np.bincount(dev, minlength=n)
     draws = np.concatenate([np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, sent)])
     rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
     h2 = draws[rank]

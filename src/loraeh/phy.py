@@ -1,7 +1,8 @@
-"""Radio/electrical constants, SF table, charging-time distributions and duty cycles.
+"""Radio/electrical constants, the per-SF link arrays, charging-time distributions and duty cycles.
 
 All quantities are SI internally: meters, seconds, watts, ohms, farads.
-dB/dBm values are converted once when a config is built.
+dB/dBm values are converted once when a config is built. Every per-SF
+quantity is an array indexed by ring 0..5, the rings of SF7..SF12.
 """
 
 from __future__ import annotations
@@ -15,35 +16,17 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 
 
-@dataclass(frozen=True)
-class SfEntry:
-    """One spreading factor of the 25-byte-payload link table."""
-
-    sf: int
-    bitrate_kbps: float
-    airtime_s: float
-    snr_threshold_db: float  # demodulation floor, dB (negative: below noise)
-
-    @property
-    def snr_threshold(self) -> float:
-        """Linear SNR demodulation threshold."""
-        return 10.0 ** (self.snr_threshold_db / 10.0)
-
-
-# 25-byte message at BW = 125 kHz; airtime = payload bits / bitrate.
-SF_TABLE: tuple[SfEntry, ...] = (
-    SfEntry(7, 5.47, 0.0366, -6.0),
-    SfEntry(8, 3.13, 0.064, -9.0),
-    SfEntry(9, 1.76, 0.113, -12.0),
-    SfEntry(10, 0.98, 0.204, -15.0),
-    SfEntry(11, 0.54, 0.372, -17.5),
-    SfEntry(12, 0.29, 0.682, -20.0),
-)
-
-N_RINGS = len(SF_TABLE)
-
-AIRTIMES_S = np.array([e.airtime_s for e in SF_TABLE])
-SNR_THRESHOLDS = np.array([e.snr_threshold for e in SF_TABLE])
+# The 25-byte-payload link table, one entry per ring (SF7..SF12), at BW = 125 kHz.
+# Airtime = payload bits / bitrate, with bitrates 5.47, 3.13, 1.76, 0.98, 0.54
+# and 0.29 kbps; the SNR floors are the published demodulation limits in dB
+# (negative: below the noise).
+SFS = np.array([7, 8, 9, 10, 11, 12])
+AIRTIMES_S = np.array([0.0366, 0.064, 0.113, 0.204, 0.372, 0.682])
+SNR_THRESHOLDS_DB = np.array([-6.0, -9.0, -12.0, -15.0, -17.5, -20.0])
+# linear floors by Python's scalar power: numpy's array power may differ in the
+# last bit, and these floats decide individual packets' SNR tests
+SNR_THRESHOLDS = np.array([10.0 ** (db / 10.0) for db in SNR_THRESHOLDS_DB.tolist()])
+N_RINGS = len(SFS)
 
 
 @dataclass(frozen=True)
@@ -69,6 +52,12 @@ class ChargingScheme:
         elif self.kind == "weibull":
             if self.k <= 0.0 or self.w <= 0.0:
                 raise ConfigError(f"weibull scheme requires k, w > 0, got k={self.k}, w={self.w}")
+            try:
+                mean = self.mean()
+            except OverflowError:  # Gamma(1 + 1/k) itself beyond the float range
+                mean = math.inf
+            if not math.isfinite(mean):
+                raise ConfigError(f"weibull mean w * Gamma(1 + 1/k) overflows a float, got k={self.k}")
         else:
             raise ConfigError(f"unknown scheme kind {self.kind!r}")
 
@@ -173,8 +162,11 @@ class PhyConfig:
             raise ConfigError(f"SIR threshold and tx power must be positive, got {self.sir_threshold} and {self.p_tx} W")
         with np.errstate(over="ignore"):  # path gain (wavelength / 4 pi d)^eta, largest at d = 1 m
             rx_1m = self.p_tx * np.float64(self.wavelength / (4.0 * math.pi)) ** self.eta
+            far = np.float64(self.radius) ** self.eta  # the largest d^eta; eta >= 2 bounds radius^2 too
         if not math.isfinite(rx_1m):
             raise ConfigError("received power at 1 m is too large for a float: check wavelength, eta and tx power")
+        if not math.isfinite(far):
+            raise ConfigError(f"radius^eta is too large for a float: radius {self.radius} m, eta {self.eta}")
         if self.density < 0:
             raise ConfigError(f"device density must be non-negative, got {self.density} per m^2")
         if len(self.ring_radii) != N_RINGS + 1:

@@ -52,6 +52,6 @@ def steady_cache(fig2, model, ud, wd):
 @pytest.fixture(scope="session")
 def ring_availability(fig2, steady_cache):
     """Per-ring energy availability for the default uniform scheme."""
-    from loraeh.phy import SF_TABLE
+    from loraeh.phy import AIRTIMES_S
 
-    return np.array([1.0 - steady_cache("ud", e.airtime_s).outage(fig2.phy.v_operating) for e in SF_TABLE])
+    return np.array([1.0 - steady_cache("ud", airtime).outage(fig2.phy.v_operating) for airtime in AIRTIMES_S])

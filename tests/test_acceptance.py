@@ -20,7 +20,7 @@ from loraeh.geometry import MIN_DISTANCE_M, sample_network, sir_success, snr_suc
 from loraeh.hypergeom import hyp2f1_special
 from loraeh.markov import steady_state
 from loraeh.montecarlo import run_simulation
-from loraeh.phy import AIRTIMES_S, SF_TABLE, collision_fraction
+from loraeh.phy import AIRTIMES_S, collision_fraction
 
 
 @contextmanager
@@ -63,8 +63,8 @@ def test_criterion_2_per_sf_outage_arrays(fig2, model):
             scheme = fig2.schemes[label]
             results[label] = np.array(
                 [
-                    steady_state(scheme, e.airtime_s, model, n_bins=2000).outage(fig2.phy.v_operating)
-                    for e in SF_TABLE
+                    steady_state(scheme, airtime, model, n_bins=2000).outage(fig2.phy.v_operating)
+                    for airtime in AIRTIMES_S
                 ]
             )
         elapsed = time.perf_counter() - t0
@@ -207,7 +207,7 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
             assert gap <= 3 * sigma
 
         # (c) end-to-end success probability against the analytical chain
-        avail_markov = np.array([1.0 - steady_cache("ud", e.airtime_s).outage(cfg.v_operating) for e in SF_TABLE])
+        avail_markov = np.array([1.0 - steady_cache("ud", airtime).outage(cfg.v_operating) for airtime in AIRTIMES_S])
         mids = 0.5 * (np.asarray(cfg.ring_radii[:-1]) + np.asarray(cfg.ring_radii[1:]))
         print("  ring |   Q_hat   | bound(lo) |  ceil(hi) | Q_mid(overlap) ")
         for r in range(6):

@@ -12,7 +12,7 @@ from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.errors import InfeasibleError, NumericalError
 from loraeh.markov import DecayFactorDistribution, steady_state
-from loraeh.phy import SF_TABLE
+from loraeh.phy import AIRTIMES_S, N_RINGS
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +24,17 @@ def cfg40(fig2):
 class TestCdc:
     def test_mean_charging_matches_multiplier(self, fig2):
         plan = plan_cdc(150.0, "uniform", fig2.phy, build_model(fig2.phy), n_bins=400)
-        for r, entry in enumerate(SF_TABLE):
-            assert plan.mean_nu[r] == pytest.approx(150.0 * entry.airtime_s, rel=1e-9)
+        for r, airtime in enumerate(AIRTIMES_S):
+            assert plan.mean_nu[r] == pytest.approx(150.0 * airtime, rel=1e-9)
         assert plan.schemes[3].b == pytest.approx(2 * 150.0 * 0.204, rel=1e-12)  # 61.2 s
         assert plan.mean_nu[3] == pytest.approx(30.6, rel=1e-12)
 
     def test_weibull_convention(self, fig2):
         plan = plan_cdc(150.0, "weibull", fig2.phy, build_model(fig2.phy), n_bins=400)
-        for r, entry in enumerate(SF_TABLE):
+        for r, airtime in enumerate(AIRTIMES_S):
             s = plan.schemes[r]
             assert s.k == 1.0
-            assert s.w == pytest.approx(150.0 * entry.airtime_s, rel=1e-12)
+            assert s.w == pytest.approx(150.0 * airtime, rel=1e-12)
 
     def test_duty_uniform_across_sf(self, fig2):
         plan = plan_cdc(99.0, "uniform", fig2.phy, build_model(fig2.phy), n_bins=400)
@@ -76,8 +76,8 @@ class TestCve:
             m = build_model(cfg, "thevenin")
             for kind in ("uniform", "weibull"):
                 plan = plan_cve(1.0, kind, cfg, m, n_bins=300)
-                for r, entry in enumerate(SF_TABLE):
-                    v, airtime = cfg.v_operating, entry.airtime_s
+                for r, airtime in enumerate(AIRTIMES_S):
+                    v = cfg.v_operating
                     t = (v - m.v_after_full(airtime)) / (m.retention(airtime) * (v - m.v_limit_off))
                     scheme = plan.schemes[r]
                     if kind == "weibull":
@@ -87,7 +87,7 @@ class TestCve:
 
     def test_sf12_outage_converges_in_the_grid(self, fig2, model):
         # the decay law of the default SF12 plan spans only a few bins
-        v_op, airtime = fig2.phy.v_operating, SF_TABLE[-1].airtime_s
+        v_op, airtime = fig2.phy.v_operating, AIRTIMES_S[-1]
         for kind in ("uniform", "weibull"):
             plan = plan_cve(1.0, kind, fig2.phy, build_model(fig2.phy), n_bins=1000)
             fine = steady_state(plan.schemes[-1], airtime, model, n_bins=4000).outage(v_op)
@@ -167,11 +167,11 @@ class TestSolves:
     @pytest.mark.parametrize("plan, target", [(plan_cdc, 150.0), (plan_cve, 1.0)], ids=["cdc", "cve"])
     def test_one_steady_state_per_sf(self, fig2, steady_state_calls, plan, target):
         result = plan(target, "uniform", fig2.phy, build_model(fig2.phy), n_bins=300)
-        assert steady_state_calls == [entry.airtime_s for entry in SF_TABLE]
-        assert len(result.stationary) == len(SF_TABLE)
+        assert steady_state_calls == AIRTIMES_S.tolist()
+        assert len(result.stationary) == N_RINGS
         for r, sd in enumerate(result.stationary):
             assert sd.outage(fig2.phy.v_operating) == result.predicted_outage[r]
 
     def test_cli_writes_pdfs_from_the_plan(self, tmp_path, steady_state_calls):
         assert main(["act-plan", "--act", "cdc", "--bins", "300", "--out", str(tmp_path)]) == 0
-        assert steady_state_calls == [entry.airtime_s for entry in SF_TABLE]
+        assert steady_state_calls == AIRTIMES_S.tolist()

@@ -45,6 +45,7 @@ STEADY = ["steady-state", "--bins", 100]
 COVERAGE = ["coverage", "--bins", 100, "--points-per-ring", 2]
 SIMULATE = ["simulate", "--devices", 20, "--duration", 2e3]
 SIMULATE_SMALL = ["simulate", "--devices", 5, "--duration", 1e3]
+SIMULATE_POISSON = ["simulate", "--duration", 1e3]  # the device count is drawn
 
 
 class TestRoundTrips:
@@ -60,6 +61,26 @@ class TestRoundTrips:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "capacitor-trace"
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["steady-state", "--bins", 100, "--ring", 6], {"bins": 100, "ring": 6, "mode": None}),
+            (
+                [*SIMULATE_SMALL, "--overlap", "fractional", "--warmup", 10],
+                {"devices": 5, "duration": 1e3, "overlap": "fractional", "warmup": 10.0, "per_device": False},
+            ),
+        ],
+        ids=["steady-state", "simulate"],
+    )
+    def test_manifest_records_every_flag(self, tmp_path, argv, flags):
+        out = tmp_path / "a"
+        assert run([*argv, "--seed", 3, "--out", out]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["args"]
+        parsed = vars(build_parser().parse_args([str(a) for a in argv]))
+        assert set(recorded) == set(parsed) - {"func"}
+        expected = {**flags, "command": argv[0], "seed": 3, "out": str(out), "config": None}
+        assert {name: recorded[name] for name in expected} == expected
 
     def test_manifest_version_is_the_package_version(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
@@ -425,6 +446,12 @@ class TestExitCodes:
             pytest.param("[harvester]\nvoltage_v = 1e308\n", STEADY, id="harvester-resistance-overflow"),
             pytest.param("[capacitor]\nr_off_ohm = 1e308\n", STEADY, id="tau-off-overflow"),
             pytest.param("[deployment]\nwavelength_cm = 1e308\n", SIMULATE_SMALL, id="path-gain-overflow"),
+            # finite values whose derived figures leave the float or Poisson range
+            pytest.param("[deployment]\ndensity_per_km2 = 1e30\n", SIMULATE_POISSON, id="poisson-mean-too-large"),
+            pytest.param("[deployment]\nradius_km = 1e200\n", SIMULATE_POISSON, id="radius-overflow-simulate"),
+            pytest.param("[deployment]\nradius_km = 1e200\n", COVERAGE, id="radius-overflow-coverage"),
+            # the default warm-up reads the Weibull mean, w * Gamma(1 + 1/k)
+            pytest.param("[scheme]\nkind = weibull\nk = 1e-300\n", SIMULATE_POISSON, id="weibull-mean-overflow"),
             # malformed files, and harvester and capacitor values
             pytest.param("voltage_v = 3.3\n", STEADY, id="no-section-header"),
             pytest.param("[harvester]\nvoltage_v\n", STEADY, id="key-without-value"),
@@ -438,8 +465,9 @@ class TestExitCodes:
         cfg.write_text(ini)
         out = tmp_path / "r"
         assert run(command + ["--config", cfg, "--out", out]) == 1
-        assert "config error" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_grid_too_coarse_for_one_cycle(self, tmp_path, capsys):
         # at 40 mF one cycle moves the voltage by less than a 12 mV bin: the

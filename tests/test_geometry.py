@@ -16,7 +16,7 @@ from loraeh.geometry import (
     sir_success,
     snr_success,
 )
-from loraeh.phy import AIRTIMES_S, SF_TABLE, collision_fraction
+from loraeh.phy import AIRTIMES_S, SNR_THRESHOLDS, collision_fraction
 
 
 def quad_sir(d, p, cfg):
@@ -62,7 +62,7 @@ class TestSnrSuccess:
     def test_monte_carlo_oracle(self, fig2):
         d = 3500.0
         analytic = snr_success(d, fig2.phy)
-        thr = fig2.phy.noise * SF_TABLE[3].snr_threshold / (fig2.phy.p_tx * path_gain(d, fig2.phy))
+        thr = fig2.phy.noise * SNR_THRESHOLDS[3] / (fig2.phy.p_tx * path_gain(d, fig2.phy))
         rng = np.random.default_rng(21)
         hits = rng.exponential(1.0, 10_000_000) >= thr
         se = math.sqrt(analytic * (1 - analytic) / hits.size)
@@ -201,6 +201,13 @@ class TestSampleNetwork:
         b = sample_network(fig2.phy, seed=7)
         assert np.array_equal(a.distances, b.distances)
         assert sample_network(fig2.phy, seed=7, n_devices=123).n_devices == 123
+
+    def test_poisson_mean_too_large(self, fig2):
+        # numpy's Poisson sampler rejects a mean near 2**63; the bound is the CLI's size bound
+        cfg = dataclasses.replace(fig2.phy, density=1e24)
+        with pytest.raises(ConfigError, match="below 2\\*\\*59"):
+            sample_network(cfg, seed=0)
+        assert sample_network(cfg, seed=0, n_devices=3).n_devices == 3
 
     def test_empty_limit(self, fig2):
         cfg = dataclasses.replace(fig2.phy, density=1e-300)

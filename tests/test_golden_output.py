@@ -20,7 +20,7 @@ from loraeh.capacitor import build_model, simulate_trajectory, step_charge, step
 from loraeh.cli import _write_csv, main
 from loraeh.config import load_config
 from loraeh.errors import ConfigError
-from loraeh.phy import SF_TABLE
+from loraeh.phy import AIRTIMES_S
 
 # the slow-mixing benchmark configuration: 40 mF, Weibull shape 0.5
 SLOW_MIXING = "[capacitor]\ncapacitance_f = 0.04\n[scheme]\nk = 0.5\n"
@@ -130,12 +130,12 @@ def test_matches_per_sample_reference(tmp_path, config, label, n_cycles, samples
     run = load_config(path and str(path))
     m = build_model(run.phy, run.mode)
     scheme = run.schemes[label]
-    for seed, entry in zip((0, 1, 17, 2024), (SF_TABLE[0], SF_TABLE[3], SF_TABLE[5], SF_TABLE[2])):
+    for seed, airtime in zip((0, 1, 17, 2024), AIRTIMES_S[[0, 3, 5, 2]]):
         traj = simulate_trajectory(
-            run.v_initial, scheme, entry.airtime_s, n_cycles, m, seed=seed, samples_per_phase=samples_per_phase
+            run.v_initial, scheme, airtime, n_cycles, m, seed=seed, samples_per_phase=samples_per_phase
         )
         ref = reference_trajectory(
-            run.v_initial, scheme, entry.airtime_s, n_cycles, m, seed=seed, samples_per_phase=samples_per_phase
+            run.v_initial, scheme, airtime, n_cycles, m, seed=seed, samples_per_phase=samples_per_phase
         )
         got = (traj.times, traj.voltages, traj.phases, traj.cycle_index)
         for a, b in zip(got, ref):

@@ -21,7 +21,7 @@ from loraeh.markov import (
     stationary_pdf,
     steady_state,
 )
-from loraeh.phy import SF_TABLE, ChargingScheme
+from loraeh.phy import AIRTIMES_S, ChargingScheme
 
 
 def decay_support(scheme, tau):
@@ -200,7 +200,7 @@ class TestOutage:
     def test_availability_keeps_full_precision(self, fig2, ud):
         # at 40 mF the SF12 outage is 1 - 1.3e-7: 1 - outage keeps only 9 digits
         m = build_model(dataclasses.replace(fig2.phy, capacitance=0.04), "thevenin")
-        sd = steady_state(ud, SF_TABLE[-1].airtime_s, m)
+        sd = steady_state(ud, AIRTIMES_S[-1], m)
         edges, u, v_op = sd.bin_edges, sd.probabilities, fig2.phy.v_operating
         k = int(np.searchsorted(edges, v_op, side="right")) - 1
         tail = math.fsum(u[k + 1 :]) + u[k] * (1.0 - (v_op - edges[k]) / (edges[k + 1] - edges[k]))
@@ -263,10 +263,10 @@ class TestOracleEquivalence:
         # D = v_limit_off - V obeys D' = K + retention*X*D, a perpetuity (Vervaat
         # 1979) whose stationary mean and second moment are closed form
         for label, scheme in (("ud", ud), ("wd", wd)):
-            for entry in SF_TABLE:
-                sd = steady_cache(label, entry.airtime_s)
-                k = model.v_limit_off - model.v_after_full(entry.airtime_s)
-                r = model.retention(entry.airtime_s)
+            for airtime in AIRTIMES_S:
+                sd = steady_cache(label, airtime)
+                k = model.v_limit_off - model.v_after_full(airtime)
+                r = model.retention(airtime)
                 ex = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off).mean()
                 ex2 = DecayFactorDistribution(scheme=scheme, tau_charge=model.tau_off / 2.0).mean()  # E[X^2]
                 d1 = k / (1.0 - r * ex)

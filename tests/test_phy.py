@@ -13,8 +13,10 @@ from loraeh.errors import ConfigError, NumericalError
 from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import (
     AIRTIMES_S,
+    SFS,
+    SNR_THRESHOLDS,
+    SNR_THRESHOLDS_DB,
     ChargingScheme,
-    SF_TABLE,
     collision_fraction,
     duty_cycle,
     ring_index,
@@ -22,40 +24,45 @@ from loraeh.phy import (
 
 
 class TestSfTable:
+    # published SF7..SF12 bitrates at BW = 125 kHz [kbps], the airtimes' source
+    BITRATES_KBPS = (5.47, 3.13, 1.76, 0.98, 0.54, 0.29)
+
     def test_monotone_columns(self):
-        airtimes = [e.airtime_s for e in SF_TABLE]
-        bitrates = [e.bitrate_kbps for e in SF_TABLE]
-        thresholds = [e.snr_threshold for e in SF_TABLE]
+        assert SFS.tolist() == [7, 8, 9, 10, 11, 12]
+        airtimes, thresholds = AIRTIMES_S.tolist(), SNR_THRESHOLDS.tolist()
         assert airtimes == sorted(airtimes) and len(set(airtimes)) == 6
-        assert bitrates == sorted(bitrates, reverse=True)
+        assert list(self.BITRATES_KBPS) == sorted(self.BITRATES_KBPS, reverse=True)
         assert thresholds == sorted(thresholds, reverse=True)
+        assert SNR_THRESHOLDS_DB.tolist() == sorted(SNR_THRESHOLDS_DB.tolist(), reverse=True)
 
     def test_airtime_consistent_with_bitrate(self):
         # airtime = 25-byte payload / bitrate, within table rounding
-        for e in SF_TABLE:
-            implied = 25 * 8 / (e.bitrate_kbps * 1e3)
-            assert abs(e.airtime_s - implied) / implied < 0.02
+        for airtime, bitrate in zip(AIRTIMES_S, self.BITRATES_KBPS, strict=True):
+            implied = 25 * 8 / (bitrate * 1e3)
+            assert abs(airtime - implied) / implied < 0.02
 
     def test_linear_thresholds(self):
         # demodulation floors sit below unity and improve with SF
-        assert SF_TABLE[3].snr_threshold == pytest.approx(10**-1.5, rel=1e-12)
-        assert SF_TABLE[0].snr_threshold == pytest.approx(10**-0.6, rel=1e-12)
-        assert all(e.snr_threshold < 1 for e in SF_TABLE)
+        assert SNR_THRESHOLDS[3] == pytest.approx(10**-1.5, rel=1e-12)
+        assert SNR_THRESHOLDS[0] == pytest.approx(10**-0.6, rel=1e-12)
+        assert (SNR_THRESHOLDS < 1).all()
+        # each floor is the scalar conversion of its dB value, bit for bit
+        assert [10.0 ** (db / 10.0) for db in SNR_THRESHOLDS_DB.tolist()] == SNR_THRESHOLDS.tolist()
 
 
 class TestRingIndex:
     def test_ring4(self, fig2):
-        entry = SF_TABLE[ring_index(3500.0, fig2.phy)]
-        assert entry.sf == 10
-        assert entry.airtime_s == 0.204
+        r = ring_index(3500.0, fig2.phy)
+        assert SFS[r] == 10
+        assert AIRTIMES_S[r] == 0.204
 
     def test_origin_maps_to_sf7(self, fig2):
-        assert SF_TABLE[ring_index(0.0, fig2.phy)].sf == 7
+        assert SFS[ring_index(0.0, fig2.phy)] == 7
 
     def test_interval_lookup(self, fig2):
-        assert SF_TABLE[ring_index(2500.0, fig2.phy)].sf == 9
-        assert SF_TABLE[ring_index(2000.0, fig2.phy)].sf == 8  # boundary belongs to inner ring
-        assert SF_TABLE[ring_index(6000.0, fig2.phy)].sf == 12
+        assert SFS[ring_index(2500.0, fig2.phy)] == 9
+        assert SFS[ring_index(2000.0, fig2.phy)] == 8  # boundary belongs to inner ring
+        assert SFS[ring_index(6000.0, fig2.phy)] == 12
 
     def test_out_of_range(self, fig2):
         with pytest.raises(ValueError):
@@ -139,6 +146,14 @@ class TestChargingScheme:
             ChargingScheme.uniform(5, 5)
         with pytest.raises(ConfigError):
             ChargingScheme.weibull(0, 10)
+
+    def test_weibull_mean_overflow(self):
+        # Gamma(1 + 1/k) overflows for k below about 0.0058, and w * Gamma may overflow on its own
+        with pytest.raises(ConfigError, match="overflows a float"):
+            ChargingScheme.weibull(1e-300, 50.0)
+        with pytest.raises(ConfigError, match="overflows a float"):
+            ChargingScheme.weibull(0.0059, 1e300)
+        assert math.isfinite(ChargingScheme.weibull(0.0059, 50.0).mean())
 
 
 class TestDutyCycle:
@@ -278,3 +293,12 @@ class TestPhyConfig:
             dataclasses.replace(fig2.phy, ring_radii=tuple(bad))
         with pytest.raises(ConfigError):
             dataclasses.replace(fig2.phy, radius=5000.0)
+
+    def test_radius_power_overflow(self, fig2):
+        # coverage raises d^eta for every d up to the radius, the simulator squares it
+        radius = 1e203
+        rings = tuple(n * radius / 6 for n in range(7))
+        with pytest.raises(ConfigError, match="radius\\^eta is too large"):
+            dataclasses.replace(fig2.phy, radius=radius, ring_radii=rings)
+        rings = tuple(n * 1e103 / 6 for n in range(7))
+        assert dataclasses.replace(fig2.phy, radius=1e103, ring_radii=rings).radius == 1e103
