@@ -96,8 +96,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        except configparser.Error as exc:  # its message spans lines: file, line number, text
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")

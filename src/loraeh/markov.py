@@ -8,13 +8,18 @@ exact probability that this map sends the centre of bin i into bin j (Ulam's
 discretization), which converges to the true stationary law as the grid
 refines.
 
-Each row of that matrix is nonzero on one contiguous band of target bins, so
-it is stored as a scipy CSR array. The stationary law is the eigenvector of
-its transpose for the eigenvalue 1, found by a dense LU solve on grids of up
-to DENSE_BINS bins and by one implicitly restarted Arnoldi solve (ARPACK) on
-finer ones. It is unique only when the chain has one closed class; a grid
-too coarse for one cycle's change of voltage can split the chain into
-several, and the solver then raises NumericalError.
+Each row of that matrix is nonzero on one contiguous band of target bins,
+whose ends are nondecreasing down the rows. The stationary law is the
+eigenvector of its transpose for the eigenvalue 1. It is unique only when the
+chain has one closed class; a grid too coarse for one cycle's change of
+voltage can split the chain into several, and the solve then raises
+NumericalError. Grids of up to DENSE_BINS bins are solved by dense LU, finer
+ones by one implicitly restarted Arnoldi solve (ARPACK). On those finer grids
+the uniform and exponential (Weibull k = 1) schemes never form the matrix:
+each product with P^T takes a few vector operations of length n_bins (at
+most log2(n_bins) more for the exponential one), and the closed class is
+read from the band ends. Every other chain is stored as a scipy CSR array,
+which is also the tests' oracle for the matrix-free product.
 """
 
 from __future__ import annotations
@@ -78,20 +83,22 @@ def _leading_run(holds, n_rows: int, n: int) -> np.ndarray:
     return k
 
 
-def build_transition_matrix(
-    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
-) -> TransitionMatrix:
-    """Transition matrix over n_bins equal voltage bins spanning the two rest levels.
+def _bands(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int):
+    """The grid of a chain and each row's band: (edges, log_d, log_n, surv, first, after).
 
-    Cell (i, j) is the probability that one cycle of the given airtime maps
-    the centre c_i of bin i into bin j. The map is decreasing in X, so the
-    edge e of bin j maps to the charging time nu_e = -tau_off*ln((e -
-    v_after_full) / (retention*(c_i - v_limit_off))), increasing in e, and the
-    cell is S(nu_j) - S(nu_j+1) with S the survival of the scheme's nu.
-    Edges at or above v_after_full give nu = +inf. A row is evaluated only on
-    its band, from its last edge with S = 1 to its first edge with S = 0. The
-    image of a row, [v_on + retention*(c_i - v_on), v_after_full], lies inside
-    the grid, so every row holds probability 1.
+    n_bins equal voltage bins span the two rest levels. Cell (i, j) is the
+    probability that one cycle of the given airtime maps the centre c_i of
+    bin i into bin j. The map is decreasing in X, so the edge e of bin j maps
+    to the charging time nu_e = -tau_off*ln((e - v_after_full) /
+    (retention*(c_i - v_limit_off))), increasing in e, and the cell is
+    S(nu_j) - S(nu_j+1) with S the survival of the scheme's nu. Edges at or
+    above v_after_full give nu = +inf. nu_e = tau_off*(log_d[i] - log_n[e]),
+    and surv(log_d[rows], e) is S(nu_e) in the given rows. In row i, edges e
+    < first[i] have S = 1 and edges e >= after[i] have S = 0, so its cells
+    are nonzero on the band [first[i] - 1, after[i]) only; first and after
+    are nondecreasing in i. The image of a row, [v_on + retention*(c_i -
+    v_on), v_after_full], lies inside the grid, so every row holds
+    probability 1.
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
@@ -102,11 +109,26 @@ def build_transition_matrix(
     with np.errstate(divide="ignore"):
         log_n = np.log(np.maximum(m.v_after_full(airtime) - edges, 0.0))
 
-    def surv(log_row, e):  # the band ends and the cells use this one expression
+    def surv(log_row, e):  # the band ends, the cells and the matrix-free product use this one expression
         return scheme.survival(m.tau_off * (log_row - log_n[e]))
 
     first = _leading_run(lambda e: surv(log_d, e) >= 1.0, n_bins, n_bins + 1)
     after = _leading_run(lambda e: surv(log_d, e) > 0.0, n_bins, n_bins + 1)
+    if not (after > 0).all():
+        raise NumericalError(f"voltage bin {int(np.argmin(after > 0))} has no transition mass")
+    return edges, log_d, log_n, surv, first, after
+
+
+def build_transition_matrix(
+    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
+) -> TransitionMatrix:
+    """Transition matrix over n_bins equal voltage bins spanning the two rest levels.
+
+    Cell (i, j) is the probability that one cycle of the given airtime maps
+    the centre of bin i into bin j (see _bands); a row is evaluated only on
+    its band, from its last edge with S = 1 to its first edge with S = 0.
+    """
+    edges, log_d, _, surv, first, after = _bands(scheme, airtime, m, n_bins)
     start = np.maximum(first - 1, 0)
     n_edges = np.minimum(after, n_bins) - start + 1  # a row's k cells have k + 1 edges
     ends = np.cumsum(n_edges)
@@ -121,8 +143,6 @@ def build_transition_matrix(
     if not keep.all():
         rows, cols, raw = rows[keep], cols[keep], raw[keep]
     rowsum = np.bincount(rows, weights=raw, minlength=n_bins)
-    if not (rowsum > 0.0).all():
-        raise NumericalError(f"voltage bin {int(np.argmin(rowsum > 0.0))} has no transition mass")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_bins))))
     idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64  # 32-bit: faster products
     mat = sparse.csr_array((raw / rowsum[rows], cols.astype(idx), indptr.astype(idx)), shape=(n_bins, n_bins))
@@ -182,20 +202,54 @@ class StationaryDistribution:
 
 
 RESIDUAL_TOL = 1e-10  # largest entry of |u P - u| a stationary law may leave
+MAX_ITER = 100000  # about the most products with P one Arnoldi solve may take
+NEGLIGIBLE = 2.0**-60  # the matrix-free product drops carried mass below this share of |x|_1
 
 
-def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> StationaryDistribution:
+def _not_unique(n_closed: int, n: int) -> NumericalError:
+    return NumericalError(
+        f"the chain has {n_closed} closed classes, so its stationary law is not unique: "
+        f"the grid of {n} bins is too coarse for one cycle's change of voltage"
+    )
+
+
+def _arnoldi(pt, max_iter: int) -> np.ndarray:
+    """The eigenvector of P^T (a matrix or a LinearOperator) for its eigenvalue of largest real part.
+
+    One implicitly restarted Arnoldi solve (ARPACK) from the uniform law, with
+    about max_iter products at most. On a stochastic matrix that eigenvalue
+    is 1 alone, also on a periodic chain.
+    """
+    n = pt.shape[0]
+    ncv = min(n, 20)
+    try:
+        vals, vecs = sparse_linalg.eigs(
+            pt, k=1, which="LR", v0=np.full(n, 1.0 / n), ncv=ncv, maxiter=max(1, max_iter // ncv)
+        )
+    except sparse_linalg.ArpackError as exc:
+        raise NumericalError(f"Arnoldi solve for the stationary law failed: {exc}") from exc
+    return vecs[:, np.argmax(vals.real)].real
+
+
+def _law(u: np.ndarray, recurrent: np.ndarray, pt, bin_edges: np.ndarray) -> StationaryDistribution:
+    """u normalized, exactly 0 off the closed class, and held to RESIDUAL_TOL against P^T."""
+    u = np.maximum(u / u.sum(), 0.0)
+    u[~recurrent] = 0.0
+    u /= u.sum()
+    if not np.abs(pt @ u - u).max() <= RESIDUAL_TOL:  # a NaN fails too
+        raise NumericalError(f"the stationary law misses its residual {RESIDUAL_TOL}")
+    return StationaryDistribution(bin_edges=bin_edges, probabilities=u)
+
+
+def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> StationaryDistribution:
     """Left fixed point u = u P of the row-stochastic matrix P, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
     no transition leaves); more than one raises NumericalError. Grids of up
     to DENSE_BINS bins solve u (I - P) = 0, sum(u) = 1 exactly by dense LU.
-    Finer ones take the eigenvector of P^T for the eigenvalue 1, found by
-    implicitly restarted Arnoldi (ARPACK) from the uniform law with about
-    max_iter products with P at most. Asking for the eigenvalue of largest
-    real part ("LR") picks 1 alone, also on a periodic chain. Bins outside
-    the closed class are transient and get exactly 0. tm.matrix may also be
-    a dense array.
+    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi).
+    Bins outside the closed class are transient and get exactly 0.
+    tm.matrix may also be a dense array.
     """
     mat = sparse.csr_array(tm.matrix)
     n = tm.n_bins
@@ -206,10 +260,7 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> Sta
     leaves[src[src != labels[mat.indices]]] = True
     closed = np.flatnonzero(~leaves)
     if closed.size > 1:
-        raise NumericalError(
-            f"the chain has {closed.size} closed classes, so its stationary law is not unique: "
-            f"the grid of {n} bins is too coarse for one cycle's change of voltage"
-        )
+        raise _not_unique(closed.size, n)
     if n <= DENSE_BINS:
         # (I - P^T) u = 0 with its last row replaced by sum(u) = 1; LAPACK is called
         # directly, so an ill-conditioned system raises here and scipy emits no LinAlgWarning
@@ -226,20 +277,93 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = 100000) -> Sta
         e_n[-1] = 1.0
         u = linalg.lapack.dgetrs(lu, piv, e_n)[0]
     else:
-        ncv = min(n, 20)
-        try:
-            vals, vecs = sparse_linalg.eigs(
-                mat.T, k=1, which="LR", v0=np.full(n, 1.0 / n), ncv=ncv, maxiter=max(1, max_iter // ncv)
-            )
-        except sparse_linalg.ArpackError as exc:
-            raise NumericalError(f"Arnoldi solve for the stationary law failed: {exc}") from exc
-        u = vecs[:, np.argmax(vals.real)].real
-    u = np.maximum(u / u.sum(), 0.0)
-    u[labels != closed[0]] = 0.0
-    u /= u.sum()
-    if not np.abs(mat.T @ u - u).max() <= RESIDUAL_TOL:  # a NaN fails too
-        raise NumericalError(f"the stationary law misses its residual {RESIDUAL_TOL}")
-    return StationaryDistribution(bin_edges=tm.bin_edges, probabilities=u)
+        u = _arnoldi(mat.T, max_iter)
+    return _law(u, labels == closed[0], mat.T, tm.bin_edges)
+
+
+def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int):
+    """(edges, first, after, P^T as a LinearOperator) of a uniform or exponential scheme's chain.
+
+    The matrix is never formed. With w = x / rowsum, (P^T x)_j is the sum of
+    w_i (S_ij - S_i,j+1) over the rows whose band holds column j, S_ie being
+    the survival at edge e in row i (see _bands). A row's first cell, in
+    column first - 1, is 1 - S at edge first. Past it both edges of a cell
+    lie on the row's ramp 0 < S < 1, where
+    - uniform: S is linear in nu, so every such cell of column j is the same
+      tau_off*(log_n[j] - log_n[j+1]) / (b - a), and the rows that hold one
+      form one run [lo_j, hi_j), read from the prefix sums of w. A row's last
+      cell, in column after - 1, is S at edge after - 1.
+    - exponential: S_i,j+1 = g_j S_ij with g_j = exp(-tau_off*(log_n[j] -
+      log_n[j+1]) / w), so v_j, the sum of w_i S_ij over the rows with
+      first_i <= j, obeys v_j = g_(j-1) v_(j-1) + (the w_i S_ij of the rows
+      with first_i = j), and column j gets v_j (1 - g_j). The recurrence runs
+      by doubling (Hillis & Steele 1986): each step multiplies by products of
+      the g, all at most 1, and the steps stop once what is still carried is
+      below NEGLIGIBLE. No exponent is larger than one cell's.
+    A row's sum telescopes to S at edge first - 1, which is 1 unless first is 0.
+    """
+    edges, log_d, log_n, surv, first, after = _bands(scheme, airtime, m, n_bins)
+    n = n_bins
+    head_col = np.maximum(first - 1, 0)
+    s_first = surv(log_d, first)  # first <= n_bins: S is 0 at the top edge
+    head = np.where(first > 0, 1.0 - s_first, 0.0)
+    rowsum = surv(log_d, head_col)
+    with np.errstate(invalid="ignore"):
+        step = m.tau_off * (log_n[:-1] - log_n[1:])  # growth of nu across bin j
+    step[np.isnan(step)] = np.inf  # both edges at or above v_after_full: -inf - -inf
+    if scheme.kind == "uniform":
+        cols = np.arange(n)
+        hi = np.searchsorted(first, cols, side="right")  # rows with first <= j ...
+        lo = np.minimum(np.searchsorted(after, cols + 1, side="right"), hi)  # ... and after >= j + 2
+        slope = np.where(hi > lo, step / (scheme.b - scheme.a), 0.0)
+        tail_col = np.maximum(after - 1, 0)
+        tail = np.where(after - 1 >= first, surv(log_d, tail_col), 0.0)
+
+        def matvec(x):
+            w = np.ravel(x) / rowsum
+            prefix = np.concatenate(([0.0], np.cumsum(w)))
+            ends = np.bincount(head_col, w * head, n) + np.bincount(tail_col, w * tail, n)
+            return slope * (prefix[hi] - prefix[lo]) + ends
+
+    else:
+        carry = np.exp(-step / scheme.w)
+        gap = -np.expm1(-step / scheme.w)  # 1 - carry to full precision
+        levels = []  # (span, product of the carries over the span ending at each j >= span)
+        factor = np.concatenate(([0.0], carry[:-1]))
+        span = 1
+        while span < n and factor[span:].max() > NEGLIGIBLE:
+            levels.append((span, factor[span:].copy()))
+            factor[span:] = factor[span:] * factor[:-span]
+            span *= 2
+
+        def matvec(x):
+            w = np.ravel(x) / rowsum
+            v = np.bincount(first, w * s_first, n + 1)[:n]
+            for span, f in levels:
+                v[span:] += f * v[:-span]
+            return gap * v + np.bincount(head_col, w * head, n)
+
+    return edges, first, after, sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
+def _recurrent_bins(first: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The one closed class of a chain with bands [first - 1, after), as a mask; NumericalError if several.
+
+    Row i reaches the bins lo_i = first_i - 1 to hi_i = after_i - 1, both
+    nondecreasing in i. So a run of bins [p, q] is closed exactly when lo_p
+    >= p and hi_q <= q, the closed classes are the minimal closed runs, and
+    when there is one it is [largest such p, smallest such q].
+    """
+    n = first.size
+    bins = np.arange(n)
+    lefts = np.flatnonzero(np.maximum(first - 1, 0) >= bins)  # holds 0
+    rights = np.flatnonzero(after - 1 <= bins)  # holds n - 1
+    # [p, q] is minimal when p is the last left end <= q and q the first right end >= p
+    p = lefts[np.searchsorted(lefts, rights, side="right") - 1]
+    n_closed = np.count_nonzero(rights[np.searchsorted(rights, p)] == rights)
+    if n_closed > 1:
+        raise _not_unique(n_closed, n)
+    return (bins >= lefts[-1]) & (bins <= rights[0])
 
 
 def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -250,5 +374,16 @@ def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
 def steady_state(
     scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> StationaryDistribution:
-    """Full pipeline: transition matrix -> stationary distribution."""
-    return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))
+    """Stationary distribution of the chain of one scheme and airtime on n_bins bins.
+
+    Above DENSE_BINS bins a uniform or exponential (Weibull k = 1) scheme's
+    chain is solved matrix-free: its closed class is read from the band ends
+    and ARPACK runs on the product of _band_operator. Every other
+    chain is built by build_transition_matrix and solved by
+    stationary_distribution.
+    """
+    if n_bins <= DENSE_BINS or not (scheme.kind == "uniform" or scheme.k == 1.0):
+        return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))
+    edges, first, after, pt = _band_operator(scheme, airtime, m, n_bins)
+    recurrent = _recurrent_bins(first, after)
+    return _law(_arnoldi(pt, MAX_ITER), recurrent, pt, edges)

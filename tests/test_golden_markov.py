@@ -5,9 +5,10 @@ and solver: the same per-cell mass formula is evaluated on every cell of the
 grid, and the stationary law is the exact solution of u (I - P) = 0, sum(u) =
 1 by dense LU. The band-sparse builder must keep exactly the nonzero cells,
 and the solver (dense LU up to 300 bins, Arnoldi above) land on the same
-stationary vector up to rounding. The
-CSV digests were recorded from the mass chain at the default configuration;
-like those of `test_golden.py` they depend on numpy's vectorized log, exp and
+stationary vector up to rounding, as must `steady_state`'s matrix-free solve
+of the uniform and exponential chains. The CSV digests were recorded at the
+default configuration, whose chains above 300 bins are all matrix-free; like
+those of `test_golden.py` they depend on numpy's vectorized log, exp and
 power kernels, and through ARPACK on the BLAS kernels. `python
 tests/test_golden_markov.py` prints the digests of the current code in the
 layout of GOLDEN, and `--compare DIR` how far every CSV column moved from an
@@ -27,7 +28,7 @@ import pytest
 
 from loraeh.capacitor import build_model
 from loraeh.cli import main
-from loraeh.markov import build_transition_matrix, stationary_distribution
+from loraeh.markov import build_transition_matrix, stationary_distribution, steady_state
 from loraeh.phy import ChargingScheme
 
 BINS = 1000
@@ -52,21 +53,21 @@ GOLDEN = {
     "steady-state": {
         "convergence.csv": "e950e4d1bf26e9c1836584fa5b58befcb3722124f1cfd3e8f1ac4597f958015b",
         "outage_summary.csv": "ea83e30e6ff762d93e73e5458a42f1362a8519ee088eed487acd5a6873436e0b",
-        "steady_ud.csv": "6732e8d5b4ba03f1fef9c627237d900005dab26daaa6c8f2686ec24e621049e2",
-        "steady_wd.csv": "d3df31e80d02db1686bcc188f06b8162888151b59760be37e089c69b3d052617",
+        "steady_ud.csv": "d71cda9ee3aa02ff5da845fa318e6a08560e73dff6d39ff1cc5b53aacfa1f79f",
+        "steady_wd.csv": "1560e456da78e17eab704e075d96b1309f96c5c1d6bb4488f201b6703e88bf15",
     },
     "outage-sweep": {
-        "outage_sweep.csv": "a4ad795b7d4f086a091c91a7216417c7f5989b445518097b07805d97eecc6c8e",
+        "outage_sweep.csv": "1fc2a41a73bb01b40484c6ce4e23c1c1cbb89d640cc899e5561c08eb9c8e93f8",
     },
     "coverage": {
         "coverage.csv": "c1b789054cb36acde1d5fced10a42f4715bf0526f13f3e9c35e040de4e9cc5b8",
     },
     "act-plan --act cdc": {
-        "act_pdfs.csv": "61fa2228a29fc4926d8396df1394f00f495da803e60d340c56283fd589a8cbf5",
+        "act_pdfs.csv": "52010ea890df3839013dfdf97412d7477e17f1d583b6bb0ff62843daf184f294",
         "act_plan.csv": "f38943d674536de52c2552bf8c4dca04f84dcfd9e3ecee42c52ccd7872cf54ac",
     },
     "act-plan --act cve": {
-        "act_pdfs.csv": "f7fb551f57063514b93bee8442748b2781ace97dcb38510c865ffe1a95b680cc",
+        "act_pdfs.csv": "baff690b2f39a55c2cefaafb13cf951f08babeafa09c30f822452b5432c270d0",
         "act_plan.csv": "6b925392b3973770a9460dffdbab80022f8992679f78e2085670fd929318eecf",
     },
 }
@@ -104,6 +105,18 @@ def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     assert np.abs(got - dense).max() <= 1e-15
     sd = stationary_distribution(tm)
     assert 0.5 * np.abs(sd.probabilities - reference_stationary(dense)).sum() <= 1e-13
+
+
+@pytest.mark.parametrize("airtime", AIRTIMES)
+@pytest.mark.parametrize("capacitance", (0.01, 0.04))
+@pytest.mark.parametrize(
+    "scheme", [ChargingScheme.uniform(0.0, 100.0), ChargingScheme.weibull(1.0, 50.0)], ids=["uniform", "exponential"]
+)
+def test_matrix_free_law_matches_dense_reference(fig2, scheme, capacitance, airtime):
+    m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+    sd = steady_state(scheme, airtime, m, n_bins=BINS)
+    exact = reference_stationary(reference_transition_matrix(scheme, airtime, m, BINS))
+    assert 0.5 * np.abs(sd.probabilities - exact).sum() <= 1e-13
 
 
 def test_near_reducible_chain_matches_dense_reference(fig2):

@@ -1,13 +1,15 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.sparse import csgraph
 
 from loraeh import markov
 from loraeh.capacitor import build_model, cycle_voltages, estimate_mean_voltage
@@ -352,3 +354,94 @@ class TestChainProperties:
     def chain(fig2, scheme, capacitance, airtime, n_bins):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
         return build_transition_matrix(scheme, airtime, m, n_bins)
+
+
+def closed_classes(mat):
+    """(count, mask of the one closed class or None) from the sparse graph: a strongly
+    connected class is closed when no stored transition leaves it."""
+    n_classes, labels = csgraph.connected_components(mat, directed=True, connection="strong")
+    src = np.repeat(labels, np.diff(mat.indptr))
+    leaves = np.zeros(n_classes, dtype=bool)
+    leaves[src[src != labels[mat.indices]]] = True
+    closed = np.flatnonzero(~leaves)
+    return closed.size, (labels == closed[0] if closed.size == 1 else None)
+
+
+MATRIX_FREE_SCHEMES = st.one_of(
+    st.builds(
+        lambda a, width: ChargingScheme.uniform(a, a + width),
+        st.floats(0.0, 200.0),
+        st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
+    ),
+    st.builds(lambda w: ChargingScheme.weibull(1.0, w), st.floats(0.0, 2.7).map(lambda e: 10.0**e)),
+)
+
+
+class TestMatrixFree:
+    """The product, the closed class and the memory of the chain solved without its matrix."""
+
+    @settings(max_examples=25)
+    @given(
+        scheme=MATRIX_FREE_SCHEMES,
+        capacitance=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+        airtime=st.floats(0.01, 1.0),
+        n_bins=st.integers(DENSE_BINS + 1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_matches_the_matrix(self, fig2, scheme, capacitance, airtime, n_bins, seed):
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        tm = build_transition_matrix(scheme, airtime, m, n_bins)
+        edges, _, _, pt = markov._band_operator(scheme, airtime, m, n_bins)
+        assert np.array_equal(edges, tm.bin_edges)
+        x = np.random.default_rng(seed).standard_normal(n_bins)
+        assert np.abs(pt @ x - tm.matrix.T @ x).max() <= 1e-13 * np.abs(x).sum()
+
+    @given(
+        scheme=SCHEMES,
+        capacitance=st.floats(-3.0, math.log10(0.3)).map(lambda e: 10.0**e),
+        airtime=st.floats(0.01, 1.0),
+        n_bins=st.integers(2, 1200),
+    )
+    # 29 closed classes on a grid above DENSE_BINS
+    @example(scheme=ChargingScheme.uniform(0.0, 100.0), capacitance=0.3, airtime=AIRTIMES_S[0], n_bins=400)
+    def test_closed_classes_read_from_the_band_ends(self, fig2, scheme, capacitance, airtime, n_bins):
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        count, recurrent = closed_classes(build_transition_matrix(scheme, airtime, m, n_bins).matrix)
+        *_, first, after = markov._bands(scheme, airtime, m, n_bins)
+        if count > 1:
+            with pytest.raises(NumericalError, match=f"the chain has {count} closed classes"):
+                markov._recurrent_bins(first, after)
+        else:
+            assert np.array_equal(markov._recurrent_bins(first, after), recurrent)
+
+    def test_several_closed_classes_raise(self, fig2):
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=0.3), "thevenin")
+        scheme = ChargingScheme.uniform(0.0, 100.0)
+        count, _ = closed_classes(build_transition_matrix(scheme, AIRTIMES_S[0], m, 400).matrix)
+        assert count == 29
+        with pytest.raises(NumericalError, match="the chain has 29 closed classes"):
+            steady_state(scheme, AIRTIMES_S[0], m, n_bins=400)
+
+    @pytest.mark.parametrize("label", ["ud", "wd"])
+    def test_transient_bins_get_exactly_zero(self, steady_cache, ud, wd, model, label):
+        scheme = {"ud": ud, "wd": wd}[label]
+        _, recurrent = closed_classes(build_transition_matrix(scheme, 0.204, model, 2000).matrix)
+        u = steady_cache(label, 0.204).probabilities
+        assert (~recurrent).any() and np.all(u[~recurrent] == 0.0)
+
+    @pytest.mark.parametrize("label", ["ud", "wd"])
+    def test_fine_grid_solves_without_the_matrix(self, fig2, model, ud, wd, steady_cache, monkeypatch, label):
+        # the CSR matrix of the uniform chain alone would take about 770 MB at 16 000 bins
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
+        tracemalloc.start()
+        try:
+            sd = steady_state({"ud": ud, "wd": wd}[label], 0.204, model, n_bins=16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        v_op = fig2.phy.v_operating
+        assert abs(sd.outage(v_op) - steady_cache(label, 0.204).outage(v_op)) < 1e-5
