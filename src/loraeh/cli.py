@@ -2,7 +2,8 @@
 
 Every run writes its CSVs plus a manifest.json capturing the resolved
 configuration, the seed and every parsed flag. Given the same config and seed
-the CSV bytes are identical across runs; only the manifest timestamp differs.
+the CSV bytes are identical across runs; only the manifest's timestamp and
+timings differ.
 
 Exit codes: 0 ok, 1 config error (a flag argparse rejects and a size too
 large to allocate included), 2 numerical error, 3 infeasible target.
@@ -11,9 +12,9 @@ large to allocate included), 2 numerical error, 3 infeasible target.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import operator
 import os
 import sys
 import time
@@ -35,31 +36,48 @@ _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 _MAX_SIZE = 2**59
 
 
-def _column_text(values: np.ndarray) -> list[str]:
-    """Cells of one column, formatted once by its dtype: floats %.10g, booleans
-    1/0, integers in decimal and strings verbatim."""
-    kind = values.dtype.kind
-    if kind == "f":
-        return list(map("%.10g".__mod__, values.tolist()))  # the same text as format(x, ".10g"), faster
-    if kind == "b":
-        return ["1" if x else "0" for x in values.tolist()]
-    return list(map(str, values.tolist()))
+@functools.cache
+def _spec(cls: type) -> str:
+    """The % field of a cell of type (or array dtype.type) `cls`: floats %.10g,
+    booleans and integers in decimal, anything else str."""
+    if issubclass(cls, (int, np.bool_, np.integer)):
+        return "%d"
+    return "%.10g" if issubclass(cls, (float, np.floating)) else "%s"
+
+
+def _texts(values: list, lone: bool, mixed: bool = False) -> list[str]:
+    """Cells as csv.writer(lineterminator="\\n") writes their str, or if `mixed` their
+    text by their own type. Each distinct text with a comma, a quote or a newline
+    (not a bare \\r) is quoted once, as is a one-column row's empty field (`lone`).
+    Cells are never compared: 1, True and 1.0 are equal, some cannot be ordered."""
+    texts = list(map(operator.mod, map(_spec, map(type, values)), zip(values)) if mixed else map(str, values))
+    need = [t for t in set(texts) if "," in t or '"' in t or "\n" in t or lone and not t]
+    quoted = {t: '"' + t.replace('"', '""') + '"' for t in need}
+    return list(map(quoted.get, texts, texts)) if quoted else texts
 
 
 def _write_csv(path: str, columns: dict) -> None:
-    """Write {header: column} as CSV; columns are equal-length arrays or sequences."""
+    """Write {header: column} as CSV; columns are equal-length arrays or sequences.
+    Each block of rows is one % on a row template of one _spec field per column."""
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0]) if arrays else 0
     if any(len(a) != n_rows for a in arrays):
         raise ValueError(f"columns of {path} differ in length: {[len(a) for a in arrays]}")
+    specs = [_spec(a.dtype.type) for a in arrays]
+    template = ",".join(specs) + "\n"
+    lone = len(arrays) == 1
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        fh.write(",".join(_texts(list(columns), lone)) + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            writer.writerows(zip(*(_column_text(a[lo : lo + _BLOCK_ROWS]) for a in arrays)))
+            rows = min(_BLOCK_ROWS, n_rows - lo)
+            cells = [None] * (rows * len(arrays))  # row-major: column j at j, j + width, ...
+            for j, (a, spec) in enumerate(zip(arrays, specs)):
+                values = a[lo : lo + rows].tolist()
+                cells[j :: len(arrays)] = values if spec != "%s" else _texts(values, lone, a.dtype.kind == "O")
+            fh.write((template * rows) % tuple(cells))
 
 
-def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]):
+def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str], timings: dict):
     manifest = {
         "tool": "loraeh",
         "version": __version__,
@@ -69,6 +87,7 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
         "config": run.raw,
         "mode": run.mode,
         "outputs": outputs,
+        "timings": timings,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -304,14 +323,18 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         run = _load(args)
+        start = time.perf_counter()
         tables = args.func(args, run, build_model(run.phy, run.mode))
+        timings = {"compute_s": time.perf_counter() - start}
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
+        start = time.perf_counter()
         for name, columns in tables.items():
             _write_csv(os.path.join(args.out, name), columns)
-        _write_manifest(args, run, list(tables))
+        timings["write_s"] = time.perf_counter() - start
+        _write_manifest(args, run, list(tables), timings)
         return 0
     except (ConfigError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"config error: {exc}", file=sys.stderr)

@@ -181,6 +181,23 @@ class TestDeterminism:
             if name.endswith(".csv"):
                 assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
+    def test_manifest_timings(self, tmp_path):
+        """The manifest records the compute and CSV-writing spans; they, with the
+        timestamp, are all that varies between reruns."""
+        manifests = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(["capacitor-trace", "--cycles", 20, "--seed", 3, "--out", out]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        for manifest in manifests:
+            timings = manifest.pop("timings")
+            assert set(timings) == {"compute_s", "write_s"}
+            assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+            manifest.pop("timestamp_utc")
+            manifest["args"].pop("out")
+        assert manifests[0] == manifests[1]
+        for name in ("trace_ud.csv", "trace_wd.csv"):
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
     def test_parser_reuse_keeps_no_state(self, tmp_path):
         # main builds its parser once; a second subcommand must not see the first one's options
         first = ["outage-sweep", "--bins", 200, "--mode", "literal", "--scheme", "wd"]

@@ -12,12 +12,17 @@ digests of the current code in the layout of GOLDEN.
 
 import csv
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from loraeh.capacitor import build_model, simulate_trajectory, step_charge, step_discharge
-from loraeh.cli import _write_csv, main
+from loraeh import cli
+from loraeh.cli import _write_csv, build_parser, cmd_capacitor_trace, main
 from loraeh.config import load_config
 from loraeh.errors import ConfigError
 from loraeh.phy import AIRTIMES_S
@@ -178,6 +183,83 @@ def test_writer_empty_and_short_columns(tmp_path):
     assert (tmp_path / "short.csv").read_text() == "flag,n,x\n1,-3,-0\n0,4,1e-300\n"
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "ragged.csv"), {"a": [1, 2], "b": [3]})
+
+
+# every kind of column dtype the writer formats; "O" mixes int, bool, float, str and None
+KINDS = ["f2", "f4", "f8", "i1", "i2", "i4", "i8", "u8", "b", "U", "S", "O"]
+# the characters that decide csv quoting (a bare \r is not quoted), a space and a non-ASCII letter
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "é", "a"]), max_size=5)
+
+
+def random_column(kind, n, rng, texts):
+    """n cells of dtype `kind`: floats over their whole range with subnormals and
+    specials, integers over their whole range, strings from `texts`."""
+    if kind[0] == "f":
+        info = np.finfo(kind)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(info.minexp - info.nmant, info.maxexp, n)).astype(kind)
+        special = rng.random(n) < 0.2
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, info.smallest_subnormal], kind)
+        x[special] = rng.choice(specials, special.sum())
+        return x
+    if kind[0] in "iu":
+        info = np.iinfo(kind)
+        return rng.integers(info.min, info.max, n, dtype=kind, endpoint=True)
+    if kind == "b":
+        return rng.random(n) < 0.5
+    if kind == "U":
+        return np.asarray(texts)[rng.integers(0, len(texts), n)]
+    if kind == "S":
+        return np.asarray([t.encode() for t in texts])[rng.integers(0, len(texts), n)]
+    pool = np.asarray([1, True, 1.0, 0, False, -0.0, float("nan"), 2**70, -7, 0.1, None, *texts], dtype=object)
+    return pool[rng.integers(0, len(pool), n)]
+
+
+@given(
+    n_rows=st.integers(0, 3000),
+    kinds=st.lists(st.sampled_from(KINDS), max_size=len(KINDS)),
+    texts=st.lists(TEXT, min_size=1, max_size=6),
+    header=st.lists(TEXT, min_size=len(KINDS), max_size=len(KINDS), unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    block_rows=st.sampled_from([1, 7, 256, 4096]),  # so a table of a few rows spans several blocks
+)
+@example(n_rows=9, kinds=["U"], texts=[""], header=['a,"b', *"cdefghijklm"], seed=0, block_rows=4)
+@example(n_rows=9, kinds=["O"], texts=[""], header=["", *"cdefghijklm"], seed=0, block_rows=4)
+@example(n_rows=3000, kinds=KINDS, texts=list(',"\r\n é'), header=list(',"\r\n éabcdef'), seed=1, block_rows=256)
+def test_writer_matches_per_cell_writer_on_random_tables(
+    tmp_path_factory, n_rows, kinds, texts, header, seed, block_rows
+):
+    rng = np.random.default_rng(seed)
+    columns = [random_column(kind, n_rows, rng, texts) for kind in kinds]
+    header = header[: len(kinds)]
+    out = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        _write_csv(str(out / "new.csv"), dict(zip(header, columns)))
+    reference_write_csv(str(out / "old.csv"), header, zip(*columns))
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_writer_quoting_in_bytes(tmp_path):
+    """The quoting rule README states: a lone empty field is written "", a bare
+    \\r is not quoted, and a comma, a quote or a newline is."""
+    _write_csv(str(tmp_path / "one.csv"), {"x": ["", "\r", "a,b", 'q"t', "l\nm"]})
+    assert (tmp_path / "one.csv").read_bytes() == b'x\n""\n\r\n"a,b"\n"q""t"\n"l\nm"\n'
+    _write_csv(str(tmp_path / "two.csv"), {"a,b": ["", "y"], "": ["z", ""]})
+    assert (tmp_path / "two.csv").read_bytes() == b'"a,b",\n,z\ny,\n'
+
+
+def test_writer_memory_on_the_trace_table(tmp_path, fig2):
+    """The writer holds one block's cells, never a whole column's text: the
+    40 001-row table of capacitor-trace --cycles 1000 peaks at about 1 MiB."""
+    args = build_parser().parse_args(["capacitor-trace", "--cycles", "1000"])
+    table = cmd_capacitor_trace(args, fig2, build_model(fig2.phy, fig2.mode))["trace_ud.csv"]
+    assert len(table["time_s"]) == 40_001
+    tracemalloc.start()
+    try:
+        _write_csv(str(tmp_path / "trace_ud.csv"), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 if __name__ == "__main__":
