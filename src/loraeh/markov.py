@@ -15,11 +15,13 @@ chain has one closed class; a grid too coarse for one cycle's change of
 voltage can split the chain into several, and the solve then raises
 NumericalError. Grids of up to DENSE_BINS bins are solved by dense LU, finer
 ones by one implicitly restarted Arnoldi solve (ARPACK). On those finer grids
-the uniform and exponential (Weibull k = 1) schemes never form the matrix:
-each product with P^T takes a few vector operations of length n_bins (at
-most log2(n_bins) more for the exponential one), and the closed class is
-read from the band ends. Every other chain is stored as a scipy CSR array,
-which is also the tests' oracle for the matrix-free product.
+no chain forms its matrix, and the closed class is read from the band ends.
+A product with P^T takes a few vector operations of length n_bins for the
+uniform scheme, at most log2(n_bins) more for the exponential one (Weibull
+k = 1), and for any other Weibull shape a kernel sum that interpolates the
+survival function on Chebyshev points away from nu = 0 and keeps the cells
+near it. The coarse grids store the matrix as a scipy CSR array, which is
+also the tests' oracle for the matrix-free product.
 """
 
 from __future__ import annotations
@@ -204,6 +206,9 @@ class StationaryDistribution:
 RESIDUAL_TOL = 1e-10  # largest entry of |u P - u| a stationary law may leave
 MAX_ITER = 100000  # about the most products with P one Arnoldi solve may take
 NEGLIGIBLE = 2.0**-60  # the matrix-free product drops carried mass below this share of |x|_1
+CHEB_NODES = 20  # Chebyshev points per side of a far-field block of _kernel_sum
+LEAF = 16  # side of _kernel_sum's blocks kept cell by cell
+MAX_HAZARD = 4.0  # largest |hazard| on the ellipse around a far-field block of _kernel_sum
 
 
 def _not_unique(n_closed: int, n: int) -> NumericalError:
@@ -282,13 +287,13 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> S
 
 
 def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int):
-    """(edges, first, after, P^T as a LinearOperator) of a uniform or exponential scheme's chain.
+    """(edges, first, after, P^T as a LinearOperator) of a chain whose matrix is never formed.
 
-    The matrix is never formed. With w = x / rowsum, (P^T x)_j is the sum of
-    w_i (S_ij - S_i,j+1) over the rows whose band holds column j, S_ie being
-    the survival at edge e in row i (see _bands). A row's first cell, in
-    column first - 1, is 1 - S at edge first. Past it both edges of a cell
-    lie on the row's ramp 0 < S < 1, where
+    With w = x / rowsum, (P^T x)_j is the sum of w_i (S_ij - S_i,j+1) over
+    the rows whose band holds column j, S_ie being the survival at edge e in
+    row i (see _bands). A row's first cell, in column first - 1, is 1 - S at
+    edge first. Past it both edges of a cell lie on the row's ramp 0 < S < 1,
+    where
     - uniform: S is linear in nu, so every such cell of column j is the same
       tau_off*(log_n[j] - log_n[j+1]) / (b - a), and the rows that hold one
       form one run [lo_j, hi_j), read from the prefix sums of w. A row's last
@@ -300,6 +305,9 @@ def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_
       by doubling (Hillis & Steele 1986): each step multiplies by products of
       the g, all at most 1, and the steps stop once what is still carried is
       below NEGLIGIBLE. No exponent is larger than one cell's.
+    - any other: column j gets v_j - v_(j+1), with v_e the same sum over the
+      rows with first_i <= e, taken by _kernel_sum, and the 1 of each row's
+      first cell.
     A row's sum telescopes to S at edge first - 1, which is 1 unless first is 0.
     """
     edges, log_d, log_n, surv, first, after = _bands(scheme, airtime, m, n_bins)
@@ -325,7 +333,7 @@ def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_
             ends = np.bincount(head_col, w * head, n) + np.bincount(tail_col, w * tail, n)
             return slope * (prefix[hi] - prefix[lo]) + ends
 
-    else:
+    elif scheme.k == 1.0:
         carry = np.exp(-step / scheme.w)
         gap = -np.expm1(-step / scheme.w)  # 1 - carry to full precision
         levels = []  # (span, product of the carries over the span ending at each j >= span)
@@ -343,7 +351,115 @@ def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_
                 v[span:] += f * v[:-span]
             return gap * v + np.bincount(head_col, w * head, n)
 
+    else:
+        ramp = _kernel_sum(scheme, airtime, m, log_d, log_n, surv, first)
+        lead = (first > 0).astype(float)
+
+        def matvec(x):
+            w = np.ravel(x) / rowsum
+            v = ramp(w)
+            return v[:-1] - v[1:] + np.bincount(head_col, w * lead, n)
+
     return edges, first, after, sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
+def _chebyshev(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CHEB_NODES Chebyshev points on [0, h - 1], and their Lagrange basis at 0..h - 1 as (h, CHEB_NODES).
+
+    The basis is in barycentric form (Berrut & Trefethen 2004). The points
+    are irrational, so none is an integer.
+    """
+    theta = (2 * np.arange(CHEB_NODES) + 1) * np.pi / (2 * CHEB_NODES)
+    nodes = 0.5 * (h - 1) * (1.0 - np.cos(theta))
+    c = (-1.0) ** np.arange(CHEB_NODES) * np.sin(theta) / (np.arange(h)[:, None] - nodes)
+    return nodes, c / c.sum(axis=1, keepdims=True)
+
+
+def _kernel_sum(scheme: ChargingScheme, airtime: float, m: CapacitorModel, log_d, log_n, surv, first):
+    """The map w -> v, v_e being the sum of w_i S_ie over the rows i with first_i <= e, e = 0..n_bins.
+
+    Weibull chains with k != 1 take it. In continuous row and edge indices xi
+    and eta, S is a function of s = n - 1/2 - xi and t = top - eta, top being
+    the edge index of v_after_full: S(tau_off*ln(retention*s / t)). It is
+    smooth but on the line retention*s = t, where nu = 0, and at s = 0 and t
+    = 0; the cells with first_i <= e lie right of that line. The (row, edge)
+    grid, padded to a power of two, is split as a quadtree (Hackbusch 1999),
+    one level at a time:
+    - a block is dropped if S = 1 in all its cells (e < first_i), as v leaves
+      those out, or if S is at most NEGLIGIBLE in all;
+    - a block wholly at e >= first_i and at least its own side from t = 0
+      and from the line (and so from s = 0) is replaced by S at CHEB_NODES
+      Chebyshev points per side (the far field of Fong & Darve 2009) if the
+      hazard H = (nu/w)^k, lo <= H <= hi on the block, has hi <= e*lo or
+      hi^2 <= MAX_HAZARD*lo;
+    - any other block is split in four, down to side LEAF, kept cell by cell.
+    The distance puts each singularity outside the ellipse on which the
+    interpolation error falls like 5.8^-CHEB_NODES. On that ellipse ln H
+    reaches about one range of it beyond the block's, so the first hazard
+    rule keeps the phase of H below pi/2 (|S| < 1 there) and the second
+    keeps |H| <= MAX_HAZARD. All blocks of a level share one Lagrange
+    matrix, and each level is one block sparse matrix over the boxes: a
+    product takes three array products per level.
+    """
+    n = first.size
+    size = max(1 << n.bit_length(), LEAF)  # above the n + 1 edges
+    top = (m.v_after_full(airtime) - m.v_limit_on) / (m.v_limit_off - m.v_limit_on) * n
+    ret = m.retention(airtime)
+    rows, cols = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)  # block indices at side h
+    h, far = size, []
+    while True:
+        r0, c0 = rows * h, cols * h
+        keep = (r0 < n) & (c0 <= n)
+        rows, cols, r0, c0 = rows[keep], cols[keep], r0[keep], c0[keep]
+        r1, c1 = np.minimum(r0 + h, n) - 1, np.minimum(c0 + h - 1, n)  # last row and edge on the grid
+        keep = (c1 >= first[r0]) & (surv(log_d[r1], c0) > NEGLIGIBLE)  # S is largest at (r1, c0)
+        rows, cols, r0, c0, r1, c1 = (a[keep] for a in (rows, cols, r0, c0, r1, c1))
+        if h == LEAF:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):  # H is NaN left of the line, may overflow right of it
+            lo, hi = ((m.tau_off * (log_d[r] - log_n[c]) / scheme.w) ** scheme.k for r, c in ((r1, c0), (r0, c1)))
+            smooth = (
+                (top - (c0 + h - 1) >= h)
+                & (c0 - (top - ret * (n - 0.5 - (r0 + h - 1))) >= h)
+                & (c0 >= first[r1])
+                & ((hi <= math.e * lo) | (hi * hi <= MAX_HAZARD * lo))
+            )
+        if smooth.any():
+            far.append((h, rows[smooth], cols[smooth]))
+        rows = (2 * rows[~smooth, None] + [0, 0, 1, 1]).ravel()
+        cols = (2 * cols[~smooth, None] + [0, 1, 0, 1]).ravel()
+        h //= 2
+
+    def by_edge_box(h, rows, cols, blocks):
+        # the (edge box, row box) blocks as one matrix over the padded grid
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(size // h + 1))
+        side = blocks.shape[1]
+        return sparse.bsr_array((blocks[order], rows[order], indptr), shape=(size // h * side,) * 2)
+
+    # [block, edge, row]; a row past the grid repeats the last one (its w is 0),
+    # and an edge past it the top edge, where S = 0
+    r = np.minimum(r0[:, None, None] + np.arange(LEAF), n - 1)
+    c = np.minimum(c0[:, None, None] + np.arange(LEAF)[:, None], n)
+    near = by_edge_box(LEAF, rows, cols, np.where(c >= first[r], surv(log_d[r], c), 0.0))
+    levels = []
+    for h, rows, cols in far:
+        nodes, lagrange = _chebyshev(h)
+        log_s = np.log(ret * (n - 0.5 - (h * rows[:, None] + nodes)))
+        log_t = np.log(top - (h * cols[:, None] + nodes))
+        blocks = scheme.survival(m.tau_off * (log_s[:, None, :] - log_t[:, :, None]))
+        levels.append((lagrange, by_edge_box(h, rows, cols, blocks)))
+
+    def ramp(w):
+        padded = np.zeros(size)
+        padded[:n] = w
+        v = near @ padded
+        for lagrange, blocks in levels:
+            h = lagrange.shape[0]
+            v += ((blocks @ (padded.reshape(-1, h) @ lagrange).ravel()).reshape(-1, CHEB_NODES) @ lagrange.T).ravel()
+        return v[: n + 1]
+
+    return ramp
 
 
 def _recurrent_bins(first: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -376,13 +492,12 @@ def steady_state(
 ) -> StationaryDistribution:
     """Stationary distribution of the chain of one scheme and airtime on n_bins bins.
 
-    Above DENSE_BINS bins a uniform or exponential (Weibull k = 1) scheme's
-    chain is solved matrix-free: its closed class is read from the band ends
-    and ARPACK runs on the product of _band_operator. Every other
-    chain is built by build_transition_matrix and solved by
-    stationary_distribution.
+    A chain of up to DENSE_BINS bins is built by build_transition_matrix and
+    solved by stationary_distribution. Above that every chain is solved
+    without its matrix: its closed class is read from the band ends and
+    ARPACK runs on the product of _band_operator.
     """
-    if n_bins <= DENSE_BINS or not (scheme.kind == "uniform" or scheme.k == 1.0):
+    if n_bins <= DENSE_BINS:
         return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))
     edges, first, after, pt = _band_operator(scheme, airtime, m, n_bins)
     recurrent = _recurrent_bins(first, after)

@@ -25,6 +25,9 @@ from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
 _BLOCK = 256  # cycles drawn and stepped per (block x device) array
+# largest expected number of device-cycles a run may ask for: twice criterion 7's
+# 500 devices over 1e6 s (10**7 cycles: 1.5 s and 316 MiB peak RSS on a 2-vCPU Xeon)
+MAX_DEVICE_CYCLES = 2 * 10**7
 _WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
 # the per-device and per-ring counters, in the order of DeviceStats and sim_devices.csv
 COUNTERS = ("cycles", "energy_skips", "energy_aborts", "attempts", "snr_fails", "sir_fails", "successes")
@@ -277,6 +280,15 @@ def run_simulation(
     if warmup >= duration:
         raise ConfigError(f"warm-up {warmup} must be shorter than the duration {duration}")
     n = net.n_devices
+    # a cycle lasts at least its charging time (a skipped one no longer), so a
+    # device runs about duration / E[nu] cycles at most
+    mean = scheme.mean()
+    cycles = n * duration / mean if mean > 0 else math.inf
+    if cycles > MAX_DEVICE_CYCLES:
+        raise ConfigError(
+            f"{n} devices over {duration:g} s ask for about {cycles:.3g} cycles (devices x duration / "
+            f"mean charging time), above the bound of {MAX_DEVICE_CYCLES:.0e}"
+        )
     rings = net.ring.astype(int)
     # path_gain stays scalar on purpose: numpy's array power differs from the
     # scalar one in the last bit for about 5% of distances

@@ -512,14 +512,38 @@ class TestExitCodes:
             assert (out / "act_plan.csv").is_file() and (out / "manifest.json").is_file()
 
     def test_simulate_infinite_duration(self, tmp_path):
-        src = str(Path(loraeh.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["simulate", "--duration", "inf", "--devices", "5", "--out", str(tmp_path / "inf")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "loraeh.cli", *argv], env=env, capture_output=True, text=True, timeout=120
-        )
+        proc = cli_process("simulate", "--duration", "inf", "--devices", "5", "--out", tmp_path / "inf")
         assert proc.returncode == 1
         assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "duration, ini",
+        [
+            ("1e9", ""),  # 10**8 device-cycles
+            ("1e308", ""),
+            # 10**9: a cycle that skips its packet lasts only its charging time of 0.5 ms on average
+            ("1e5", "[scheme]\nb_s = 1e-3\n"),
+        ],
+        ids=["1e9", "1e308", "short-charging"],
+    )
+    def test_simulate_too_much_work_is_refused(self, tmp_path, duration, ini):
+        # refused before any cycle runs; the timeout only ends a run that was not
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "big"
+        proc = cli_process("simulate", "--duration", duration, "--devices", "5", "--config", cfg, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ") and "above the bound of 2e+07" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+
+def cli_process(*argv):
+    """The CLI run as its own process, as a shell runs it; a run past 60 s fails the test."""
+    src = str(Path(loraeh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "loraeh.cli", *map(str, argv)]
+    return subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
 
 
 BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "oops", "")

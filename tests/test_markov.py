@@ -367,20 +367,25 @@ def closed_classes(mat):
     return closed.size, (labels == closed[0] if closed.size == 1 else None)
 
 
+# SCHEMES, and the exponential law, which has a product of its own
 MATRIX_FREE_SCHEMES = st.one_of(
-    st.builds(
-        lambda a, width: ChargingScheme.uniform(a, a + width),
-        st.floats(0.0, 200.0),
-        st.floats(-6.0, 4.0).map(lambda e: 10.0**e),
-    ),
-    st.builds(lambda w: ChargingScheme.weibull(1.0, w), st.floats(0.0, 2.7).map(lambda e: 10.0**e)),
+    SCHEMES, st.builds(lambda w: ChargingScheme.weibull(1.0, w), st.floats(0.0, 2.7).map(lambda e: 10.0**e))
 )
+
+# (scheme, capacitance) of the chains solved at 2000 and 16 000 bins: the default uniform
+# and exponential schemes, and two Weibull shapes that take the kernel sum
+MATRIX_FREE_CASES = [
+    pytest.param("ud", 0.01, id="ud"),
+    pytest.param("wd", 0.01, id="wd"),
+    pytest.param(ChargingScheme.weibull(0.5, 50.0), 0.04, id="weibull-0.5-40mF"),
+    pytest.param(ChargingScheme.weibull(2.0, 50.0), 0.01, id="weibull-2"),
+]
 
 
 class TestMatrixFree:
     """The product, the closed class and the memory of the chain solved without its matrix."""
 
-    @settings(max_examples=25)
+    @settings(max_examples=40)
     @given(
         scheme=MATRIX_FREE_SCHEMES,
         capacitance=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
@@ -388,6 +393,10 @@ class TestMatrixFree:
         n_bins=st.integers(DENSE_BINS + 1, 3000),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the kernel sum's far field must keep its distance from t = 0 here ...
+    @example(scheme=ChargingScheme.weibull(0.39, 287.3), capacitance=0.041, airtime=0.18, n_bins=1730, seed=0)
+    # ... and its hazard rule here
+    @example(scheme=ChargingScheme.weibull(30.0, 9.5), capacitance=0.0053, airtime=0.49, n_bins=1767, seed=0)
     def test_product_matches_the_matrix(self, fig2, scheme, capacitance, airtime, n_bins, seed):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
         tm = build_transition_matrix(scheme, airtime, m, n_bins)
@@ -414,34 +423,45 @@ class TestMatrixFree:
         else:
             assert np.array_equal(markov._recurrent_bins(first, after), recurrent)
 
-    def test_several_closed_classes_raise(self, fig2):
+    def test_several_closed_classes_raise(self, fig2, monkeypatch):
+        # the count comes from the band ends; the matrix is built only to check it
         m = build_model(dataclasses.replace(fig2.phy, capacitance=0.3), "thevenin")
-        scheme = ChargingScheme.uniform(0.0, 100.0)
-        count, _ = closed_classes(build_transition_matrix(scheme, AIRTIMES_S[0], m, 400).matrix)
-        assert count == 29
-        with pytest.raises(NumericalError, match="the chain has 29 closed classes"):
-            steady_state(scheme, AIRTIMES_S[0], m, n_bins=400)
+        cases = {ChargingScheme.uniform(0.0, 100.0): 29, ChargingScheme.weibull(2.0, 50.0): 3}
+        assert {s: closed_classes(build_transition_matrix(s, AIRTIMES_S[0], m, 400).matrix)[0] for s in cases} == cases
+        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
+        for scheme, count in cases.items():
+            with pytest.raises(NumericalError, match=f"the chain has {count} closed classes"):
+                steady_state(scheme, AIRTIMES_S[0], m, n_bins=400)
 
-    @pytest.mark.parametrize("label", ["ud", "wd"])
-    def test_transient_bins_get_exactly_zero(self, steady_cache, ud, wd, model, label):
-        scheme = {"ud": ud, "wd": wd}[label]
-        _, recurrent = closed_classes(build_transition_matrix(scheme, 0.204, model, 2000).matrix)
-        u = steady_cache(label, 0.204).probabilities
+    @pytest.mark.parametrize("scheme, capacitance", MATRIX_FREE_CASES)
+    def test_transient_bins_get_exactly_zero(self, fig2, ud, wd, monkeypatch, scheme, capacitance):
+        scheme = {"ud": ud, "wd": wd}.get(scheme, scheme)
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        _, recurrent = closed_classes(build_transition_matrix(scheme, 0.204, m, 2000).matrix)
+        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
+        u = steady_state(scheme, 0.204, m, n_bins=2000).probabilities
         assert (~recurrent).any() and np.all(u[~recurrent] == 0.0)
 
-    @pytest.mark.parametrize("label", ["ud", "wd"])
-    def test_fine_grid_solves_without_the_matrix(self, fig2, model, ud, wd, steady_cache, monkeypatch, label):
-        # the CSR matrix of the uniform chain alone would take about 770 MB at 16 000 bins
-        def no_matrix(*args, **kwargs):
-            raise AssertionError("the matrix was built")
-
+    @pytest.mark.parametrize("scheme, capacitance", MATRIX_FREE_CASES)
+    def test_fine_grid_solves_without_the_matrix(self, fig2, ud, wd, monkeypatch, scheme, capacitance):
+        # at 16 000 bins the CSR matrix of the uniform chain alone would take about
+        # 770 MB, that of the Weibull k = 0.5 chain at 40 mF about 6 GB
+        scheme = {"ud": ud, "wd": wd}.get(scheme, scheme)
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        coarse = steady_state(scheme, 0.204, m, n_bins=2000)
         monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
         tracemalloc.start()
+        start = time.perf_counter()
         try:
-            sd = steady_state({"ud": ud, "wd": wd}[label], 0.204, model, n_bins=16000)
+            sd = steady_state(scheme, 0.204, m, n_bins=16000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert time.perf_counter() - start < 10.0  # 0.4 s or less on a 2-vCPU Xeon
         assert peak < 64 * 2**20
         v_op = fig2.phy.v_operating
-        assert abs(sd.outage(v_op) - steady_cache(label, 0.204).outage(v_op)) < 1e-5
+        assert abs(sd.outage(v_op) - coarse.outage(v_op)) < 1e-5
+
+
+def no_matrix(*args, **kwargs):
+    raise AssertionError("the matrix was built")
