@@ -34,6 +34,9 @@ _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 # numpy's byte sizes are int64: 2**60 8-byte values (or a length rounded up to it) is a
 # ValueError, while every size below 2**59 can at most fail to allocate (MemoryError)
 _MAX_SIZE = 2**59
+# a chain takes up to about 4 KiB per bin (Weibull k = 0.5 at 40 mF), and steady-state also
+# solves at twice --bins: at 2**17 its largest solve stays near 1 GiB
+_MAX_BINS = 2**17
 
 
 @functools.cache
@@ -100,8 +103,8 @@ def _load(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None and value >= _MAX_SIZE:
             raise ConfigError(f"--{name.replace('_', '-')} must be below 2**59, got {value}")
-    if getattr(args, "bins", 1) < 1:
-        raise ConfigError(f"--bins must be at least 1, got {args.bins}")
+    if not 1 <= getattr(args, "bins", 1) <= _MAX_BINS:
+        raise ConfigError(f"--bins must be at least 1 and at most 2**17 = {_MAX_BINS}, got {args.bins}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if getattr(args, "points_per_ring", 1) < 1:

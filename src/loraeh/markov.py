@@ -9,19 +9,18 @@ discretization), which converges to the true stationary law as the grid
 refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins,
-whose ends are nondecreasing down the rows. The stationary law is the
-eigenvector of its transpose for the eigenvalue 1. It is unique only when the
-chain has one closed class; a grid too coarse for one cycle's change of
-voltage can split the chain into several, and the solve then raises
-NumericalError. Grids of up to DENSE_BINS bins are solved by dense LU, finer
-ones by one implicitly restarted Arnoldi solve (ARPACK). On those finer grids
-no chain forms its matrix, and the closed class is read from the band ends.
-A product with P^T takes a few vector operations of length n_bins for the
-uniform scheme, at most log2(n_bins) more for the exponential one (Weibull
-k = 1), and for any other Weibull shape a kernel sum that interpolates the
-survival function on Chebyshev points away from nu = 0 and keeps the cells
-near it. The coarse grids store the matrix as a scipy CSR array, which is
-also the tests' oracle for the matrix-free product.
+whose ends are nondecreasing down the rows. No chain forms the matrix: a
+TransitionMatrix holds the band ends and P^T as a LinearOperator. A product
+with P^T takes a few vector operations of length n_bins for the uniform
+scheme, at most log2(n_bins) more for the exponential one (Weibull k = 1),
+and for any other Weibull shape a kernel sum that interpolates the survival
+function on Chebyshev points away from nu = 0 and keeps the cells near it.
+The stationary law is the eigenvector of P^T for the eigenvalue 1. It is
+unique only when the chain has one closed class, which is read from the band
+ends; a grid too coarse for one cycle's change of voltage can split the
+chain into several, and the solve then raises NumericalError. Grids of up to
+DENSE_BINS bins are solved by dense LU on P^T applied to the identity, finer
+ones by one implicitly restarted Arnoldi solve (ARPACK).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
 from .capacitor import DEFAULT_BINS, CapacitorModel
@@ -60,14 +58,16 @@ class DecayFactorDistribution:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic voltage-bin transition matrix."""
+    """A row-stochastic voltage-bin chain P: row i is nonzero on the bins [first[i] - 1, after[i]) only."""
 
-    matrix: sparse.csr_array  # (M, M)
     bin_edges: np.ndarray  # (M+1,)
+    first: np.ndarray  # (M,) nondecreasing
+    after: np.ndarray  # (M,) nondecreasing
+    transpose: sparse_linalg.LinearOperator  # P^T, (M, M)
 
     @property
     def n_bins(self) -> int:
-        return self.matrix.shape[0]
+        return self.bin_edges.size - 1
 
 
 def _leading_run(holds, n_rows: int, n: int) -> np.ndarray:
@@ -111,7 +111,7 @@ def _bands(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: in
     with np.errstate(divide="ignore"):
         log_n = np.log(np.maximum(m.v_after_full(airtime) - edges, 0.0))
 
-    def surv(log_row, e):  # the band ends, the cells and the matrix-free product use this one expression
+    def surv(log_row, e):  # the band ends and the product use this one expression
         return scheme.survival(m.tau_off * (log_row - log_n[e]))
 
     first = _leading_run(lambda e: surv(log_d, e) >= 1.0, n_bins, n_bins + 1)
@@ -119,36 +119,6 @@ def _bands(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: in
     if not (after > 0).all():
         raise NumericalError(f"voltage bin {int(np.argmin(after > 0))} has no transition mass")
     return edges, log_d, log_n, surv, first, after
-
-
-def build_transition_matrix(
-    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
-) -> TransitionMatrix:
-    """Transition matrix over n_bins equal voltage bins spanning the two rest levels.
-
-    Cell (i, j) is the probability that one cycle of the given airtime maps
-    the centre of bin i into bin j (see _bands); a row is evaluated only on
-    its band, from its last edge with S = 1 to its first edge with S = 0.
-    """
-    edges, log_d, _, surv, first, after = _bands(scheme, airtime, m, n_bins)
-    start = np.maximum(first - 1, 0)
-    n_edges = np.minimum(after, n_bins) - start + 1  # a row's k cells have k + 1 edges
-    ends = np.cumsum(n_edges)
-    rows = np.repeat(np.arange(n_bins), n_edges)
-    cols = np.arange(ends[-1]) - np.repeat(ends - n_edges - start, n_edges)
-    s = surv(log_d[rows], cols)
-    cell = np.ones(ends[-1], dtype=bool)
-    cell[ends - 1] = False  # a row's last edge starts no cell
-    raw = (s[:-1] - s[1:])[cell[:-1]]
-    rows, cols = rows[cell], cols[cell]
-    keep = raw > 0.0
-    if not keep.all():
-        rows, cols, raw = rows[keep], cols[keep], raw[keep]
-    rowsum = np.bincount(rows, weights=raw, minlength=n_bins)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_bins))))
-    idx = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.int64  # 32-bit: faster products
-    mat = sparse.csr_array((raw / rowsum[rows], cols.astype(idx), indptr.astype(idx)), shape=(n_bins, n_bins))
-    return TransitionMatrix(matrix=mat, bin_edges=edges)
 
 
 @dataclass(frozen=True)
@@ -205,7 +175,7 @@ class StationaryDistribution:
 
 RESIDUAL_TOL = 1e-10  # largest entry of |u P - u| a stationary law may leave
 MAX_ITER = 100000  # about the most products with P one Arnoldi solve may take
-NEGLIGIBLE = 2.0**-60  # the matrix-free product drops carried mass below this share of |x|_1
+NEGLIGIBLE = 2.0**-60  # the product with P^T drops carried mass below this share of |x|_1
 CHEB_NODES = 20  # Chebyshev points per side of a far-field block of _kernel_sum
 LEAF = 16  # side of _kernel_sum's blocks kept cell by cell
 MAX_HAZARD = 4.0  # largest |hazard| on the ellipse around a far-field block of _kernel_sum
@@ -219,7 +189,7 @@ def _not_unique(n_closed: int, n: int) -> NumericalError:
 
 
 def _arnoldi(pt, max_iter: int) -> np.ndarray:
-    """The eigenvector of P^T (a matrix or a LinearOperator) for its eigenvalue of largest real part.
+    """The eigenvector of the LinearOperator P^T for its eigenvalue of largest real part.
 
     One implicitly restarted Arnoldi solve (ARPACK) from the uniform law, with
     about max_iter products at most. On a stochastic matrix that eigenvalue
@@ -247,29 +217,21 @@ def _law(u: np.ndarray, recurrent: np.ndarray, pt, bin_edges: np.ndarray) -> Sta
 
 
 def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> StationaryDistribution:
-    """Left fixed point u = u P of the row-stochastic matrix P, L1-normalized.
+    """Left fixed point u = u P of the chain, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
-    no transition leaves); more than one raises NumericalError. Grids of up
-    to DENSE_BINS bins solve u (I - P) = 0, sum(u) = 1 exactly by dense LU.
-    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi).
-    Bins outside the closed class are transient and get exactly 0.
-    tm.matrix may also be a dense array.
+    no transition leaves), read from the band ends (_recurrent_bins); more
+    than one raises NumericalError. Grids of up to DENSE_BINS bins solve
+    u (I - P) = 0, sum(u) = 1 exactly by dense LU on P^T applied to the
+    identity. Finer ones take the eigenvector of P^T for the eigenvalue 1
+    (_arnoldi). Bins outside the closed class are transient and get exactly 0.
     """
-    mat = sparse.csr_array(tm.matrix)
-    n = tm.n_bins
-    # a strongly connected class is closed when no stored transition leaves it
-    n_classes, labels = csgraph.connected_components(mat, directed=True, connection="strong")
-    src = np.repeat(labels, np.diff(mat.indptr))
-    leaves = np.zeros(n_classes, dtype=bool)
-    leaves[src[src != labels[mat.indices]]] = True
-    closed = np.flatnonzero(~leaves)
-    if closed.size > 1:
-        raise _not_unique(closed.size, n)
+    n, pt = tm.n_bins, tm.transpose
+    recurrent = _recurrent_bins(tm.first, tm.after)
     if n <= DENSE_BINS:
         # (I - P^T) u = 0 with its last row replaced by sum(u) = 1; LAPACK is called
         # directly, so an ill-conditioned system raises here and scipy emits no LinAlgWarning
-        a = np.eye(n) - mat.toarray().T
+        a = np.eye(n) - pt @ np.eye(n)
         a[-1] = 1.0
         lu, piv, info = linalg.lapack.dgetrf(a)
         rcond = linalg.lapack.dgecon(lu, np.abs(a).sum(axis=0).max(), norm="1")[0] if info == 0 else 0.0
@@ -278,20 +240,21 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> S
                 f"the {n}-bin chain's stationary law is singular to working precision (reciprocal condition "
                 f"number {rcond:.2g}): it is too close to having several closed classes"
             )
-        e_n = np.zeros(n)
-        e_n[-1] = 1.0
-        u = linalg.lapack.dgetrs(lu, piv, e_n)[0]
+        u = linalg.lapack.dgetrs(lu, piv, np.eye(n)[-1])[0]
     else:
-        u = _arnoldi(mat.T, max_iter)
-    return _law(u, labels == closed[0], mat.T, tm.bin_edges)
+        u = _arnoldi(pt, max_iter)
+    return _law(u, recurrent, pt, tm.bin_edges)
 
 
-def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int):
-    """(edges, first, after, P^T as a LinearOperator) of a chain whose matrix is never formed.
+def build_transition_matrix(
+    scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
+) -> TransitionMatrix:
+    """The chain over n_bins equal voltage bins spanning the two rest levels, P^T as a LinearOperator.
 
-    With w = x / rowsum, (P^T x)_j is the sum of w_i (S_ij - S_i,j+1) over
-    the rows whose band holds column j, S_ie being the survival at edge e in
-    row i (see _bands). A row's first cell, in column first - 1, is 1 - S at
+    Cell (i, j) is the probability that one cycle of the given airtime maps
+    the centre of bin i into bin j. With w = x / rowsum, (P^T x)_j is the sum
+    of w_i (S_ij - S_i,j+1) over the rows whose band holds column j, S_ie
+    being the survival at edge e in row i (see _bands). A row's first cell, in column first - 1, is 1 - S at
     edge first. Past it both edges of a cell lie on the row's ramp 0 < S < 1,
     where
     - uniform: S is linear in nu, so every such cell of column j is the same
@@ -360,7 +323,8 @@ def _band_operator(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_
             v = ramp(w)
             return v[:-1] - v[1:] + np.bincount(head_col, w * lead, n)
 
-    return edges, first, after, sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    pt = sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    return TransitionMatrix(bin_edges=edges, first=first, after=after, transpose=pt)
 
 
 def _chebyshev(h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -490,15 +454,5 @@ def stationary_pdf(sd: StationaryDistribution) -> tuple[np.ndarray, np.ndarray]:
 def steady_state(
     scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> StationaryDistribution:
-    """Stationary distribution of the chain of one scheme and airtime on n_bins bins.
-
-    A chain of up to DENSE_BINS bins is built by build_transition_matrix and
-    solved by stationary_distribution. Above that every chain is solved
-    without its matrix: its closed class is read from the band ends and
-    ARPACK runs on the product of _band_operator.
-    """
-    if n_bins <= DENSE_BINS:
-        return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))
-    edges, first, after, pt = _band_operator(scheme, airtime, m, n_bins)
-    recurrent = _recurrent_bins(first, after)
-    return _law(_arnoldi(pt, MAX_ITER), recurrent, pt, edges)
+    """Stationary distribution of the chain of one scheme and airtime on n_bins bins."""
+    return stationary_distribution(build_transition_matrix(scheme, airtime, m, n_bins))

@@ -86,3 +86,14 @@ def test_setup_snippet_prints_its_seconds(bench):
         check=True,
     )
     assert float(proc.stdout) > 0
+
+
+def test_a_traced_solve_times_the_chain(bench, tmp_path, capsys):
+    # every steady-state solve goes through the two functions the tracer times by
+    # name, so a traced chain shows build and solve time at any grid size
+    run, tracing = bench
+    tracer = tracing.Tracer(0)
+    with tracing.installed(tracer), tracer.root("cli", 0):
+        assert main(["steady-state", "--bins", "400", "--out", str(tmp_path / "s")]) == 0, capsys.readouterr().err
+    metrics = run.layer_metrics(tracer)
+    assert metrics["markov.build_s"] > 0 and metrics["markov.solve_s"] > 0

@@ -537,6 +537,25 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["steady-state", "--bins", 2**17 + 1],
+            ["outage-sweep", "--bins", 10**7],
+            ["coverage", "--bins", 10**7],
+            ["act-plan", "--act", "cdc", "--bins", 2**17 + 1],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_bins_too_many_to_solve_are_refused(self, tmp_path, args):
+        # 10**7 bins would need tens of GiB; refused before any chain is built
+        out = tmp_path / "big"
+        proc = cli_process(*args, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: --bins") and "at most 2**17 = 131072" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
 
 def cli_process(*argv):
     """The CLI run as its own process, as a shell runs it; a run past 60 s fails the test."""

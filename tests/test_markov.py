@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.sparse import csgraph
+from scipy.sparse import linalg as sparse_linalg
+from test_golden_markov import closed_classes, outside_band, reference_transition_matrix, rows
 
 from loraeh import markov
 from loraeh.capacitor import build_model, cycle_voltages, estimate_mean_voltage
@@ -65,14 +66,24 @@ class TestDecayFactorDistribution:
         assert abs(d.mean() - draws.mean()) < 3 * se
 
 
+def band_chain(mat):
+    """The TransitionMatrix of a small dense matrix whose rows are each nonzero on one band."""
+    nonzero = np.asarray(mat) != 0.0
+    n = nonzero.shape[0]
+    first = nonzero.argmax(axis=1) + 1
+    after = n - nonzero[:, ::-1].argmax(axis=1)
+    pt = sparse_linalg.aslinearoperator(np.asarray(mat, dtype=float).T)
+    return TransitionMatrix(bin_edges=np.linspace(0, 1, n + 1), first=first, after=after, transpose=pt)
+
+
 class TestTransitionMatrix:
     def test_single_state(self, ud, model):
         tm = build_transition_matrix(ud, 0.204, model, n_bins=1)
-        assert tm.matrix.toarray().tolist() == [[1.0]]
+        assert rows(tm).tolist() == [[1.0]]
 
     def test_rows_stochastic(self, ud, model):
         tm = build_transition_matrix(ud, 0.204, model, n_bins=500)
-        assert np.abs(tm.matrix.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(rows(tm).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_out_of_support_zeroed(self, ud, model):
         tm = build_transition_matrix(ud, 0.204, model, n_bins=400)
@@ -81,7 +92,7 @@ class TestTransitionMatrix:
         centers = 0.5 * (tm.bin_edges[:-1] + tm.bin_edges[1:])
         r, v_full = model.retention(0.204), model.v_after_full(0.204)
         x = (tm.bin_edges - v_full) / (r * (centers[i] - model.v_limit_off))  # decreasing
-        row = tm.matrix.toarray()[i]
+        row = tm.transpose @ np.eye(tm.n_bins)[i]
         outside = (x[1:] > hi) | (x[:-1] < lo)  # whole edge interval above or below the support
         inside = (x[1:] > lo) & (x[:-1] < hi)  # whole edge interval inside it
         assert outside.any() and inside.any()
@@ -92,30 +103,21 @@ class TestTransitionMatrix:
 class TestStationary:
     def test_identity_matrix_convention(self):
         # every bin of the identity is its own closed class: no law is unique
-        tm = TransitionMatrix(matrix=np.eye(3), bin_edges=np.linspace(0, 1, 4))
         with pytest.raises(NumericalError, match="3 closed classes"):
-            stationary_distribution(tm)
+            stationary_distribution(band_chain(np.eye(3)))
 
     def test_two_state_symmetric(self):
-        tm = TransitionMatrix(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3))
-        sd = stationary_distribution(tm)
+        sd = stationary_distribution(band_chain([[0.5, 0.5], [0.5, 0.5]]))
         assert np.allclose(sd.probabilities, [0.5, 0.5], atol=1e-12)
 
     def test_one_and_two_bin_closed_forms(self):
         # too small for ARPACK; [[1 - a, a], [b, 1 - b]] has the law (b, a) / (a + b)
-        one = stationary_distribution(TransitionMatrix(matrix=np.eye(1), bin_edges=np.linspace(0, 1, 2)))
-        assert one.probabilities.tolist() == [1.0]
+        assert stationary_distribution(band_chain(np.eye(1))).probabilities.tolist() == [1.0]
         a, b = 0.3, 0.1
-        two = TransitionMatrix(matrix=np.array([[1 - a, a], [b, 1 - b]]), bin_edges=np.linspace(0, 1, 3))
+        two = band_chain([[1 - a, a], [b, 1 - b]])
         assert np.abs(stationary_distribution(two).probabilities - [0.25, 0.75]).max() <= 1e-15
-        absorbing = TransitionMatrix(matrix=np.array([[1.0, 0.0], [0.5, 0.5]]), bin_edges=np.linspace(0, 1, 3))
+        absorbing = band_chain([[1.0, 0.0], [0.5, 0.5]])
         assert stationary_distribution(absorbing).probabilities.tolist() == [1.0, 0.0]
-
-    def test_periodic_chain(self):
-        # the eigenvalues of a 3-cycle are the cube roots of 1, all of modulus 1: only
-        # the largest real part singles out the eigenvalue 1
-        cycle = TransitionMatrix(matrix=np.roll(np.eye(3), 1, axis=1), bin_edges=np.linspace(0, 1, 4))
-        assert np.abs(stationary_distribution(cycle).probabilities - 1 / 3).max() <= 1e-15
 
     def test_transient_bins_get_exactly_zero(self):
         # bins 0 and 1 drain into the closed class {2, 3, 4}
@@ -125,17 +127,17 @@ class TestStationary:
                 [0.0, 0.2, 0.8, 0.0, 0.0],
                 [0.0, 0.0, 0.1, 0.6, 0.3],
                 [0.0, 0.0, 0.4, 0.2, 0.4],
-                [0.0, 0.0, 0.5, 0.5, 0.0],
+                [0.0, 0.0, 0.5, 0.3, 0.2],
             ]
         )
-        u = stationary_distribution(TransitionMatrix(matrix=mat, bin_edges=np.linspace(0, 1, 6))).probabilities
+        u = stationary_distribution(band_chain(mat)).probabilities
         assert u[:2].tolist() == [0.0, 0.0]
         assert np.all(u[2:] > 0.0) and np.abs(u @ mat - u).max() <= 1e-15
 
     def test_residual_contract(self, ud, model, steady_cache):
         sd = steady_cache("ud", 0.204)
-        tm = build_transition_matrix(ud, 0.204, model, n_bins=2000)
-        assert np.abs(sd.probabilities @ tm.matrix - sd.probabilities).max() < 1e-10
+        dense = reference_transition_matrix(ud, 0.204, model, 2000)
+        assert np.abs(sd.probabilities @ dense - sd.probabilities).max() < 1e-10
 
     def test_nonconvergence_raises(self, fig2):
         # one closed class whose bins are linked only by tail probabilities: in
@@ -304,9 +306,14 @@ class TestChainProperties:
         n_bins=st.integers(1, 400),
     )
     def test_every_row_is_a_probability_law(self, fig2, scheme, capacitance, airtime, n_bins):
-        tm = self.chain(fig2, scheme, capacitance, airtime, n_bins)
-        assert np.abs(tm.matrix.sum(axis=1) - 1.0).max() <= 1e-12
-        assert np.all(np.diff(tm.matrix.indptr) > 0) and np.all(tm.matrix.data > 0.0)
+        # each row matches the reference, and the reference is 0 off the row's band
+        m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        tm = build_transition_matrix(scheme, airtime, m, n_bins)
+        dense = reference_transition_matrix(scheme, airtime, m, n_bins)
+        got = rows(tm)
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(got - dense).max() <= 1e-13
+        assert not dense[outside_band(tm)].any() and np.all(tm.after > np.maximum(tm.first - 1, 0))
 
     @given(
         scheme=SCHEMES,
@@ -356,17 +363,6 @@ class TestChainProperties:
         return build_transition_matrix(scheme, airtime, m, n_bins)
 
 
-def closed_classes(mat):
-    """(count, mask of the one closed class or None) from the sparse graph: a strongly
-    connected class is closed when no stored transition leaves it."""
-    n_classes, labels = csgraph.connected_components(mat, directed=True, connection="strong")
-    src = np.repeat(labels, np.diff(mat.indptr))
-    leaves = np.zeros(n_classes, dtype=bool)
-    leaves[src[src != labels[mat.indices]]] = True
-    closed = np.flatnonzero(~leaves)
-    return closed.size, (labels == closed[0] if closed.size == 1 else None)
-
-
 # SCHEMES, and the exponential law, which has a product of its own
 MATRIX_FREE_SCHEMES = st.one_of(
     SCHEMES, st.builds(lambda w: ChargingScheme.weibull(1.0, w), st.floats(0.0, 2.7).map(lambda e: 10.0**e))
@@ -399,57 +395,58 @@ class TestMatrixFree:
     @example(scheme=ChargingScheme.weibull(30.0, 9.5), capacitance=0.0053, airtime=0.49, n_bins=1767, seed=0)
     def test_product_matches_the_matrix(self, fig2, scheme, capacitance, airtime, n_bins, seed):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
+        dense = reference_transition_matrix(scheme, airtime, m, n_bins)
         tm = build_transition_matrix(scheme, airtime, m, n_bins)
-        edges, _, _, pt = markov._band_operator(scheme, airtime, m, n_bins)
-        assert np.array_equal(edges, tm.bin_edges)
         x = np.random.default_rng(seed).standard_normal(n_bins)
-        assert np.abs(pt @ x - tm.matrix.T @ x).max() <= 1e-13 * np.abs(x).sum()
+        assert np.abs(tm.transpose @ x - dense.T @ x).max() <= 1e-13 * np.abs(x).sum()
 
     @given(
         scheme=SCHEMES,
         capacitance=st.floats(-3.0, math.log10(0.3)).map(lambda e: 10.0**e),
         airtime=st.floats(0.01, 1.0),
-        n_bins=st.integers(2, 1200),
+        n_bins=st.integers(1, 1200),
     )
-    # 29 closed classes on a grid above DENSE_BINS
+    # 29 closed classes on a grid above DENSE_BINS, 22 on one below it
     @example(scheme=ChargingScheme.uniform(0.0, 100.0), capacitance=0.3, airtime=AIRTIMES_S[0], n_bins=400)
+    @example(scheme=ChargingScheme.uniform(0.0, 100.0), capacitance=0.3, airtime=AIRTIMES_S[0], n_bins=200)
+    @example(scheme=ChargingScheme.uniform(0.0, 100.0), capacitance=0.3, airtime=AIRTIMES_S[0], n_bins=1)
     def test_closed_classes_read_from_the_band_ends(self, fig2, scheme, capacitance, airtime, n_bins):
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
-        count, recurrent = closed_classes(build_transition_matrix(scheme, airtime, m, n_bins).matrix)
-        *_, first, after = markov._bands(scheme, airtime, m, n_bins)
+        count, recurrent = closed_classes(reference_transition_matrix(scheme, airtime, m, n_bins))
+        tm = build_transition_matrix(scheme, airtime, m, n_bins)
         if count > 1:
             with pytest.raises(NumericalError, match=f"the chain has {count} closed classes"):
-                markov._recurrent_bins(first, after)
+                markov._recurrent_bins(tm.first, tm.after)
         else:
-            assert np.array_equal(markov._recurrent_bins(first, after), recurrent)
+            assert np.array_equal(markov._recurrent_bins(tm.first, tm.after), recurrent)
 
-    def test_several_closed_classes_raise(self, fig2, monkeypatch):
-        # the count comes from the band ends; the matrix is built only to check it
+    def test_several_closed_classes_raise(self, fig2):
+        # the count comes from the band ends, on a grid above DENSE_BINS and on one
+        # below it; the reference is built only to check it
         m = build_model(dataclasses.replace(fig2.phy, capacitance=0.3), "thevenin")
-        cases = {ChargingScheme.uniform(0.0, 100.0): 29, ChargingScheme.weibull(2.0, 50.0): 3}
-        assert {s: closed_classes(build_transition_matrix(s, AIRTIMES_S[0], m, 400).matrix)[0] for s in cases} == cases
-        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
-        for scheme, count in cases.items():
+        uniform, weibull = ChargingScheme.uniform(0.0, 100.0), ChargingScheme.weibull(2.0, 50.0)
+        cases = {(uniform, 400): 29, (weibull, 400): 3, (uniform, 200): 22, (weibull, 200): 2}
+        counts = {(s, n): closed_classes(reference_transition_matrix(s, AIRTIMES_S[0], m, n))[0] for s, n in cases}
+        assert counts == cases
+        for (scheme, n_bins), count in cases.items():
             with pytest.raises(NumericalError, match=f"the chain has {count} closed classes"):
-                steady_state(scheme, AIRTIMES_S[0], m, n_bins=400)
+                steady_state(scheme, AIRTIMES_S[0], m, n_bins=n_bins)
 
     @pytest.mark.parametrize("scheme, capacitance", MATRIX_FREE_CASES)
-    def test_transient_bins_get_exactly_zero(self, fig2, ud, wd, monkeypatch, scheme, capacitance):
+    def test_transient_bins_get_exactly_zero(self, fig2, ud, wd, scheme, capacitance):
         scheme = {"ud": ud, "wd": wd}.get(scheme, scheme)
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
-        _, recurrent = closed_classes(build_transition_matrix(scheme, 0.204, m, 2000).matrix)
-        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
+        _, recurrent = closed_classes(reference_transition_matrix(scheme, 0.204, m, 2000))
         u = steady_state(scheme, 0.204, m, n_bins=2000).probabilities
         assert (~recurrent).any() and np.all(u[~recurrent] == 0.0)
 
     @pytest.mark.parametrize("scheme, capacitance", MATRIX_FREE_CASES)
-    def test_fine_grid_solves_without_the_matrix(self, fig2, ud, wd, monkeypatch, scheme, capacitance):
-        # at 16 000 bins the CSR matrix of the uniform chain alone would take about
+    def test_fine_grid_solves_without_the_matrix(self, fig2, ud, wd, scheme, capacitance):
+        # at 16 000 bins a sparse matrix of the uniform chain alone would take about
         # 770 MB, that of the Weibull k = 0.5 chain at 40 mF about 6 GB
         scheme = {"ud": ud, "wd": wd}.get(scheme, scheme)
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
         coarse = steady_state(scheme, 0.204, m, n_bins=2000)
-        monkeypatch.setattr(markov, "build_transition_matrix", no_matrix)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -461,7 +458,3 @@ class TestMatrixFree:
         assert peak < 64 * 2**20
         v_op = fig2.phy.v_operating
         assert abs(sd.outage(v_op) - coarse.outage(v_op)) < 1e-5
-
-
-def no_matrix(*args, **kwargs):
-    raise AssertionError("the matrix was built")
