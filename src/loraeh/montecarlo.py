@@ -26,7 +26,7 @@ from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
 _BLOCK = 256  # cycles drawn and stepped per (block x device) array
 # largest expected number of device-cycles a run may ask for: twice criterion 7's
-# 500 devices over 1e6 s (10**7 cycles: 1.5 s and 316 MiB peak RSS on a 2-vCPU Xeon)
+# 500 devices over 1e6 s (10**7 cycles: 1.4 s and 232 MiB peak RSS on a 2-vCPU Xeon)
 MAX_DEVICE_CYCLES = 2 * 10**7
 _WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
 # the per-device and per-ring counters, in the order of DeviceStats and sim_devices.csv
@@ -91,22 +91,23 @@ def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray) -> None:
         u *= scheme.w
 
 
-def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, collect_traces):
+def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, ring_cols, duration, warmup, collect_traces):
     """Charge/transmit cycles of every device until its clock passes `duration`.
 
-    Returns the per-device counters up to `attempts` (completed packets) and
-    `duty_sum`, keyed by their DeviceStats names; the completed-packet records
-    (device, start, counted, rank) in cycle-major then ascending-device order,
-    where rank numbers each device's packets from 0 in start order; each
+    Devices come grouped by ring: the columns of ring r are the slice
+    ring_cols[r]. Returns the per-device counters up to `attempts` (completed
+    packets) and `duty_sum`, keyed by their DeviceStats names; per ring, its
+    completed-packet records as one (device, start, rank) tuple per block, in
+    cycle-major then ascending-device order, where device is the column
+    within the ring and rank numbers each device's packets from 0 in start
+    order (a record is counted if its start is past the warm-up); each
     device's number of records, counted or not; and the voltage traces.
     """
     n = v0.size
     retention = m.retention(airtimes)
-    counts = {name: np.zeros(n, dtype=np.int64) for name in COUNTERS[:4]}
+    counts = {name: np.zeros(n, dtype=np.int64) for name in ("cycles", "energy_skips", "attempts")}
     duty_sum = np.zeros(n)
-    # each list starts with an empty block, so a network of no devices joins to empty records
-    rec_dev, rec_rank = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    rec_start, rec_counted = [np.empty(0)], [np.empty(0, dtype=bool)]
+    records = [[] for _ in ring_cols]
     sent = np.zeros(n, dtype=np.int32)  # completed packets so far, counted or not
     traces = [[] for _ in range(n)] if collect_traces else None
 
@@ -158,8 +159,8 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         tx = charged[:steps] & active  # a packet starts, to complete or abort
         done = tx & (v_hist[1 : steps + 1] >= cfg.v_operating)
         counted = active & (start > warmup)
-        for name, mask in zip(COUNTERS[:4], (counted, counted & ~tx, counted & tx & ~done, counted & done)):
-            counts[name] += mask.sum(axis=0)
+        for total, mask in zip(counts.values(), (counted, counted & ~charged[:steps], counted & done)):
+            total += mask.sum(axis=0)
         # added in cycle order per device, as a running sum would
         duty = np.add(nu[:steps], airtimes)
         np.divide(airtimes, duty, out=duty)
@@ -168,13 +169,12 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         np.add.accumulate(duty, axis=0, out=duty)
         duty_sum = duty[-1].copy()
         # every completed packet interferes, counted or not
-        flat = np.flatnonzero(done)
-        block_dev = (flat % n).astype(np.int32)
-        rec_dev.append(block_dev)
-        rec_start.append(start.ravel()[flat])
-        rec_counted.append(counted.ravel()[flat])
         within = np.cumsum(done, axis=0, dtype=np.int16)  # at most _BLOCK
-        rec_rank.append(sent[block_dev] + within.ravel()[flat] - 1)
+        rank = within + (sent - 1)
+        for blocks, c in zip(records, ring_cols):
+            flat = np.flatnonzero(done[:, c])  # the ring's columns, cycle-major
+            dev = (flat % (c.stop - c.start)).astype(np.int32)
+            blocks.append((dev, start[:, c].ravel()[flat], rank[:, c].ravel()[flat]))
         sent += within[-1]
         if collect_traces:
             for d in range(n):
@@ -182,10 +182,8 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, duration, warmup, colle
         v_hist[0] = v_hist[steps]
         t_hist[0] = t_hist[steps]
 
-    records = []
-    for parts in (rec_dev, rec_start, rec_counted, rec_rank):
-        records.append(np.concatenate(parts))
-        parts.clear()  # one list's blocks at a time live next to the joined records
+    # a counted cycle is a skip, an abort or a completed packet
+    counts["energy_aborts"] = counts["cycles"] - counts["energy_skips"] - counts["attempts"]
     if collect_traces:
         traces = [np.concatenate(tr) for tr in traces]
     return {**counts, "duty_sum": duty_sum}, records, sent, traces
@@ -251,6 +249,45 @@ def _window_edge(s, a, side):
     return edge
 
 
+def _ring_outcomes(blocks, h_gens, sent, snr_floor, gains, tau, cfg, overlap, warmup):
+    """(snr_fails, successes) of each device of one ring, from its record blocks
+    (emptied here), its slices of the per-device arrays and its airtime."""
+    dev, start, rank = (np.concatenate(field) for field in zip(*blocks))
+    blocks.clear()
+    # Fading draws in per-device packet order: device d's draws start at its
+    # offset in `draws`, and its packet of rank r takes the r-th of them.
+    draws = np.concatenate([g.exponential(1.0, k) for g, k in zip(h_gens, sent)])
+    rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
+    h2 = draws[rank]
+    del draws, rank
+    # the rest runs in start order, which the counts do not depend on
+    order, s = _stable_order(start)
+    del start
+    dev, h2 = dev[order], h2[order]
+    del order
+    counted = s > warmup  # every record's device was active
+    ok = h2 >= snr_floor[dev]
+    snr_fails = np.bincount(dev[counted & ~ok], minlength=sent.size)
+    p = np.multiply(h2, cfg.p_tx, out=h2)  # h2 is not needed again
+    p *= gains[dev]
+    # SIR test; each packet's window is (s - tau, s + tau)
+    lo = _window_edge(s, s - tau, "right")
+    hi = _window_edge(s, s + tau, "left")
+    cp = np.concatenate([[0.0], np.cumsum(p)])
+    if overlap == "full":
+        interference = cp[hi] - cp[lo] - p
+    else:
+        csp = np.concatenate([[0.0], np.cumsum(p * s)])
+        sum_l = cp[:-1] - cp[lo]
+        sum_ls = csp[:-1] - csp[lo]
+        sum_r = cp[hi] - cp[1:]
+        sum_rs = csp[hi] - csp[1:]
+        del cp, csp, lo, hi
+        interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
+    ok &= p >= cfg.sir_threshold * interference
+    return snr_fails, np.bincount(dev[counted & ok], minlength=sent.size)
+
+
 def run_simulation(
     net: NetworkRealization,
     cfg: PhyConfig,
@@ -290,69 +327,43 @@ def run_simulation(
             f"mean charging time), above the bound of {MAX_DEVICE_CYCLES:.0e}"
         )
     rings = net.ring.astype(int)
+    # Devices are stepped grouped by ring, in index order within a ring: a
+    # packet meets interference only from its own ring, so each ring's
+    # records are collected and tested apart. Column k holds device perm[k].
+    perm = np.argsort(rings, kind="stable")
+    edges = np.searchsorted(rings[perm], np.arange(N_RINGS + 1))
+    ring_cols = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     # path_gain stays scalar on purpose: numpy's array power differs from the
     # scalar one in the last bit for about 5% of distances
-    gains = np.array([path_gain(d, cfg) for d in net.distances])
+    gains = np.array([path_gain(d, cfg) for d in net.distances[perm]])
 
     streams = np.random.SeedSequence(seed).spawn(2 * n)
-    nu_gens = [np.random.Generator(np.random.PCG64(streams[2 * i])) for i in range(n)]
-    h_gens = [np.random.Generator(np.random.PCG64(streams[2 * i + 1])) for i in range(n)]
+    nu_gens = [np.random.Generator(np.random.PCG64(streams[2 * i])) for i in perm]
+    h_gens = [np.random.Generator(np.random.PCG64(streams[2 * i + 1])) for i in perm]
 
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
     with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
-        counters, (dev, start, counted, rank), sent, traces = _energy_phase(
-            nu_gens, v, scheme, m, cfg, AIRTIMES_S[rings], duration, warmup, collect_traces
+        counters, records, sent, traces = _energy_phase(
+            nu_gens, v, scheme, m, cfg, AIRTIMES_S[rings[perm]], ring_cols, duration, warmup, collect_traces
         )
-
-    # Fading draws in per-device packet order: device d's draws start at its
-    # offset in `draws`, and its packet of rank r takes the r-th of them. The
-    # received power and the SNR test are per record, in record order.
-    draws = np.concatenate([np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, sent)])
-    rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
-    h2 = draws[rank]
-    del draws, rank
     with np.errstate(divide="ignore"):  # a path gain that underflows to 0 fails every SNR test
-        ok_snr = h2 >= (cfg.noise * SNR_THRESHOLDS[rings] / (cfg.p_tx * gains))[dev]
-    pw = np.multiply(h2, cfg.p_tx, out=h2)  # h2 is not needed again
-    pw *= gains[dev]
+        snr_floor = cfg.noise * SNR_THRESHOLDS[rings[perm]] / (cfg.p_tx * gains)
 
-    # SIR test ring by ring, in start order; each packet's window is (s - tau, s + tau)
-    ok_sir = np.zeros(dev.size, dtype=bool)
-    rec_ring = rings.astype(np.int8)[dev]
-    for ring in range(N_RINGS):
-        idx = np.flatnonzero(rec_ring == ring)
-        if not idx.size:
-            continue
-        order, s = _stable_order(start[idx])
-        sub = idx[order]
-        del idx, order
-        p = pw[sub]
-        tau = AIRTIMES_S[ring]
-        lo = _window_edge(s, s - tau, "right")
-        hi = _window_edge(s, s + tau, "left")
-        cp = np.concatenate([[0.0], np.cumsum(p)])
-        if overlap == "full":
-            interference = cp[hi] - cp[lo] - p
-        else:
-            csp = np.concatenate([[0.0], np.cumsum(p * s)])
-            sum_l = cp[:-1] - cp[lo]
-            sum_ls = csp[:-1] - csp[lo]
-            sum_r = cp[hi] - cp[1:]
-            sum_rs = csp[hi] - csp[1:]
-            interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
-        ok_sir[sub] = p >= cfg.sir_threshold * interference
+    # one ring at a time, so only one ring's arrays live next to the records
+    counters["snr_fails"], counters["successes"] = np.zeros((2, n), dtype=np.int64)
+    for ring, c in enumerate(ring_cols):
+        if sent[c].any():  # the ring has devices and completed packets
+            args = (records[ring], h_gens[c], sent[c], snr_floor[c], gains[c], AIRTIMES_S[ring])
+            counters["snr_fails"][c], counters["successes"][c] = _ring_outcomes(*args, cfg, overlap, warmup)
 
-    successes = np.bincount(dev[counted & ok_snr & ok_sir], minlength=n)
-    snr_fails = np.bincount(dev[counted & ~ok_snr], minlength=n)
-    devices = DeviceStats(
-        ring=rings.copy(),
-        distance=net.distances.copy(),
-        **counters,
-        snr_fails=snr_fails,
-        sir_fails=counters["attempts"] - successes - snr_fails,
-        successes=successes,
-    )
+    # back to network order: device d sits in column unperm[d]
+    unperm = np.argsort(perm)
+    counters = {name: arr[unperm] for name, arr in counters.items()}
+    if collect_traces:
+        traces = [traces[k] for k in unperm]
+    counters["sir_fails"] = counters["attempts"] - counters["successes"] - counters["snr_fails"]
+    devices = DeviceStats(ring=rings.copy(), distance=net.distances.copy(), **counters)
     # one index-order sum per ring and field: a float sum in any other order moves duty_mean's last bits
     in_ring = [rings == r for r in range(N_RINGS)]
     sums = {name: np.array([getattr(devices, name)[k].sum() for k in in_ring]) for name in (*COUNTERS, "duty_sum")}

@@ -238,17 +238,35 @@ def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
     return rep, start
 
 
-@pytest.mark.parametrize("overlap", ["full", "fractional"])
-def test_matches_reference_with_tied_starts(fig2, overlap):
-    """A ring whose packets tie in start time still matches the per-cycle reference."""
-    radii = fig2.phy.ring_radii
-    d = np.random.default_rng(2).uniform(radii[0] + 1.0, radii[1], 60)
-    rings = ring_index(d, fig2.phy)
+def assert_tied_starts_match(cfg, overlap, ring_cycle):
+    """60 devices, device i in ring ring_cycle[i % len(ring_cycle)], whose packets
+    tie in start time, match the per-cycle reference."""
+    radii = cfg.ring_radii
+    ring = np.resize(ring_cycle, 60)
+    d = np.random.default_rng(2).uniform(np.take(radii, ring) + 1.0, np.take(radii, ring + 1))
+    rings = ring_index(d, cfg)
+    assert np.array_equal(rings, ring)
     net = NetworkRealization(d, rings)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-    _, start = assert_matches_reference(net, fig2.phy, scheme, 2e3, overlap, 0.0)
+    rep, start = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
     assert np.unique(start).size < start.size
+    return rep
+
+
+@pytest.mark.parametrize("overlap", ["full", "fractional"])
+def test_matches_reference_with_tied_starts(fig2, overlap):
+    """A ring whose packets tie in start time still matches the per-cycle reference."""
+    assert_tied_starts_match(fig2.phy, overlap, [0])
+
+
+@pytest.mark.parametrize("overlap", ["full", "fractional"])
+def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2, overlap):
+    """Devices alternate between rings 1, 3 and 4 in index order, with ring 2
+    empty between them, so the simulator's grouping of devices by ring is far
+    from the index order."""
+    rep = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
+    assert rep.n_devices[2] == 0 and (rep.attempts[[1, 3, 4]] > 0).all()
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])

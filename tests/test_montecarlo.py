@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +81,10 @@ class TestAccounting:
         assert np.array_equal(dv.attempts, dv.successes + dv.snr_fails + dv.sir_fails)
         per_ring_cycles = np.array([dv.cycles[dv.ring == r].sum() for r in range(6)])
         assert np.array_equal(per_ring_cycles, rep.cycles)
-        # a cycle is a skip, an abort, or an evaluated attempt
+        # a cycle is a skip, an abort, or an evaluated attempt, on every ring and every device
         assert np.array_equal(rep.cycles, rep.energy_skips + rep.energy_aborts + rep.attempts)
+        assert np.array_equal(dv.cycles, dv.energy_skips + dv.energy_aborts + dv.attempts)
+        assert dv.energy_skips.sum() > 0 and dv.energy_aborts.sum() > 0
 
     def test_overall_identity(self, fig2, ud):
         net = sample_network(fig2.phy, seed=3, n_devices=100)
@@ -171,6 +174,26 @@ class TestBlockSize:
             stats, traces = outputs(block)
             assert stats == shipped[0], block
             assert traces == shipped[1], block
+
+
+class TestMemory:
+    def test_peak_per_packet_record(self, fig2, ud):
+        """Records are kept ring by ring, and each ring's pass frees its arrays
+        before the next ring's are built. 150 devices over 3e5 s (the benchmark's
+        large job at about a quarter of its devices, some 2600 packets a device)
+        peak near 27 bytes a packet; a pass that joins every ring's records
+        first takes about 52, above the bound."""
+        net = sample_network(fig2.phy, seed=0, n_devices=150)
+        m = build_model(fig2.phy)
+        tracemalloc.start()
+        try:
+            rep = run_simulation(net, fig2.phy, m, ud, duration=3e5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packets = rep.devices.attempts.sum()
+        assert packets > 2000 * net.n_devices
+        assert peak < 40 * packets
 
 
 class TestEnergyBookkeeping:
