@@ -19,6 +19,7 @@ from .errors import ConfigError, NumericalError
 from .phy import ChargingScheme, PhyConfig
 
 DEFAULT_BINS = 2000  # equal voltage bins of the Markov chain's grid
+MAX_TRACE_SAMPLES = 2 * 10**6  # a trace's arrays peak at about 83 bytes a sample, 158 MiB at this bound
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,10 @@ def simulate_trajectory(
         raise ConfigError(f"cycle count must be non-negative, got {n_cycles}")
     if samples_per_phase < 1:
         raise ConfigError(f"samples per phase must be at least 1, got {samples_per_phase}")
+    if max(1 + 2 * n_cycles * samples_per_phase, samples_per_phase) > MAX_TRACE_SAMPLES:
+        raise ConfigError(
+            f"{n_cycles} cycles of 2 x {samples_per_phase} samples are above the bound of {MAX_TRACE_SAMPLES:.0e}"
+        )
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # a clock past the float range is rejected below
         nu = np.asarray(scheme.sample(rng, n_cycles), dtype=float)

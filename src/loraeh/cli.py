@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import os
 import sys
 import time
@@ -39,44 +38,29 @@ _MAX_SIZE = 2**59
 _MAX_BINS = 2**17
 
 
-@functools.cache
 def _spec(cls: type) -> str:
-    """The % field of a cell of type (or array dtype.type) `cls`: floats %.10g,
-    booleans and integers in decimal, anything else str."""
-    if issubclass(cls, (int, np.bool_, np.integer)):
+    """The % field of a column whose dtype.type is `cls`: floats %.10g, booleans
+    and integers in decimal, anything else (text included) its str."""
+    if issubclass(cls, (np.bool_, np.integer)):
         return "%d"
-    return "%.10g" if issubclass(cls, (float, np.floating)) else "%s"
-
-
-def _texts(values: list, lone: bool, mixed: bool = False) -> list[str]:
-    """Cells as csv.writer(lineterminator="\\n") writes their str, or if `mixed` their
-    text by their own type. Each distinct text with a comma, a quote or a newline
-    (not a bare \\r) is quoted once, as is a one-column row's empty field (`lone`).
-    Cells are never compared: 1, True and 1.0 are equal, some cannot be ordered."""
-    texts = list(map(operator.mod, map(_spec, map(type, values)), zip(values)) if mixed else map(str, values))
-    need = [t for t in set(texts) if "," in t or '"' in t or "\n" in t or lone and not t]
-    quoted = {t: '"' + t.replace('"', '""') + '"' for t in need}
-    return list(map(quoted.get, texts, texts)) if quoted else texts
+    return "%.10g" if issubclass(cls, np.floating) else "%s"
 
 
 def _write_csv(path: str, columns: dict) -> None:
-    """Write {header: column} as CSV; columns are equal-length arrays or sequences.
+    """Write {header: column} as unquoted CSV; columns are equal-length arrays or sequences.
     Each block of rows is one % on a row template of one _spec field per column."""
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0]) if arrays else 0
     if any(len(a) != n_rows for a in arrays):
         raise ValueError(f"columns of {path} differ in length: {[len(a) for a in arrays]}")
-    specs = [_spec(a.dtype.type) for a in arrays]
-    template = ",".join(specs) + "\n"
-    lone = len(arrays) == 1
+    template = ",".join(_spec(a.dtype.type) for a in arrays) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_texts(list(columns), lone)) + "\n")
+        fh.write(",".join(columns) + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, n_rows - lo)
             cells = [None] * (rows * len(arrays))  # row-major: column j at j, j + width, ...
-            for j, (a, spec) in enumerate(zip(arrays, specs)):
-                values = a[lo : lo + rows].tolist()
-                cells[j :: len(arrays)] = values if spec != "%s" else _texts(values, lone, a.dtype.kind == "O")
+            for j, a in enumerate(arrays):
+                cells[j :: len(arrays)] = a[lo : lo + rows].tolist()
             fh.write((template * rows) % tuple(cells))
 
 

@@ -104,6 +104,8 @@ def _bands(scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: in
     """
     if n_bins < 1:
         raise ValueError("need at least one bin")
+    if m.retention(airtime) == 0.0:  # the logs below would be -inf and nan
+        raise NumericalError(f"one transmission of {airtime:g} s drains the capacitor to v_limit_on: no chain exists")
     edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # nu_e = tau_off*(log_d[i] - log_n[e]): one log per row and one per edge

@@ -357,21 +357,20 @@ def run_simulation(
             args = (records[ring], h_gens[c], sent[c], snr_floor[c], gains[c], AIRTIMES_S[ring])
             counters["snr_fails"][c], counters["successes"][c] = _ring_outcomes(*args, cfg, overlap, warmup)
 
+    counters["sir_fails"] = counters["attempts"] - counters["successes"] - counters["snr_fails"]
+    # per ring, a sum over its columns, in device index order: another order moves duty_mean's last bits
+    sums = {name: np.array([arr[c].sum() for c in ring_cols]) for name, arr in counters.items()}
     # back to network order: device d sits in column unperm[d]
     unperm = np.argsort(perm)
     counters = {name: arr[unperm] for name, arr in counters.items()}
     if collect_traces:
         traces = [traces[k] for k in unperm]
-    counters["sir_fails"] = counters["attempts"] - counters["successes"] - counters["snr_fails"]
     devices = DeviceStats(ring=rings.copy(), distance=net.distances.copy(), **counters)
-    # one index-order sum per ring and field: a float sum in any other order moves duty_mean's last bits
-    in_ring = [rings == r for r in range(N_RINGS)]
-    sums = {name: np.array([getattr(devices, name)[k].sum() for k in in_ring]) for name in (*COUNTERS, "duty_sum")}
     cycles = sums["cycles"]
     q_hat = _ratio(sums["successes"], cycles)
     return SimReport(
         warmup=warmup,
-        n_devices=np.array([k.sum() for k in in_ring]),
+        n_devices=np.diff(edges),
         **{name: sums[name] for name in COUNTERS},
         energy_avail=_ratio(sums["attempts"], cycles),
         conn_rate=_ratio(sums["successes"], sums["attempts"]),

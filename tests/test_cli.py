@@ -538,6 +538,38 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, bound",
+        [
+            # 4 * 10**8 samples, about 33 GB of arrays
+            (["capacitor-trace", "--cycles", 10**7], "above the bound of 2e+06"),
+            (["capacitor-trace", "--cycles", 0, "--samples-per-phase", 10**9], "above the bound of 2e+06"),
+            # 6 * 10**8 distances, about 17 hours of quadrature
+            (["coverage", "--bins", 100, "--points-per-ring", 10**8], "above the bound of 1e+05"),
+        ],
+        ids=["cycles", "samples-per-phase", "points-per-ring"],
+    )
+    def test_trace_and_coverage_too_large_are_refused(self, tmp_path, args, bound):
+        # refused before any sample is drawn or any distance evaluated
+        out = tmp_path / "big"
+        proc = cli_process(*args, "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ") and bound in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ring", [3, 4, 5, 6])
+    def test_capacitor_drained_by_one_packet(self, tmp_path, ring):
+        # at 1 uF, tau_on is 0.1 ms and exp(-airtime/tau_on) underflows to 0 from SF9 up
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[capacitor]\ncapacitance_f = 1e-6\n")
+        out = tmp_path / "s"
+        proc = cli_process("steady-state", "--ring", ring, "--bins", 300, "--config", cfg, "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical error: one transmission of ") and "drains the capacitor" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["steady-state", "--bins", 2**17 + 1],

@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from loraeh import montecarlo
 from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.config import load_config
@@ -137,8 +138,8 @@ def networks_digest():
 
 
 def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
-    """Per-device counters and duty sums, traces and packet start times of the
-    per-cycle simulator."""
+    """Per-device counters and duty sums, traces, and the device and start time
+    of each packet of the per-cycle simulator, in (cycle, device index) order."""
     n, chunk = net.n_devices, 2048
     m = build_model(cfg, "thevenin")
     airtimes = AIRTIMES_S[net.ring]
@@ -210,7 +211,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
         snr_fail[sub] = ~ok_snr
     out["successes"] = np.bincount(dev[counted & success], minlength=n)
     out["snr_fails"] = np.bincount(dev[counted & snr_fail], minlength=n)
-    return out, [np.array(tr) for tr in traces], start
+    return out, [np.array(tr) for tr in traces], dev, start
 
 
 @pytest.mark.parametrize(
@@ -231,11 +232,11 @@ def test_matches_per_cycle_reference(fig2, scheme, overlap, n_devices, duration,
 def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
     m = build_model(cfg)
     rep = run_simulation(net, cfg, m, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
-    want, traces, start = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
+    want, traces, dev, start = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name
     assert all(np.array_equal(a, b) for a, b in zip(rep.traces, traces))
-    return rep, start
+    return rep, dev, start
 
 
 def assert_tied_starts_match(cfg, overlap, ring_cycle):
@@ -249,9 +250,9 @@ def assert_tied_starts_match(cfg, overlap, ring_cycle):
     net = NetworkRealization(d, rings)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-    rep, start = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
+    rep, dev, start = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
     assert np.unique(start).size < start.size
-    return rep
+    return rep, dev, start
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
@@ -265,8 +266,19 @@ def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2, overl
     """Devices alternate between rings 1, 3 and 4 in index order, with ring 2
     empty between them, so the simulator's grouping of devices by ring is far
     from the index order."""
-    rep = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
+    rep, _, _ = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
     assert rep.n_devices[2] == 0 and (rep.attempts[[1, 3, 4]] > 0).all()
+
+
+def test_record_order_within_a_ring(fig2, monkeypatch):
+    """Each ring's packet starts reach the start sort in the per-cycle order,
+    (cycle, device index), so tied starts are broken as the reference breaks them."""
+    seen = []
+    stable_order = montecarlo._stable_order
+    monkeypatch.setattr(montecarlo, "_stable_order", lambda x: seen.append(x.copy()) or stable_order(x))
+    rep, dev, start = assert_tied_starts_match(fig2.phy, "full", [1, 3, 4])
+    want = [start[rep.devices.ring[dev] == ring] for ring in (1, 3, 4)]
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
@@ -280,7 +292,7 @@ def test_matches_reference_with_heavy_overlap(fig2, overlap):
     cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
     rings = ring_index(d, cfg)
     net = NetworkRealization(d, rings)
-    rep, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
+    rep, _, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
     assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
     s = np.sort(start)
     window = np.arange(s.size) - np.searchsorted(s, s - AIRTIMES_S[ring], "right")
