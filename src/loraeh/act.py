@@ -123,6 +123,6 @@ def plan_cve(
     for sf, airtime in zip(SFS, AIRTIMES_S):
         target = (v_target - m.v_after_full(airtime)) / (m.retention(airtime) * (v_target - m.v_limit_off))
         if not 0.0 < target < 1.0:
-            raise InfeasibleError(f"SF{sf}: required mean decay factor {target:.6f} outside (0, 1)")
+            raise InfeasibleError(f"SF{sf}: required mean decay factor {target:.3g} outside (0, 1)")
         schemes.append(_scheme_for(dist_kind, _mean_nu_for_decay(dist_kind, target, m.tau_off), sf))
     return _plan(schemes, m, cfg, n_bins)

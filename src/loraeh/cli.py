@@ -24,7 +24,7 @@ from . import __version__
 from .capacitor import DEFAULT_BINS, CapacitorModel, build_model, simulate_trajectory
 from .config import RunConfig, load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
-from .geometry import coverage_profile, sample_network
+from .geometry import MAX_COVERAGE_POINTS, coverage_profile, sample_network
 from .montecarlo import COUNTERS, run_simulation
 from .phy import AIRTIMES_S, N_RINGS, SFS
 
@@ -93,6 +93,9 @@ def _load(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if getattr(args, "points_per_ring", 1) < 1:
         raise ConfigError(f"--points-per-ring must be at least 1, got {args.points_per_ring}")
+    if N_RINGS * getattr(args, "points_per_ring", 1) > MAX_COVERAGE_POINTS:  # refused before any chain is solved
+        points = f"{N_RINGS} x {args.points_per_ring} distances"
+        raise ConfigError(f"{points} are above the bound of {MAX_COVERAGE_POINTS:.0e}")
     path = args.config or os.environ.get(ENV_CONFIG) or None
     overrides = {}
     if args.mode:

@@ -16,7 +16,7 @@ from .hypergeom import hyp2f1_special
 from .phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, PhyConfig, collision_fraction, ring_index
 
 MIN_DISTANCE_M = 1.0  # clamp to avoid the path-gain singularity at the gateway
-MAX_COVERAGE_POINTS = 10**5  # distances coverage_profile may evaluate, at about 0.1 ms each
+MAX_COVERAGE_POINTS = 10**5  # distances the CLI lets coverage_profile evaluate, at about 0.1 ms each
 
 
 def path_gain(d: float, cfg: PhyConfig) -> float:
@@ -125,8 +125,6 @@ def coverage_profile(
         raise ValueError(f"need {N_RINGS} per-ring energy availabilities")
     if points_per_ring < 1:
         raise ConfigError(f"points per ring must be at least 1, got {points_per_ring}")
-    if N_RINGS * points_per_ring > MAX_COVERAGE_POINTS:
-        raise ConfigError(f"{N_RINGS} x {points_per_ring} distances are above the bound of {MAX_COVERAGE_POINTS:.0e}")
     p_ring = np.array([collision_fraction(energy_avail[r], scheme, AIRTIMES_S[r]) for r in range(N_RINGS)])
     pieces = []
     for r in range(N_RINGS):

@@ -7,6 +7,12 @@ packet ends, the cycle counts as an energy outage and the packet is neither
 decoded nor does it interfere. Completed packets are checked at the gateway
 against the SNR floor and against summed co-ring interference.
 
+Each ring tests its packets as they arrive (see _RingPass): a packet is
+tested once no later packet can fall in its window, and only the packets
+whose windows are still open are carried to the next test. So a run holds
+a bounded number of packet records, however long it simulates, and its
+outputs are the bits of one pass over the whole run.
+
 Determinism: every device owns two PCG64 streams (charging times and fading),
 spawned from one SeedSequence of the seed in device order, so results are
 bit-identical for a fixed seed regardless of batching.
@@ -25,8 +31,9 @@ from .geometry import NetworkRealization, path_gain
 from .phy import AIRTIMES_S, ChargingScheme, N_RINGS, PhyConfig, SNR_THRESHOLDS
 
 _BLOCK = 256  # cycles drawn and stepped per (block x device) array
-# largest expected number of device-cycles a run may ask for: twice criterion 7's
-# 500 devices over 1e6 s (10**7 cycles: 1.4 s and 232 MiB peak RSS on a 2-vCPU Xeon)
+# largest expected number of device-cycles a run may ask for. It bounds the run's
+# time; the memory does not grow with the cycles. Twice criterion 7's 500 devices
+# over 1e6 s (10**7 cycles: 1.4 s and 56 MiB peak RSS on a 2-vCPU Xeon)
 MAX_DEVICE_CYCLES = 2 * 10**7
 _WALK = 8  # shifted-slice steps of the packet-window walk before it binary-searches
 # the per-device and per-ring counters, in the order of DeviceStats and sim_devices.csv
@@ -91,24 +98,19 @@ def _draw_charging_times(gens, scheme: ChargingScheme, u: np.ndarray) -> None:
         u *= scheme.w
 
 
-def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, ring_cols, duration, warmup, collect_traces):
+def _energy_phase(nu_gens, h_gens, v0, scheme, m, cfg, airtimes, passes, duration, warmup, collect_traces):
     """Charge/transmit cycles of every device until its clock passes `duration`.
 
-    Devices come grouped by ring: the columns of ring r are the slice
-    ring_cols[r]. Returns the per-device counters up to `attempts` (completed
-    packets) and `duty_sum`, keyed by their DeviceStats names; per ring, its
-    completed-packet records as one (device, start, rank) tuple per block, in
-    cycle-major then ascending-device order, where device is the column
-    within the ring and rank numbers each device's packets from 0 in start
-    order (a record is counted if its start is past the warm-up); each
-    device's number of records, counted or not; and the voltage traces.
+    Devices come grouped by ring: `passes` pairs each ring's column slice with
+    its _RingPass, which receives the ring's completed packets block by block
+    and tests them as they become final. Returns the per-device counters up to
+    `attempts` (completed packets) and `duty_sum`, keyed by their DeviceStats
+    names, and the voltage traces.
     """
     n = v0.size
     retention = m.retention(airtimes)
     counts = {name: np.zeros(n, dtype=np.int64) for name in ("cycles", "energy_skips", "attempts")}
     duty_sum = np.zeros(n)
-    records = [[] for _ in ring_cols]
-    sent = np.zeros(n, dtype=np.int32)  # completed packets so far, counted or not
     traces = [[] for _ in range(n)] if collect_traces else None
 
     # Each block is drawn device-major into u, then stepped on step-major
@@ -125,7 +127,8 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, ring_cols, duration, wa
     discharged = np.empty(n)
     air = np.empty(n)
     sub, mul, add = np.subtract, np.multiply, np.add  # the loop below is call-bound
-    while n and t_hist[0].min() < duration:
+    running = n > 0
+    while running:
         _draw_charging_times(nu_gens, scheme, u)
         # transposed in blocks of devices: several times faster than one .T copy
         for i in range(0, n, 64):
@@ -168,25 +171,35 @@ def _energy_phase(nu_gens, v0, scheme, m, cfg, airtimes, ring_cols, duration, wa
         duty[0] += duty_sum
         np.add.accumulate(duty, axis=0, out=duty)
         duty_sum = duty[-1].copy()
-        # every completed packet interferes, counted or not
+        # Every completed packet interferes, counted or not. Each device draws
+        # this block's fading gains from its own stream in packet order, and
+        # a packet takes the one at its rank among the device's in the block.
         within = np.cumsum(done, axis=0, dtype=np.int16)  # at most _BLOCK
-        rank = within + (sent - 1)
-        for blocks, c in zip(records, ring_cols):
-            flat = np.flatnonzero(done[:, c])  # the ring's columns, cycle-major
-            dev = (flat % (c.stop - c.start)).astype(np.int32)
-            blocks.append((dev, start[:, c].ravel()[flat], rank[:, c].ravel()[flat]))
-        sent += within[-1]
+        sent = within[-1]
+        draws = [g.exponential(1.0, k) for g, k in zip(h_gens, sent.tolist()) if k]
+        draws = np.concatenate(draws) if draws else None
+        first = np.cumsum(sent) - sent  # each device's first draw
         if collect_traces:
             for d in range(n):
                 traces[d].append(v_hist[1 : steps + 1, d][active[:, d]])
         v_hist[0] = v_hist[steps]
         t_hist[0] = t_hist[steps]
+        running = t_hist[0].min() < duration
+        for c, ring in passes:
+            flat = np.flatnonzero(done[:, c])  # the ring's columns, cycle-major
+            if flat.size:
+                dev = flat % (c.stop - c.start)
+                h2 = draws[first[c][dev] + within[:, c].ravel()[flat] - 1]
+                ring.add(dev.astype(np.int32), start[:, c].ravel()[flat], h2)
+            # a later packet starts at or after its device's clock
+            if not running or ring.waiting > _BLOCK * (c.stop - c.start):
+                ring.flush(t_hist[0, c].min() if running else np.inf)
 
     # a counted cycle is a skip, an abort or a completed packet
     counts["energy_aborts"] = counts["cycles"] - counts["energy_skips"] - counts["attempts"]
     if collect_traces:
         traces = [np.concatenate(tr) for tr in traces]
-    return {**counts, "duty_sum": duty_sum}, records, sent, traces
+    return {**counts, "duty_sum": duty_sum}, traces
 
 
 def _stable_order(x):
@@ -249,43 +262,91 @@ def _window_edge(s, a, side):
     return edge
 
 
-def _ring_outcomes(blocks, h_gens, sent, snr_floor, gains, tau, cfg, overlap, warmup):
-    """(snr_fails, successes) of each device of one ring, from its record blocks
-    (emptied here), its slices of the per-device arrays and its airtime."""
-    dev, start, rank = (np.concatenate(field) for field in zip(*blocks))
-    blocks.clear()
-    # Fading draws in per-device packet order: device d's draws start at its
-    # offset in `draws`, and its packet of rank r takes the r-th of them.
-    draws = np.concatenate([g.exponential(1.0, k) for g, k in zip(h_gens, sent)])
-    rank += (np.cumsum(sent) - sent).astype(np.int32)[dev]
-    h2 = draws[rank]
-    del draws, rank
-    # the rest runs in start order, which the counts do not depend on
-    order, s = _stable_order(start)
-    del start
-    dev, h2 = dev[order], h2[order]
-    del order
-    counted = s > warmup  # every record's device was active
-    ok = h2 >= snr_floor[dev]
-    snr_fails = np.bincount(dev[counted & ~ok], minlength=sent.size)
-    p = np.multiply(h2, cfg.p_tx, out=h2)  # h2 is not needed again
-    p *= gains[dev]
-    # SIR test; each packet's window is (s - tau, s + tau)
-    lo = _window_edge(s, s - tau, "right")
-    hi = _window_edge(s, s + tau, "left")
-    cp = np.concatenate([[0.0], np.cumsum(p)])
-    if overlap == "full":
-        interference = cp[hi] - cp[lo] - p
-    else:
-        csp = np.concatenate([[0.0], np.cumsum(p * s)])
-        sum_l = cp[:-1] - cp[lo]
-        sum_ls = csp[:-1] - csp[lo]
-        sum_r = cp[hi] - cp[1:]
-        sum_rs = csp[hi] - csp[1:]
-        del cp, csp, lo, hi
-        interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
-    ok &= p >= cfg.sir_threshold * interference
-    return snr_fails, np.bincount(dev[counted & ok], minlength=sent.size)
+def _running_sum(total, x):
+    """[total, total + x[0], (total + x[0]) + x[1], ...]: x's running sum,
+    continued from `total` one addition at a time, as np.cumsum adds."""
+    out = np.empty(x.size + 1)
+    out[0] = total
+    out[1:] = x
+    return np.cumsum(out, out=out)
+
+
+class _RingPass:
+    """The SNR and SIR tests of one ring's packets, run as the packets arrive.
+
+    A packet is tested in the order of its ring's records sorted by start,
+    ties in record order (block, cycle, device), with its interference a
+    difference of running sums over that order, so the bits are those of one
+    pass over the whole run. A record is final once no later packet can fall
+    in its window: every later packet starts at or after the ring's earliest
+    device clock t_min, so `start + tau <= t_min` suffices.
+
+    Each flush sorts its pool: the carried records (already sorted) first,
+    then the new ones in arrival order. It tests the final prefix, and carries
+    the running sums up to its first kept record, the final records that
+    later windows still reach back to, and the records not yet final.
+    """
+
+    def __init__(self, snr_floor, gains, tau, cfg, overlap, warmup):
+        self.snr_floor, self.gains, self.tau = snr_floor, gains, tau
+        self.cfg, self.overlap, self.warmup = cfg, overlap, warmup
+        self.snr_fails, self.successes = np.zeros((2, gains.size), dtype=np.int64)
+        self.blocks = []  # new records, one (device, start, fading gain) tuple per block
+        self.waiting = 0  # records in self.blocks
+        self.carried = (np.empty(0, dtype=np.int32), np.empty(0), np.empty(0))
+        self.tested = 0  # leading carried records, tested before
+        self.sums = (0.0, 0.0)  # running sums of p and p * start before the first carried record
+
+    def add(self, dev, start, h2):
+        self.blocks.append((dev, start, h2))
+        self.waiting += dev.size
+
+    def flush(self, t_min):
+        """Test every record no packet starting at or after t_min can reach."""
+        dev, start, h2 = (np.concatenate(f) for f in zip(self.carried, *self.blocks))
+        self.blocks.clear()
+        self.waiting = 0
+        order, s = _stable_order(start)
+        dev, h2 = dev[order], h2[order]
+        tau, cfg = self.tau, self.cfg
+        end = s + tau
+        final = np.searchsorted(end, t_min, "right")  # window ends at or before t_min
+        if final == self.tested:  # nothing new to test: keep waiting
+            self.carried = dev, s, h2
+            return
+        # the window of a final record holds only records that start by t_min,
+        # and those keep their place in the order whatever arrives later
+        m = np.searchsorted(s, t_min, "right")
+        rows = slice(self.tested, final)
+        p = np.multiply(h2[:m], cfg.p_tx)
+        p *= self.gains[dev[:m]]
+        lo = _window_edge(s[:m], s[:m] - tau, "right")[rows]
+        hi = _window_edge(s[:m], end[:m], "left")[rows]
+        cp = _running_sum(self.sums[0], p)
+        sr = s[rows]
+        if self.overlap == "full":
+            interference = cp[hi] - cp[lo] - p[rows]
+            csp = None
+        else:
+            csp = _running_sum(self.sums[1], p * s[:m])
+            sum_l = cp[rows] - cp[lo]
+            sum_ls = csp[rows] - csp[lo]
+            sum_r = cp[hi] - cp[self.tested + 1 : final + 1]
+            sum_rs = csp[hi] - csp[self.tested + 1 : final + 1]
+            interference = (sum_l - (sr * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - sr * sum_r) / tau)
+        d = dev[rows]
+        counted = sr > self.warmup
+        ok = h2[rows] >= self.snr_floor[d]
+        self.snr_fails += np.bincount(d[counted & ~ok], minlength=self.gains.size)
+        ok &= p[rows] >= cfg.sir_threshold * interference
+        self.successes += np.bincount(d[counted & ok], minlength=self.gains.size)
+        # `after` is the earliest start still to test: no window from there on
+        # reaches a record that starts at or before after - tau
+        after = min(s[final], t_min) if final < s.size else t_min
+        keep = np.searchsorted(s[:final], after - tau, "right")
+        self.sums = cp[keep], (0.0 if csp is None else csp[keep])
+        self.carried = tuple(x[keep:].copy() for x in (dev, s, h2))  # copies: the pool goes
+        self.tested = final - keep
 
 
 def run_simulation(
@@ -343,19 +404,20 @@ def run_simulation(
 
     v_init_lo = min(cfg.v_operating, m.v_limit_off)
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
-    with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
-        counters, records, sent, traces = _energy_phase(
-            nu_gens, v, scheme, m, cfg, AIRTIMES_S[rings[perm]], ring_cols, duration, warmup, collect_traces
-        )
     with np.errstate(divide="ignore"):  # a path gain that underflows to 0 fails every SNR test
         snr_floor = cfg.noise * SNR_THRESHOLDS[rings[perm]] / (cfg.p_tx * gains)
-
-    # one ring at a time, so only one ring's arrays live next to the records
+    passes = [
+        (c, _RingPass(snr_floor[c], gains[c], AIRTIMES_S[ring], cfg, overlap, warmup))
+        for ring, c in enumerate(ring_cols)
+        if c.stop > c.start
+    ]
+    with np.errstate(over="ignore"):  # a clock past the float range is inf, past `duration`
+        counters, traces = _energy_phase(
+            nu_gens, h_gens, v, scheme, m, cfg, AIRTIMES_S[rings[perm]], passes, duration, warmup, collect_traces
+        )
     counters["snr_fails"], counters["successes"] = np.zeros((2, n), dtype=np.int64)
-    for ring, c in enumerate(ring_cols):
-        if sent[c].any():  # the ring has devices and completed packets
-            args = (records[ring], h_gens[c], sent[c], snr_floor[c], gains[c], AIRTIMES_S[ring])
-            counters["snr_fails"][c], counters["successes"][c] = _ring_outcomes(*args, cfg, overlap, warmup)
+    for c, ring in passes:
+        counters["snr_fails"][c], counters["successes"][c] = ring.snr_fails, ring.successes
 
     counters["sir_fails"] = counters["attempts"] - counters["successes"] - counters["snr_fails"]
     # per ring, a sum over its columns, in device index order: another order moves duty_mean's last bits

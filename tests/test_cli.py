@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,30 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error: ") and bound in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_too_many_coverage_points_are_refused_before_any_chain(self, tmp_path):
+        # at 40 mF with Weibull k = 0.5, the six chains at 2**17 bins take about 40 s
+        cfg = tmp_path / "slow.ini"
+        cfg.write_text("[capacitor]\ncapacitance_f = 0.04\n\n[scheme]\nk = 0.5\n")
+        out = tmp_path / "big"
+        t0 = time.perf_counter()
+        proc = cli_process("coverage", "--points-per-ring", 10**8, "--bins", 2**17, "--config", cfg, "--out", out)
+        assert time.perf_counter() - t0 < 10.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ") and "above the bound of 1e+05" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_infeasible_decay_factor_prints_short(self, tmp_path):
+        # at 1 uF one SF7 packet nearly drains the capacitor: CVE would need a
+        # mean decay factor of about -2.5e137, which %.6f prints in 140 digits
+        cfg = tmp_path / "small.ini"
+        cfg.write_text("[capacitor]\ncapacitance_f = 1e-6\n")
+        out = tmp_path / "plan"
+        proc = cli_process("act-plan", "--act", "cve", "--bins", 100, "--config", cfg, "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr == "infeasible: SF7: required mean decay factor -2.53e+137 outside (0, 1)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("ring", [3, 4, 5, 6])

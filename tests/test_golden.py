@@ -138,8 +138,9 @@ def networks_digest():
 
 
 def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
-    """Per-device counters and duty sums, traces, and the device and start time
-    of each packet of the per-cycle simulator, in (cycle, device index) order."""
+    """Per-device counters and duty sums, traces, the device and start time of
+    each packet of the per-cycle simulator, in (cycle, device index) order,
+    and per ring the running sum of its received powers in start order."""
     n, chunk = net.n_devices, 2048
     m = build_model(cfg, "thevenin")
     airtimes = AIRTIMES_S[net.ring]
@@ -190,6 +191,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
     h2[order] = np.concatenate([np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, counts)])
     success = np.zeros(dev.size, dtype=bool)
     snr_fail = np.zeros(dev.size, dtype=bool)
+    running_sums = {}
     for ring in range(N_RINGS):
         idx = np.flatnonzero(net.ring[dev] == ring)
         sub = idx[np.argsort(start[idx], kind="stable")]
@@ -198,7 +200,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
         tau = AIRTIMES_S[ring]
         lo = np.searchsorted(s, s - tau, side="right")
         hi = np.searchsorted(s, s + tau, side="left")
-        cp = np.concatenate([[0.0], np.cumsum(pw)])
+        cp = running_sums[ring] = np.concatenate([[0.0], np.cumsum(pw)])
         if overlap == "full":
             interference = cp[hi] - cp[lo] - pw
         else:
@@ -211,7 +213,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
         snr_fail[sub] = ~ok_snr
     out["successes"] = np.bincount(dev[counted & success], minlength=n)
     out["snr_fails"] = np.bincount(dev[counted & snr_fail], minlength=n)
-    return out, [np.array(tr) for tr in traces], dev, start
+    return out, [np.array(tr) for tr in traces], dev, start, running_sums
 
 
 @pytest.mark.parametrize(
@@ -232,11 +234,11 @@ def test_matches_per_cycle_reference(fig2, scheme, overlap, n_devices, duration,
 def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
     m = build_model(cfg)
     rep = run_simulation(net, cfg, m, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
-    want, traces, dev, start = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
+    want, traces, dev, start, running_sums = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name
     assert all(np.array_equal(a, b) for a, b in zip(rep.traces, traces))
-    return rep, dev, start
+    return rep, dev, start, running_sums
 
 
 def assert_tied_starts_match(cfg, overlap, ring_cycle):
@@ -250,9 +252,9 @@ def assert_tied_starts_match(cfg, overlap, ring_cycle):
     net = NetworkRealization(d, rings)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-    rep, dev, start = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
+    rep, dev, start, running_sums = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
     assert np.unique(start).size < start.size
-    return rep, dev, start
+    return rep, running_sums
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
@@ -266,19 +268,45 @@ def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2, overl
     """Devices alternate between rings 1, 3 and 4 in index order, with ring 2
     empty between them, so the simulator's grouping of devices by ring is far
     from the index order."""
-    rep, _, _ = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
+    rep, _ = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
     assert rep.n_devices[2] == 0 and (rep.attempts[[1, 3, 4]] > 0).all()
 
 
+@pytest.mark.parametrize("overlap", ["full", "fractional"])
+def test_matches_reference_with_tied_starts_across_flushes(fig2, monkeypatch, overlap):
+    """At 7-cycle blocks the ring is tested in three flushes, and each carries
+    the last cycle's records, runs of tied starts among them, into the next
+    one, whose sort must keep their order; the output is still the reference's."""
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    assert_tied_starts_match(fig2.phy, overlap, [0])
+
+
 def test_record_order_within_a_ring(fig2, monkeypatch):
-    """Each ring's packet starts reach the start sort in the per-cycle order,
-    (cycle, device index), so tied starts are broken as the reference breaks them."""
+    """Each ring's records enter the interference prefix sum by start, ties
+    in (cycle, device index) order, as the per-cycle reference adds them:
+    every running sum the simulator takes, flush by flush, is a run of its
+    ring's reference sum, bit for bit, and together they cover it."""
     seen = []
-    stable_order = montecarlo._stable_order
-    monkeypatch.setattr(montecarlo, "_stable_order", lambda x: seen.append(x.copy()) or stable_order(x))
-    rep, dev, start = assert_tied_starts_match(fig2.phy, "full", [1, 3, 4])
-    want = [start[rep.devices.ring[dev] == ring] for ring in (1, 3, 4)]
-    assert [x.tobytes() for x in seen] == [x.tobytes() for x in want]
+    running_sum = montecarlo._running_sum
+    monkeypatch.setattr(montecarlo, "_running_sum", lambda total, x: seen.append(running_sum(total, x)) or seen[-1])
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    _, running_sums = assert_tied_starts_match(fig2.phy, "full", [1, 3, 4])
+    want = {ring: running_sums[ring] for ring in (1, 3, 4)}
+    covered = {ring: np.zeros(cp.size, dtype=bool) for ring, cp in want.items()}
+    flushes = dict.fromkeys(want, 0)
+    for got in seen:
+        runs = [
+            (ring, i)
+            for ring, cp in want.items()
+            for i in np.flatnonzero(cp == got[0])
+            if np.array_equal(cp[i : i + got.size], got)
+        ]
+        assert len(runs) == 1
+        ring, i = runs[0]
+        covered[ring][i : i + got.size] = True
+        flushes[ring] += 1
+    assert all(c.all() for c in covered.values())
+    assert sum(flushes.values()) > len(flushes)  # a ring is tested in several flushes
 
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
@@ -292,7 +320,7 @@ def test_matches_reference_with_heavy_overlap(fig2, overlap):
     cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
     rings = ring_index(d, cfg)
     net = NetworkRealization(d, rings)
-    rep, _, start = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
+    rep, _, start, _ = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
     assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
     s = np.sort(start)
     window = np.arange(s.size) - np.searchsorted(s, s - AIRTIMES_S[ring], "right")

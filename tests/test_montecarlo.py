@@ -195,6 +195,23 @@ class TestMemory:
         assert packets > 2000 * net.n_devices
         assert peak < 40 * packets
 
+    def test_peak_does_not_grow_with_duration(self, fig2, ud):
+        """Each ring tests its records as they become final, so ten times the
+        duration leaves the traced peak where it was (4.3 and 4.7 MiB for
+        150 devices over 1e5 and 1e6 s). Records kept until the energy loop
+        ended made the longer run's peak about 7 times the shorter's."""
+        net = sample_network(fig2.phy, seed=0, n_devices=150)
+        m = build_model(fig2.phy)
+        peaks = []
+        for duration in (1e5, 1e6):
+            tracemalloc.start()
+            try:
+                run_simulation(net, fig2.phy, m, ud, duration=duration, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 class TestEnergyBookkeeping:
     def test_standalone_replay_matches(self, fig2, ud):
