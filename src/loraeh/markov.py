@@ -9,18 +9,20 @@ discretization), which converges to the true stationary law as the grid
 refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins,
-whose ends are nondecreasing down the rows. No chain forms the matrix: a
-TransitionMatrix holds the band ends and P^T as a LinearOperator. A product
-with P^T takes a few vector operations of length n_bins for the uniform
-scheme, at most log2(n_bins) more for the exponential one (Weibull k = 1),
-and for any other Weibull shape a kernel sum that interpolates the survival
-function on Chebyshev points away from nu = 0 and keeps the cells near it.
-The stationary law is the eigenvector of P^T for the eigenvalue 1. It is
-unique only when the chain has one closed class, which is read from the band
-ends; a grid too coarse for one cycle's change of voltage can split the
-chain into several, and the solve then raises NumericalError. Grids of up to
-DENSE_BINS bins are solved by dense LU on P^T applied to the identity, finer
-ones by one implicitly restarted Arnoldi solve (ARPACK).
+whose ends are nondecreasing down the rows. A TransitionMatrix holds the
+band ends and P^T as a LinearOperator. Up to DENSE_BINS bins that operator
+is the dense matrix of the cells. Above it no chain forms the matrix: a
+product with P^T takes a few vector operations of length n_bins for the
+uniform scheme, at most log2(n_bins) more for the exponential one (Weibull
+k = 1), and for any other Weibull shape a kernel sum that interpolates the
+survival function on Chebyshev points away from nu = 0 and keeps the cells
+near it. The stationary law is the left eigenvector of P for the eigenvalue
+1. It is unique only when the chain has one closed class, which is read from
+the band ends; a grid too coarse for one cycle's change of voltage can split
+the chain into several, and the solve then raises NumericalError. Up to
+DENSE_BINS bins GTH elimination on the closed class finds the law, every
+entry to working relative accuracy; above it one implicitly restarted
+Arnoldi solve (ARPACK).
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .capacitor import DEFAULT_BINS, CapacitorModel
 from .errors import NumericalError
 from .phy import ChargingScheme
 
-DENSE_BINS = 300  # largest grid solved by dense LU; ARPACK is the faster one above it
+DENSE_BINS = 300  # largest grid kept as a dense matrix and solved by GTH elimination
 
 
 @dataclass(frozen=True)
@@ -218,31 +220,54 @@ def _law(u: np.ndarray, recurrent: np.ndarray, pt, bin_edges: np.ndarray) -> Sta
     return StationaryDistribution(bin_edges=bin_edges, probabilities=u)
 
 
+def _gth(p: np.ndarray, first: np.ndarray, after: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
+    """The stationary law of the closed class of the dense P, 0 elsewhere, by GTH elimination.
+
+    The bins of the class are eliminated from the top down, each folded into
+    the bins that reach it, and the law is read back from the lowest bin up
+    (Grassmann, Taksar & Heyman 1985). No step subtracts, so every entry
+    comes to working relative accuracy (O'Cinneide 1993). Folding bin i keeps
+    the band shape, so its rank-1 update touches only the rows whose band
+    ends above i and the columns of its own band. The law is rescaled by
+    powers of 2 as it is read back, and entries below the normal double range
+    come out as 0.
+    """
+    lo = int(np.argmax(recurrent))
+    k = np.count_nonzero(recurrent)
+    a = p[lo : lo + k, lo : lo + k].copy()
+    # row i of the class reaches the columns from left_i on; column i is reached from the rows from reach_i on
+    left = np.maximum(first[lo : lo + k] - 1, 0) - lo
+    reach = np.searchsorted(after[lo : lo + k] - lo, np.arange(k), side="right")
+    for i in range(k - 1, 0, -1):
+        rows, cols = slice(reach[i], i), slice(left[i], i)
+        a[rows, i] /= a[i, cols].sum()
+        a[rows, cols] += a[rows, i, None] * a[i, cols]
+    u = np.zeros(p.shape[0])
+    law = u[lo : lo + k]
+    law[0] = 1.0
+    for i in range(1, k):
+        law[i] = law[reach[i] : i] @ a[reach[i] : i, i]
+        if law[i] > 1.0:
+            law[: i + 1] = np.ldexp(law[: i + 1], -math.frexp(law[i])[1])
+    u /= u.sum()
+    u[u < np.finfo(float).tiny] = 0.0  # a subnormal entry carries fewer digits
+    return u
+
+
 def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> StationaryDistribution:
     """Left fixed point u = u P of the chain, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
     no transition leaves), read from the band ends (_recurrent_bins); more
-    than one raises NumericalError. Grids of up to DENSE_BINS bins solve
-    u (I - P) = 0, sum(u) = 1 exactly by dense LU on P^T applied to the
-    identity. Finer ones take the eigenvector of P^T for the eigenvalue 1
-    (_arnoldi). Bins outside the closed class are transient and get exactly 0.
+    than one raises NumericalError. Grids of up to DENSE_BINS bins read P
+    as P^T applied to the identity and solve it by GTH elimination (_gth).
+    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi).
+    Bins outside the closed class are transient and get exactly 0.
     """
     n, pt = tm.n_bins, tm.transpose
     recurrent = _recurrent_bins(tm.first, tm.after)
     if n <= DENSE_BINS:
-        # (I - P^T) u = 0 with its last row replaced by sum(u) = 1; LAPACK is called
-        # directly, so an ill-conditioned system raises here and scipy emits no LinAlgWarning
-        a = np.eye(n) - pt @ np.eye(n)
-        a[-1] = 1.0
-        lu, piv, info = linalg.lapack.dgetrf(a)
-        rcond = linalg.lapack.dgecon(lu, np.abs(a).sum(axis=0).max(), norm="1")[0] if info == 0 else 0.0
-        if not rcond >= np.finfo(float).eps:
-            raise NumericalError(
-                f"the {n}-bin chain's stationary law is singular to working precision (reciprocal condition "
-                f"number {rcond:.2g}): it is too close to having several closed classes"
-            )
-        u = linalg.lapack.dgetrs(lu, piv, np.eye(n)[-1])[0]
+        u = _gth((pt @ np.eye(n)).T, tm.first, tm.after, recurrent)
     else:
         u = _arnoldi(pt, max_iter)
     return _law(u, recurrent, pt, tm.bin_edges)
@@ -254,9 +279,11 @@ def build_transition_matrix(
     """The chain over n_bins equal voltage bins spanning the two rest levels, P^T as a LinearOperator.
 
     Cell (i, j) is the probability that one cycle of the given airtime maps
-    the centre of bin i into bin j. With w = x / rowsum, (P^T x)_j is the sum
-    of w_i (S_ij - S_i,j+1) over the rows whose band holds column j, S_ie
-    being the survival at edge e in row i (see _bands). A row's first cell, in column first - 1, is 1 - S at
+    the centre of bin i into bin j, S_ij - S_i,j+1 with S_ie the survival at
+    edge e in row i (see _bands), over the row's sum. Up to DENSE_BINS bins
+    P^T holds those cells, evaluated on the whole grid. Above it no cell is
+    stored: with w = x / rowsum, (P^T x)_j is the sum of w_i (S_ij -
+    S_i,j+1) over the rows whose band holds column j. A row's first cell, in column first - 1, is 1 - S at
     edge first. Past it both edges of a cell lie on the row's ramp 0 < S < 1,
     where
     - uniform: S is linear in nu, so every such cell of column j is the same
@@ -277,6 +304,11 @@ def build_transition_matrix(
     """
     edges, log_d, log_n, surv, first, after = _bands(scheme, airtime, m, n_bins)
     n = n_bins
+    if n <= DENSE_BINS:
+        s = surv(log_d[:, None], np.arange(n + 1))
+        cells = s[:, :-1] - s[:, 1:]  # 0 off each band: S is 1 on both edges, or 0
+        pt = sparse_linalg.aslinearoperator((cells / cells.sum(axis=1, keepdims=True)).T)
+        return TransitionMatrix(bin_edges=edges, first=first, after=after, transpose=pt)
     head_col = np.maximum(first - 1, 0)
     s_first = surv(log_d, first)  # first <= n_bins: S is 0 at the top edge
     head = np.where(first > 0, 1.0 - s_first, 0.0)

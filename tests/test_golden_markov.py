@@ -2,13 +2,14 @@
 
 `reference_transition_matrix` and `reference_stationary` are a dense builder
 and solver: the same per-cell mass formula is evaluated on every cell of the
-grid, and the stationary law is the exact solution of u (I - P) = 0, sum(u) =
-1 by dense LU. `closed_classes` counts the closed classes of a matrix from
-its graph. They are the only oracle of the chain: its bands must hold every
-nonzero cell, its product with P^T must match the dense one, and its solve
-(dense LU up to 300 bins, Arnoldi above) must land on the same stationary
-vector up to rounding for the uniform, exponential and other Weibull chains,
-at every grid size. The CSV digests were
+grid, and the stationary law solves u (I - P) = 0, sum(u) = 1 by dense LU on
+the one closed class and is 0 on every other bin. `closed_classes` counts
+the closed classes of a matrix from its graph. They are the only oracle of
+the chain: its bands must hold every nonzero cell, its product with P^T must
+match the dense one, and its solve (GTH elimination up to 300 bins, Arnoldi
+above) must land on the same stationary vector up to rounding for the
+uniform, exponential and other Weibull chains, at every grid size, or raise
+where the chain has several closed classes. The CSV digests were
 recorded at the default configuration; like those of `test_golden.py` they
 depend on numpy's vectorized log, exp and power kernels, and through ARPACK
 on the BLAS kernels. `python
@@ -37,7 +38,7 @@ from loraeh.markov import build_transition_matrix, stationary_distribution, stea
 from loraeh.phy import ChargingScheme
 
 BINS = 1000
-COARSE_BINS = (300, 60, 37, 2, 1)  # grids solved by dense LU
+COARSE_BINS = (300, 60, 37, 2, 1)  # grids solved by GTH elimination
 AIRTIMES = (0.0366, 0.204, 0.682)  # SF7, SF10, SF12
 SCHEMES = {
     "uniform": ChargingScheme.uniform(0.0, 100.0),
@@ -91,13 +92,18 @@ def reference_transition_matrix(scheme, airtime, m, n_bins):
 
 
 def reference_stationary(mat):
-    """The exact stationary law: (I - P^T) u = 0 with its last row replaced by sum(u) = 1, by dense LU."""
-    n = mat.shape[0]
-    a = np.eye(n) - mat.T
+    """The stationary law of a matrix with one closed class: on the class, (I - P^T) u = 0 with its
+    last row replaced by sum(u) = 1, by dense LU; 0 on the transient bins."""
+    count, closed = closed_classes(mat)
+    assert count == 1
+    k = np.count_nonzero(closed)
+    a = np.eye(k) - mat[np.ix_(closed, closed)].T
     a[-1] = 1.0
-    b = np.zeros(n)
+    b = np.zeros(k)
     b[-1] = 1.0
-    return np.linalg.solve(a, b)
+    u = np.zeros(mat.shape[0])
+    u[closed] = np.linalg.solve(a, b)
+    return u
 
 
 def closed_classes(mat):
@@ -131,14 +137,12 @@ def test_matches_dense_reference(fig2, scheme, capacitance, airtime, n_bins):
     assert np.array_equal(dense != 0.0, ~outside_band(tm))
     x = np.random.default_rng(n_bins).standard_normal(n_bins)
     assert np.abs(tm.transpose @ x - dense.T @ x).max() <= 1e-15 * np.abs(x).sum()
-    try:
-        sd = stationary_distribution(tm)
-    except NumericalError:
-        # only where the reference has several closed classes or a system singular to working precision
-        a = np.eye(n_bins) - dense.T
-        a[-1] = 1.0
-        assert closed_classes(dense)[0] > 1 or 1.0 / np.linalg.cond(a, 1) < np.finfo(float).eps
+    count = closed_classes(dense)[0]
+    if count > 1:
+        with pytest.raises(NumericalError, match=f"the chain has {count} closed classes"):
+            stationary_distribution(tm)
         return
+    sd = stationary_distribution(tm)
     assert 0.5 * np.abs(sd.probabilities - reference_stationary(dense)).sum() <= 1e-13
 
 
@@ -161,7 +165,7 @@ def test_near_reducible_chain_matches_dense_reference(fig2):
     tm = build_transition_matrix(scheme, 0.365, m, n_bins=60)
     start = time.perf_counter()
     sd = stationary_distribution(tm)
-    assert time.perf_counter() - start < 0.1  # a dense LU; ARPACK took over a second here
+    assert time.perf_counter() - start < 0.1  # GTH elimination; ARPACK took over a second here
     exact = reference_stationary(reference_transition_matrix(scheme, 0.365, m, 60))
     assert 0.5 * np.abs(sd.probabilities - exact).sum() <= 1e-13
 

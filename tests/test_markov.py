@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +77,36 @@ def band_chain(mat):
     return TransitionMatrix(bin_edges=np.linspace(0, 1, n + 1), first=first, after=after, transpose=pt)
 
 
+def gth_40_digits(mat):
+    """The stationary law of an irreducible stochastic matrix, as mpmath numbers: GTH elimination
+    (Grassmann, Taksar & Heyman 1985) at 40 digits, skipping the zero cells."""
+    k = mat.shape[0]
+    with mpmath.workdps(40):
+        a = [[mpmath.mpf(x) for x in row] for row in mat.tolist()]
+        for i in range(k - 1, 0, -1):
+            cols = [c for c in range(i) if a[i][c]]
+            total = mpmath.fsum(a[i][c] for c in cols)
+            for r in range(i):
+                if a[r][i]:
+                    a[r][i] /= total
+                    for c in cols:
+                        a[r][c] += a[r][i] * a[i][c]
+        law = [mpmath.mpf(1)]
+        for i in range(1, k):
+            law.append(mpmath.fsum(law[r] * a[r][i] for r in range(i) if a[r][i]))
+        total = mpmath.fsum(law)
+        return [x / total for x in law]
+
+
+# the near-reducible chains of TestStationary: one closed class whose 8 to 37 bins are
+# linked only by tail probabilities, so that its law spans hundreds of decades
+NEAR_REDUCIBLE = [
+    pytest.param(ChargingScheme.weibull(1.31, 9.03), 0.18, 0.365, 37, id="weibull-1.31-0.18-0.365-37"),
+    pytest.param(ChargingScheme.weibull(2.0, 50.0), 1.0, 0.372, 200, id="weibull-2-1.0-0.372-200"),
+    pytest.param(ChargingScheme.weibull(2.0, 50.0), 0.18, 0.113, 100, id="weibull-2-0.18-0.113-100"),
+]
+
+
 class TestTransitionMatrix:
     def test_single_state(self, ud, model):
         tm = build_transition_matrix(ud, 0.204, model, n_bins=1)
@@ -139,16 +170,47 @@ class TestStationary:
         dense = reference_transition_matrix(ud, 0.204, model, 2000)
         assert np.abs(sd.probabilities @ dense - sd.probabilities).max() < 1e-10
 
-    def test_nonconvergence_raises(self, fig2):
-        # one closed class whose bins are linked only by tail probabilities: in
-        # floating point its next eigenvalues are 1 too, and no solve can separate
-        # them; this grid takes the dense LU, whose system is singular to working precision
-        tm = TestChainProperties.chain(fig2, ChargingScheme.weibull(1.31, 9.03), 0.18, 0.365, 37)
+    @pytest.mark.parametrize("scheme, capacitance, airtime, n_bins", NEAR_REDUCIBLE)
+    def test_near_reducible_law_holds_every_entry(self, fig2, scheme, capacitance, airtime, n_bins):
+        # the law's smallest entries reach 8.7e-295; GTH elimination never subtracts, so
+        # each entry comes to working relative accuracy, and those below the normal
+        # double range are 0
+        tm = TestChainProperties.chain(fig2, scheme, capacitance, airtime, n_bins)
         assert tm.n_bins <= DENSE_BINS
-        start = time.perf_counter()
-        with pytest.raises(NumericalError, match="singular to working precision"):
-            stationary_distribution(tm, max_iter=3000)
-        assert time.perf_counter() - start < 0.1
+        u = stationary_distribution(tm).probabilities
+        p = rows(tm)
+        _, closed = closed_classes(p)
+        assert np.all(u[~closed] == 0.0)
+        exact = gth_40_digits(p[np.ix_(closed, closed)])
+        assert min(exact) < np.finfo(float).tiny < max(exact)
+        for got, want in zip(u[closed].tolist(), exact):
+            assert abs(got - want) <= 1e-14 * want if want >= np.finfo(float).tiny else got == 0.0
+
+    @pytest.mark.parametrize("label", ["ud", "wd"])
+    def test_coarse_default_laws_hold_every_entry(self, model, ud, wd, steady_cache, label):
+        # every SF at DENSE_BINS bins: with P >= 0, uP takes no subtraction, so each
+        # positive entry's residual is held relative to the entry itself
+        scheme = {"ud": ud, "wd": wd}[label]
+        for airtime in AIRTIMES_S:
+            u = steady_cache(label, airtime, n_bins=DENSE_BINS).probabilities
+            dense = reference_transition_matrix(scheme, airtime, model, DENSE_BINS)
+            held = u > 0.0
+            assert np.all(np.abs(u @ dense - u)[held] <= 1e-13 * u[held])
+
+    @pytest.mark.parametrize(
+        "label, airtime, exact",
+        [
+            pytest.param("ud", AIRTIMES_S[0], 4.8118370535215052315e-26, id="ud-SF7"),
+            pytest.param("ud", AIRTIMES_S[1], 1.4737155690806164833e-11, id="ud-SF8"),
+            pytest.param("wd", AIRTIMES_S[0], 8.0896634322481456914e-20, id="wd-SF7"),
+            pytest.param("wd", AIRTIMES_S[1], 2.1806635982998445551e-8, id="wd-SF8"),
+        ],
+    )
+    def test_coarse_default_tails(self, fig2, steady_cache, label, airtime, exact):
+        # the SF7 and SF8 outages at DENSE_BINS bins, far below the law's largest
+        # entries, against gth_40_digits on the closed class of the same cells (1-2 s each)
+        outage = steady_cache(label, airtime, n_bins=DENSE_BINS).outage(fig2.phy.v_operating)
+        assert outage > 0.0 and abs(outage - exact) <= 1e-12 * exact
 
     def test_arnoldi_nonconvergence_raises(self, fig2, monkeypatch):
         # the same kind of chain on a grid above DENSE_BINS: ARPACK runs out of
@@ -327,11 +389,13 @@ class TestChainProperties:
         tm = self.chain(fig2, scheme, capacitance, airtime, n_bins)
         try:
             sd = stationary_distribution(tm, max_iter=3000)
-        except NumericalError:
+        except NumericalError as exc:
             # on a grid too coarse for one cycle's change of voltage the chain
-            # can have several closed classes, or one whose bins are linked
-            # only by tail probabilities, with a spectral gap of 1e-6 or
-            # below: the solve must then raise, not return
+            # can have several closed classes. Above DENSE_BINS its one closed
+            # class can also have bins linked only by tail probabilities, with
+            # a spectral gap of 1e-6 or below, and the Arnoldi solve must then
+            # raise, not return; GTH elimination solves every such chain
+            assert n_bins > DENSE_BINS or str(exc).startswith("the chain has")
             return
         assert np.all(sd.probabilities >= 0.0) and abs(sd.probabilities.sum() - 1.0) <= 1e-12
         volts = np.linspace(tm.bin_edges[0] - 0.1, tm.bin_edges[-1] + 0.1, 101)
@@ -352,8 +416,9 @@ class TestChainProperties:
         for airtime in airtimes:
             try:
                 sd = stationary_distribution(self.chain(fig2, scheme, capacitance, airtime, n_bins), max_iter=3000)
-            except NumericalError:
-                return  # as in test_stationary_law_and_outage
+            except NumericalError as exc:  # as in test_stationary_law_and_outage
+                assert n_bins > DENSE_BINS or str(exc).startswith("the chain has")
+                return
             outages.append(sd.outage(fig2.phy.v_operating))
         assert outages[0] <= outages[1] + 1e-15
 

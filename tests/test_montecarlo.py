@@ -351,3 +351,51 @@ class TestStableOrder:
         want = np.argsort(x, kind="stable")
         assert np.array_equal(order, want)
         assert np.array_equal(xs, x[want])
+
+
+class TestRingPass:
+    @pytest.mark.parametrize("overlap", ["full", "fractional"])
+    def test_ties_split_by_a_flush_keep_record_order(self, fig2, monkeypatch, overlap):
+        """A run of equal starts split between carried and new records is tested
+        carried first, so a flush at t_min and one at inf over the rest take the
+        same tallies and running-sum inputs, bit for bit, as one flush at inf."""
+        seen = []
+        running_sum = montecarlo._running_sum
+        monkeypatch.setattr(
+            montecarlo, "_running_sum", lambda total, x: seen.append((total, x.copy())) or running_sum(total, x)
+        )
+        # (device, start) in arrival order; tau = 1, and the second block starts at or after t_min = 2.5
+        blocks = [
+            ([0, 1, 2, 3, 0, 1, 2], [0.2, 1.2, 2.0, 3.0, 3.0, 5.0, 3.0]),
+            ([3, 0, 1, 2], [3.0, 3.0, 4.0, 5.0]),
+        ]
+        h2 = np.random.default_rng(3).exponential(size=11)
+        records = [
+            (np.array(dev, dtype=np.int32), np.array(start), h2[:7] if i == 0 else h2[7:])
+            for i, (dev, start) in enumerate(blocks)
+        ]
+        gains = np.array([1.0, 0.5, 0.25, 0.125])
+
+        def ring_pass(t_min):
+            ring = montecarlo._RingPass(np.full(4, 0.2), gains, 1.0, fig2.phy, overlap, 0.0)
+            ring.add(*records[0])
+            if t_min < math.inf:
+                ring.flush(t_min)
+                assert ring.tested > 0 and 3.0 in ring.carried[1]  # ties of the second block's records
+            ring.add(*records[1])
+            ring.flush(math.inf)
+            return ring
+
+        one = ring_pass(math.inf)
+        whole = list(seen)
+        seen.clear()
+        split = ring_pass(2.5)
+        assert np.array_equal(split.snr_fails, one.snr_fails) and np.array_equal(split.successes, one.successes)
+        sent = np.bincount(np.concatenate([dev for dev, _ in blocks]))
+        assert one.snr_fails.any() and one.successes.any() and (one.snr_fails + one.successes < sent).any()
+        per_flush = len(whole)  # running sums per flush: p, and p * start if fractional
+        assert len(seen) == 2 * per_flush
+        for k, (total, x) in enumerate(seen):
+            _, want = whole[k % per_flush]
+            at = 0 if k < per_flush else want.size - x.size  # the first flush starts at 0, the last ends at the end
+            assert total == running_sum(0.0, want)[at] and np.array_equal(x, want[at : at + x.size])
