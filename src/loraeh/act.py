@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .capacitor import DEFAULT_BINS, CapacitorModel, estimate_mean_voltage
 from .errors import ConfigError, InfeasibleError, NumericalError
@@ -91,16 +90,20 @@ def plan_cdc(
 
 
 def _mean_nu_for_decay(dist_kind: str, target: float, tau_charge: float) -> float:
-    """The mean charging time E[nu] whose E[exp(-nu/tau)] is target, in closed form.
+    """The mean charging time E[nu] whose E[exp(-nu/tau)] is target.
 
-    Exponential of scale w: E[nu] = w = tau * (1 - target) / target.
-    Uniform on [0, b]: (1 - e^-y) / y = target with y = b / tau, solved by the
-    principal Lambert W branch (the other real branch gives the root y = 0),
-    and E[nu] = b / 2.
+    Exponential of scale w: E[nu] = w = tau * (1 - target) / target, in closed form.
+    Uniform on [0, b]: (1 - e^-y) / y = target with y = b / tau, and E[nu] = b / 2.
+    The root is the positive zero of f(y) = 1 - e^-y - target*y, which is
+    concave; Newton's method from y = 1/target, where f < 0 and f' < 0, stays
+    above the root and decreases to it. It stops once an iterate no longer
+    decreases, so it ends on any rounding.
     """
     if dist_kind == "uniform":
-        w = float(lambertw(-math.exp(-1.0 / target) / target).real)
-        return tau_charge * (1.0 / target + w) / 2.0
+        y, last = 1.0 / target, math.inf
+        while y < last:
+            y, last = y - (-math.expm1(-y) - target * y) / (math.exp(-y) - target), y
+        return tau_charge * last / 2.0
     return tau_charge * (1.0 - target) / target
 
 

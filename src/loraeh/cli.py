@@ -113,7 +113,7 @@ def _scheme_pair(run: RunConfig):
 # Each cmd_* computes its subcommand's outputs as {csv name: {header: column}},
 # in the order the manifest lists them; main writes them.
 # The chain's subcommands import markov and act in their bodies, so a run
-# that solves no chain loads no scipy.
+# that solves no chain does not load them.
 
 
 def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:

@@ -10,29 +10,28 @@ refines.
 
 Each row of that matrix is nonzero on one contiguous band of target bins,
 whose ends are nondecreasing down the rows. A TransitionMatrix holds the
-band ends and P^T as a LinearOperator. Up to DENSE_BINS bins that operator
-is the dense matrix of the cells. Above it no chain forms the matrix: a
-product with P^T takes a few vector operations of length n_bins for the
-uniform scheme, at most log2(n_bins) more for the exponential one (Weibull
-k = 1), and for any other Weibull shape a kernel sum that interpolates the
-survival function on Chebyshev points away from nu = 0 and keeps the cells
-near it. The stationary law is the left eigenvector of P for the eigenvalue
+band ends and P^T as a function x -> P^T x. Up to DENSE_BINS bins that
+function is the product with the dense matrix of the cells. Above it no
+chain forms the matrix: a product with P^T takes a few vector operations of
+length n_bins for the uniform scheme, at most log2(n_bins) more for the
+exponential one (Weibull k = 1), and for any other Weibull shape a kernel
+sum that interpolates the survival function on Chebyshev points away from
+nu = 0 and keeps the cells near it. The stationary law is the left eigenvector of P for the eigenvalue
 1. It is unique only when the chain has one closed class, which is read from
 the band ends; a grid too coarse for one cycle's change of voltage can split
 the chain into several, and the solve then raises NumericalError. Up to
 DENSE_BINS bins GTH elimination on the closed class finds the law, every
-entry to working relative accuracy; above it one implicitly restarted
-Arnoldi solve (ARPACK).
+entry to working relative accuracy; above it Arnoldi with thick restarts,
+in numpy. Only the kernel sum loads scipy, for its block sparse matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from .capacitor import DEFAULT_BINS, CapacitorModel
 from .errors import NumericalError
@@ -65,7 +64,7 @@ class TransitionMatrix:
     bin_edges: np.ndarray  # (M+1,)
     first: np.ndarray  # (M,) nondecreasing
     after: np.ndarray  # (M,) nondecreasing
-    transpose: sparse_linalg.LinearOperator  # P^T, (M, M)
+    transpose: Callable[[np.ndarray], np.ndarray]  # x -> P^T x, x of shape (M,)
 
     @property
     def n_bins(self) -> int:
@@ -192,22 +191,67 @@ def _not_unique(n_closed: int, n: int) -> NumericalError:
     )
 
 
-def _arnoldi(pt, max_iter: int) -> np.ndarray:
-    """The eigenvector of the LinearOperator P^T for its eigenvalue of largest real part.
+def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
+    """The eigenvector of P^T for its eigenvalue of largest real part, by Arnoldi with thick restarts.
 
-    One implicitly restarted Arnoldi solve (ARPACK) from the uniform law, with
-    about max_iter products at most. On a stochastic matrix that eigenvalue
-    is 1 alone, also on a periodic chain.
+    From the uniform law, a basis of up to 20 vectors is built by classical
+    Gram-Schmidt, with a second pass where the first drops |w| below 0.717 of
+    its value (Daniel, Gragg, Kaufman & Stewart 1976); if the second drops it
+    again, w lies in the span, which is then invariant. Each full basis is
+    restarted on the 8 Ritz vectors of largest real part, conjugate pairs
+    kept whole as their real and imaginary parts: with Q their orthonormal
+    basis, the basis becomes Q^T V and its Rayleigh quotient Q^T H Q, and the
+    next vector carries over (Stewart, "A Krylov-Schur algorithm for large
+    eigenproblems", 2001). The solve stops on ARPACK's rule for tol = 0, the
+    Ritz estimate |h y| <= eps |theta| for the Ritz value of largest real
+    part, and returns the refined Ritz vector for the eigenvalue 1 (Jia
+    1997): the basis times the last right singular vector of H - [I; 0].
+    On a stochastic matrix that eigenvalue is 1 alone, also on a periodic
+    chain, and the uniform start has a component along its eigenvector.
+    NumericalError if the solve has not stopped once max_iter products are
+    spent.
     """
-    n = pt.shape[0]
-    ncv = min(n, 20)
-    try:
-        vals, vecs = sparse_linalg.eigs(
-            pt, k=1, which="LR", v0=np.full(n, 1.0 / n), ncv=ncv, maxiter=max(1, max_iter // ncv)
-        )
-    except sparse_linalg.ArpackError as exc:
-        raise NumericalError(f"Arnoldi solve for the stationary law failed: {exc}") from exc
-    return vecs[:, np.argmax(vals.real)].real
+    m = min(n, 20)
+    v = np.empty((m + 1, n))
+    h = np.zeros((m + 1, m))  # the Krylov relation: P^T v[i] is the sum of h[r, i] v[r] over r = 0..m
+    v[0] = 1.0 / math.sqrt(n)
+    k = products = 0
+    while True:
+        for j in range(k, m):
+            w = pt(v[j])
+            products += 1
+            basis = v[: j + 1]
+            c = basis @ w
+            norm2, w = w @ w, w - c @ basis
+            w2 = w @ w
+            if w2 <= 0.514 * norm2:  # 0.717^2
+                d = basis @ w
+                w -= d @ basis
+                c += d
+                norm2, w2 = w2, w @ w
+            h[: j + 1, j] = c
+            if w2 <= 0.514 * norm2:  # w is in the span: the basis spans an invariant subspace
+                m = j + 1
+                break
+            h[j + 1, j] = math.sqrt(w2)
+            v[j + 1] = w / h[j + 1, j]
+        theta, y = np.linalg.eig(h[:m, :m])
+        order = np.argsort(-theta.real, kind="stable")  # conjugate pairs stay adjacent
+        estimate = abs(h[m, :m] @ y[:, order[0]])
+        if estimate <= np.finfo(float).eps * abs(theta[order[0]]):
+            return np.linalg.svd(h[: m + 1, :m] - np.eye(m + 1, m))[2][-1] @ v[:m]
+        if products >= max_iter:
+            raise NumericalError(
+                f"the Arnoldi solve for the stationary law did not converge in {products} products: "
+                f"its Ritz estimate is {estimate:.1e}"
+            )
+        keep = order[:8]
+        keep = keep[theta[keep].imag >= 0.0]  # one of each pair, whole if its partner is past the 8
+        q = np.linalg.qr(np.hstack([y[:, keep].real, y[:, keep[theta[keep].imag > 0.0]].imag]))[0]
+        k = q.shape[1]
+        v[:k], v[k] = q.T @ v[:m], v[m]
+        h[:k, :k], h[k, :k] = q.T @ h[:m] @ q, h[m] @ q
+        h[k + 1 :], h[:, k:] = 0.0, 0.0
 
 
 def _law(u: np.ndarray, recurrent: np.ndarray, pt, bin_edges: np.ndarray) -> StationaryDistribution:
@@ -215,7 +259,7 @@ def _law(u: np.ndarray, recurrent: np.ndarray, pt, bin_edges: np.ndarray) -> Sta
     u = np.maximum(u / u.sum(), 0.0)
     u[~recurrent] = 0.0
     u /= u.sum()
-    if not np.abs(pt @ u - u).max() <= RESIDUAL_TOL:  # a NaN fails too
+    if not np.abs(pt(u) - u).max() <= RESIDUAL_TOL:  # a NaN fails too
         raise NumericalError(f"the stationary law misses its residual {RESIDUAL_TOL}")
     return StationaryDistribution(bin_edges=bin_edges, probabilities=u)
 
@@ -267,16 +311,16 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> S
     n, pt = tm.n_bins, tm.transpose
     recurrent = _recurrent_bins(tm.first, tm.after)
     if n <= DENSE_BINS:
-        u = _gth((pt @ np.eye(n)).T, tm.first, tm.after, recurrent)
+        u = _gth(pt(np.eye(n)).T, tm.first, tm.after, recurrent)
     else:
-        u = _arnoldi(pt, max_iter)
+        u = _arnoldi(pt, n, max_iter)
     return _law(u, recurrent, pt, tm.bin_edges)
 
 
 def build_transition_matrix(
     scheme: ChargingScheme, airtime: float, m: CapacitorModel, n_bins: int = DEFAULT_BINS
 ) -> TransitionMatrix:
-    """The chain over n_bins equal voltage bins spanning the two rest levels, P^T as a LinearOperator.
+    """The chain over n_bins equal voltage bins spanning the two rest levels, P^T as a function.
 
     Cell (i, j) is the probability that one cycle of the given airtime maps
     the centre of bin i into bin j, S_ij - S_i,j+1 with S_ie the survival at
@@ -307,7 +351,7 @@ def build_transition_matrix(
     if n <= DENSE_BINS:
         s = surv(log_d[:, None], np.arange(n + 1))
         cells = s[:, :-1] - s[:, 1:]  # 0 off each band: S is 1 on both edges, or 0
-        pt = sparse_linalg.aslinearoperator((cells / cells.sum(axis=1, keepdims=True)).T)
+        pt = (cells / cells.sum(axis=1, keepdims=True)).T.__matmul__
         return TransitionMatrix(bin_edges=edges, first=first, after=after, transpose=pt)
     head_col = np.maximum(first - 1, 0)
     s_first = surv(log_d, first)  # first <= n_bins: S is 0 at the top edge
@@ -325,7 +369,7 @@ def build_transition_matrix(
         tail = np.where(after - 1 >= first, surv(log_d, tail_col), 0.0)
 
         def matvec(x):
-            w = np.ravel(x) / rowsum
+            w = x / rowsum
             prefix = np.concatenate(([0.0], np.cumsum(w)))
             ends = np.bincount(head_col, w * head, n) + np.bincount(tail_col, w * tail, n)
             return slope * (prefix[hi] - prefix[lo]) + ends
@@ -342,7 +386,7 @@ def build_transition_matrix(
             span *= 2
 
         def matvec(x):
-            w = np.ravel(x) / rowsum
+            w = x / rowsum
             v = np.bincount(first, w * s_first, n + 1)[:n]
             for span, f in levels:
                 v[span:] += f * v[:-span]
@@ -353,12 +397,11 @@ def build_transition_matrix(
         lead = (first > 0).astype(float)
 
         def matvec(x):
-            w = np.ravel(x) / rowsum
+            w = x / rowsum
             v = ramp(w)
             return v[:-1] - v[1:] + np.bincount(head_col, w * lead, n)
 
-    pt = sparse_linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    return TransitionMatrix(bin_edges=edges, first=first, after=after, transpose=pt)
+    return TransitionMatrix(bin_edges=edges, first=first, after=after, transpose=matvec)
 
 
 def _chebyshev(h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,6 +470,8 @@ def _kernel_sum(scheme: ChargingScheme, airtime: float, m: CapacitorModel, log_d
         rows = (2 * rows[~smooth, None] + [0, 0, 1, 1]).ravel()
         cols = (2 * cols[~smooth, None] + [0, 1, 0, 1]).ravel()
         h //= 2
+
+    from scipy import sparse  # loaded on first use: only Weibull chains with k != 1 above DENSE_BINS need it
 
     def by_edge_box(h, rows, cols, blocks):
         # the (edge box, row box) blocks as one matrix over the padded grid

@@ -200,6 +200,35 @@ def ring_index(d, cfg: PhyConfig):
 DUTY_REL_TOL = 1e-8  # relative error bound of the duty-cycle quadrature
 
 
+def _exp1(x: float) -> float:
+    """The exponential integral E1(x) for x > 0, to about 1e-14 relative.
+
+    For x <= 1 the series -gamma - ln x - sum over k >= 1 of (-x)^k / (k k!)
+    (Abramowitz & Stegun 5.1.11). For x > 1 the continued fraction e^-x (1/(x+
+    1/(1+ 1/(x+ 2/(1+ 2/(x+ ...)))))) (A&S 5.1.22), partial numerators 1, 1,
+    1, 2, 2, 3, 3, ..., evaluated by Lentz's method until a factor is within
+    eps of 1; its even contraction takes half the steps but builds up twice
+    the rounding error near x = 1.
+    """
+    if x <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while abs(term) > 1e-17:  # E1 >= E1(1) = 0.22 here
+            k += 1
+            term *= -x / k
+            total += term / k
+        return -np.euler_gamma - math.log(x) - total
+    c, d = math.inf, 1.0 / x  # after the first partial fraction 1/x
+    value, j = d, 1
+    while True:
+        j += 1
+        a, b = j // 2, (x if j % 2 else 1.0)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        value *= c * d
+        if abs(c * d - 1.0) <= np.finfo(float).eps:
+            return value * math.exp(-x)
+
+
 def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
     """E[tau / (nu + tau)], the expected fraction of a cycle spent transmitting.
 
@@ -216,9 +245,7 @@ def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
         return airtime / (scheme.b - scheme.a) * math.log1p((scheme.b - scheme.a) / (scheme.a + airtime))
     x = airtime / scheme.w
     if scheme.k == 1.0 and x < 700.0:
-        from scipy.special import exp1  # loaded on first use, so that importing phy loads no scipy
-
-        return x * math.exp(x) * float(exp1(x))
+        return x * math.exp(x) * _exp1(x)
     return scheme.quad(lambda t: scheme.pdf(t) * airtime / (t + airtime), DUTY_REL_TOL)
 
 

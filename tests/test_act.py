@@ -2,8 +2,11 @@ import dataclasses
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import loraeh.act
 import loraeh.markov
@@ -84,6 +87,15 @@ class TestCve:
                         w_closed = m.tau_off * (1.0 - t) / t
                         assert scheme.w == pytest.approx(w_closed, abs=1e-8 * (1 + w_closed))
                     assert abs(DecayFactorDistribution(scheme=scheme, tau_charge=m.tau_off).mean() - t) <= 1e-13
+
+    @given(target=st.floats(0.01, 0.995))
+    @example(target=0.995)
+    def test_uniform_inversion_matches_mpmath(self, target):
+        # the two configs' SF targets lie in 0.017 to 0.991; E[nu] = tau * y / 2
+        with mpmath.workdps(40):
+            y = mpmath.findroot(lambda y: -mpmath.expm1(-y) / y - target, 1 / mpmath.mpf(target))
+        exact = float(100.0 * y / 2)
+        assert abs(loraeh.act._mean_nu_for_decay("uniform", target, 100.0) - exact) <= 1e-13 * exact
 
     def test_sf12_outage_converges_in_the_grid(self, fig2, model):
         # the decay law of the default SF12 plan spans only a few bins

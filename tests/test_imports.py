@@ -1,7 +1,7 @@
 """Import hygiene: no module of the package imports another module's private
 name, no module of the package or the tests imports a name it never reads,
-and a CLI run loads scipy only for a subcommand that uses it, and
-scipy.integrate only where no closed form serves."""
+and a CLI run loads scipy only where a chain needs the kernel sum's block
+sparse matrices."""
 
 import ast
 import json
@@ -79,12 +79,22 @@ print(json.dumps(loaded))
 
 
 def test_a_subcommand_loads_scipy_only_if_it_solves_a_chain(tmp_path):
+    # 400 bins is above DENSE_BINS, so every chain takes the Arnoldi solve
+    chains = [
+        ["steady-state"],
+        ["outage-sweep"],
+        ["coverage", "--scheme", "ud"],
+        ["coverage", "--scheme", "wd"],
+        ["act-plan", "--act", "cdc"],
+        ["act-plan", "--act", "cve"],
+    ]
+    slow_mixing = Path(__file__).resolve().parent.parent / "perfbench" / "slow_mixing.ini"
     runs = [
         ["--help"],
         ["capacitor-trace", "--cycles", "5", "--out", str(tmp_path / "trace")],
         ["simulate", "--devices", "5", "--duration", "1e3", "--out", str(tmp_path / "sim")],
-        ["steady-state", "--bins", "100", "--out", str(tmp_path / "steady")],
-        ["coverage", "--bins", "100", "--out", str(tmp_path / "coverage")],
+        *([*argv, "--bins", "400", "--out", str(tmp_path / str(i))] for i, argv in enumerate(chains)),
+        ["outage-sweep", "--bins", "400", "--config", str(slow_mixing), "--out", str(tmp_path / "slow")],
     ]
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -95,7 +105,9 @@ def test_a_subcommand_loads_scipy_only_if_it_solves_a_chain(tmp_path):
         timeout=120,
         check=True,
     )
-    *no_chain, chain, coverage = json.loads(proc.stdout.splitlines()[-1])
-    assert no_chain == [[]] * 4  # import, --help, capacitor-trace, simulate
-    assert "scipy.sparse" in chain  # so the check above cannot pass vacuously
-    assert "scipy.integrate" not in coverage  # the default schemes' duty figures are closed forms
+    *default_config, weibull_half = json.loads(proc.stdout.splitlines()[-1])
+    # import, --help, capacitor-trace, simulate and every default-config chain: closed
+    # forms, and the uniform and exponential products, need no scipy
+    assert default_config == [[]] * (4 + len(chains))
+    # the Weibull k = 0.5 chains take the kernel sum's block sparse matrices, and no eigensolver
+    assert "scipy.sparse" in weibull_half and "scipy.sparse.linalg" not in weibull_half

@@ -5,10 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
+from loraeh import phy
 from loraeh.errors import ConfigError, NumericalError
 from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import (
@@ -157,6 +158,15 @@ class TestChargingScheme:
 
 
 class TestDutyCycle:
+    @given(x=st.floats(-8.0, math.log10(700.0), exclude_max=True).map(lambda e: 10.0**e))
+    @example(x=1.0)
+    @example(x=math.nextafter(1.0, 2.0))
+    @example(x=1.139)  # the continued fraction's largest error, 5.2e-15, is near here
+    def test_exp1_matches_mpmath(self, x):
+        with mpmath.workdps(30):
+            exact = float(mpmath.e1(x))
+        assert abs(phy._exp1(x) - exact) <= 1e-14 * exact
+
     def test_zero_airtime(self):
         assert duty_cycle(ChargingScheme.uniform(0, 100), 0.0) == 0.0
 
