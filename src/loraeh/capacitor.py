@@ -151,25 +151,6 @@ def simulate_trajectory(
     )
 
 
-def cycle_voltages(
-    v0,
-    scheme: ChargingScheme,
-    airtime: float,
-    n_cycles: int,
-    m: CapacitorModel,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """End-of-cycle voltages for one or many parallel chains (rows: chains)."""
-    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
-    out = np.empty((n_cycles, v.size))
-    v_after_full, retention = m.v_after_full(airtime), m.retention(airtime)
-    for j in range(n_cycles):
-        decay = np.exp(-scheme.sample(rng, v.size) / m.tau_off)
-        v = v_after_full + retention * decay * (v - m.v_limit_off)
-        out[j] = v
-    return out
-
-
 def estimate_mean_voltage(m: CapacitorModel, airtime: float, mean_decay: float) -> float:
     """Fixed point of the mean one-cycle map: the stationary mean voltage.
 

@@ -30,9 +30,6 @@ from .phy import AIRTIMES_S, N_RINGS, SFS
 
 ENV_CONFIG = "LORAEH_CONFIG"
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
-# numpy's byte sizes are int64: 2**60 8-byte values (or a length rounded up to it) is a
-# ValueError, while every size below 2**59 can at most fail to allocate (MemoryError)
-_MAX_SIZE = 2**59
 # a chain takes up to about 4 KiB per bin (Weibull k = 0.5 at 40 mF), and steady-state also
 # solves at twice --bins: at 2**17 its largest solve stays near 1 GiB
 _MAX_BINS = 2**17
@@ -83,10 +80,6 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    for name in ("bins", "points_per_ring", "cycles", "samples_per_phase", "devices"):
-        value = getattr(args, name, None)
-        if value is not None and value >= _MAX_SIZE:
-            raise ConfigError(f"--{name.replace('_', '-')} must be below 2**59, got {value}")
     if not 1 <= getattr(args, "bins", 1) <= _MAX_BINS:
         raise ConfigError(f"--bins must be at least 1 and at most 2**17 = {_MAX_BINS}, got {args.bins}")
     if args.seed < 0:
@@ -201,7 +194,6 @@ def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
         print(f"warning: duty cycle above the 1% ETSI cap for SF {SFS[~plan.etsi_ok].tolist()}", file=sys.stderr)
     params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
     pdfs = [markov.stationary_pdf(sd) for sd in plan.stationary]
-    keep = [dens > 0 for _, dens in pdfs]
     return {
         "act_plan.csv": {
             "sf": SFS,
@@ -214,9 +206,9 @@ def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
             "predicted_outage": plan.predicted_outage,
         },
         "act_pdfs.csv": {
-            "sf": np.repeat(SFS, [k.sum() for k in keep]),
-            "voltage_V": np.concatenate([c[k] for (c, _), k in zip(pdfs, keep)]),
-            "pdf": np.concatenate([d[k] for (_, d), k in zip(pdfs, keep)]),
+            "sf": np.repeat(SFS, [c.size for c, _ in pdfs]),
+            "voltage_V": np.concatenate([c for c, _ in pdfs]),
+            "pdf": np.concatenate([d for _, d in pdfs]),
         },
     }
 

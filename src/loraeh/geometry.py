@@ -38,8 +38,6 @@ def _ring_integral(d: float, ring: int, cfg: PhyConfig) -> float:
     a_const = cfg.sir_threshold * d**cfg.eta
 
     def term(x: float) -> float:
-        if x == 0.0:
-            return 0.0
         return 0.5 * x * x * hyp2f1_special(cfg.eta, -(x**cfg.eta) / a_const)
 
     lo, hi = cfg.ring_radii[ring], cfg.ring_radii[ring + 1]
@@ -104,7 +102,6 @@ class CoverageProfile:
     conn_lower: np.ndarray
     energy_avail: np.ndarray
     overall: np.ndarray  # energy_avail * conn_lower
-    collision_p: np.ndarray  # per ring, length 6
 
 
 def coverage_profile(
@@ -147,7 +144,6 @@ def coverage_profile(
         conn_lower=lower,
         energy_avail=avail,
         overall=avail * lower,
-        collision_p=p_ring,
     )
 
 
@@ -170,12 +166,14 @@ def sample_network(cfg: PhyConfig, seed: int = 0, n_devices: int | None = None) 
     it. The model is isotropic, so only the count and the radii are drawn.
     Distances are clamped away from the gateway singularity.
     """
-    if n_devices is not None and n_devices < 0:
-        raise ConfigError(f"device count must be non-negative, got {n_devices}")
+    # numpy's byte sizes are int64, so 2**60 radii are a ValueError while any count below
+    # 2**59 can at most fail to allocate (MemoryError); 2**59 is below its Poisson limit too
+    if n_devices is not None and not 0 <= n_devices < 2**59:
+        raise ConfigError(f"device count must be non-negative and below 2**59, got {n_devices}")
     rng = np.random.default_rng(seed)
     if n_devices is None:
         mean = cfg.density * np.pi * cfg.radius**2
-        if not mean < 2**59:  # the CLI's size bound, below numpy's Poisson limit
+        if not mean < 2**59:
             raise ConfigError(f"mean device count density * disk area must be below 2**59, got {mean:.3g}")
         n_devices = int(rng.poisson(mean))
     radii = np.maximum(cfg.radius * np.sqrt(rng.uniform(size=n_devices)), MIN_DISTANCE_M)

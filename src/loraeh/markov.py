@@ -184,13 +184,6 @@ LEAF = 16  # side of _kernel_sum's blocks kept cell by cell
 MAX_HAZARD = 4.0  # largest |hazard| on the ellipse around a far-field block of _kernel_sum
 
 
-def _not_unique(n_closed: int, n: int) -> NumericalError:
-    return NumericalError(
-        f"the chain has {n_closed} closed classes, so its stationary law is not unique: "
-        f"the grid of {n} bins is too coarse for one cycle's change of voltage"
-    )
-
-
 def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
     """The eigenvector of P^T for its eigenvalue of largest real part, by Arnoldi with thick restarts.
 
@@ -521,7 +514,10 @@ def _recurrent_bins(first: np.ndarray, after: np.ndarray) -> np.ndarray:
     p = lefts[np.searchsorted(lefts, rights, side="right") - 1]
     n_closed = np.count_nonzero(rights[np.searchsorted(rights, p)] == rights)
     if n_closed > 1:
-        raise _not_unique(n_closed, n)
+        raise NumericalError(
+            f"the chain has {n_closed} closed classes, so its stationary law is not unique: "
+            f"the grid of {n} bins is too coarse for one cycle's change of voltage"
+        )
     return (bins >= lefts[-1]) & (bins <= rights[0])
 
 

@@ -172,13 +172,13 @@ def _energy_phase(nu_gens, h_gens, v0, scheme, m, cfg, airtimes, passes, duratio
         np.add.accumulate(duty, axis=0, out=duty)
         duty_sum = duty[-1].copy()
         # Every completed packet interferes, counted or not. Each device draws
-        # this block's fading gains from its own stream in packet order, and
-        # a packet takes the one at its rank among the device's in the block.
-        within = np.cumsum(done, axis=0, dtype=np.int16)  # at most _BLOCK
-        sent = within[-1]
-        draws = [g.exponential(1.0, k) for g, k in zip(h_gens, sent.tolist()) if k]
-        draws = np.concatenate(draws) if draws else None
-        first = np.cumsum(sent) - sent  # each device's first draw
+        # this block's fading gains from its own stream in packet order, into
+        # the spent charging times: u[d, j] is the gain of device d's packet
+        # of cycle j.
+        sent = done.sum(axis=0).tolist()
+        draws = [g.exponential(1.0, k) for g, k in zip(h_gens, sent) if k]
+        if draws:
+            u[:, :steps][done.T] = np.concatenate(draws)
         if collect_traces:
             for d in range(n):
                 traces[d].append(v_hist[1 : steps + 1, d][active[:, d]])
@@ -186,11 +186,11 @@ def _energy_phase(nu_gens, h_gens, v0, scheme, m, cfg, airtimes, passes, duratio
         t_hist[0] = t_hist[steps]
         running = t_hist[0].min() < duration
         for c, ring in passes:
-            flat = np.flatnonzero(done[:, c])  # the ring's columns, cycle-major
+            flat = np.flatnonzero(done[:, c])  # the ring's packets, cycle-major
             if flat.size:
-                dev = flat % (c.stop - c.start)
-                h2 = draws[first[c][dev] + within[:, c].ravel()[flat] - 1]
-                ring.add(dev.astype(np.int32), start[:, c].ravel()[flat], h2)
+                cyc, dev = np.divmod(flat, c.stop - c.start)
+                # a flat index into the ring's rows of u gathers about twice as fast as u[c][dev, cyc]
+                ring.add(dev.astype(np.int32), start[:, c].ravel()[flat], u[c].ravel()[dev * _BLOCK + cyc])
             # a later packet starts at or after its device's clock
             if not running or ring.waiting > _BLOCK * (c.stop - c.start):
                 ring.flush(t_hist[0, c].min() if running else np.inf)

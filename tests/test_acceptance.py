@@ -13,8 +13,9 @@ from contextlib import contextmanager
 
 import numpy as np
 from scipy import integrate
+from test_capacitor import cycle_voltages
 
-from loraeh.capacitor import build_model, cycle_voltages
+from loraeh.capacitor import build_model
 from loraeh.cli import main as cli_main
 from loraeh.geometry import MIN_DISTANCE_M, sample_network, sir_success, snr_success
 from loraeh.hypergeom import hyp2f1_special

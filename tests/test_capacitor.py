@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from loraeh.capacitor import (
+    CapacitorModel,
     build_model,
-    cycle_voltages,
     estimate_mean_voltage,
     simulate_trajectory,
     step_charge,
@@ -14,6 +14,27 @@ from loraeh.capacitor import (
 from loraeh.errors import NumericalError
 from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import ChargingScheme
+
+
+def cycle_voltages(
+    v0,
+    scheme: ChargingScheme,
+    airtime: float,
+    n_cycles: int,
+    m: CapacitorModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """End-of-cycle voltages for one or many parallel chains (rows: chains), one
+    affine map v' = v_after_full + retention * decay * (v - v_limit_off) a cycle:
+    the per-cycle oracle of the chain and of the simulator's voltages."""
+    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
+    out = np.empty((n_cycles, v.size))
+    v_after_full, retention = m.v_after_full(airtime), m.retention(airtime)
+    for j in range(n_cycles):
+        decay = np.exp(-scheme.sample(rng, v.size) / m.tau_off)
+        v = v_after_full + retention * decay * (v - m.v_limit_off)
+        out[j] = v
+    return out
 
 
 class TestBuildModel:

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_capacitor import cycle_voltages
 
 import loraeh
 from loraeh import markov
-from loraeh.capacitor import build_model, cycle_voltages
+from loraeh.capacitor import build_model
 from loraeh.cli import build_parser, main
 from loraeh.config import DEFAULTS
 from loraeh.errors import NumericalError
@@ -117,6 +118,19 @@ class TestRoundTrips:
         assert run(["outage-sweep", "--bins", 400, "--out", out]) == 0
         taus = column(out / "outage_sweep.csv", "airtime_s")
         assert taus.tolist() == [0.0366, 0.064, 0.113, 0.204, 0.372, 0.682]
+
+    @pytest.mark.parametrize("act", ["cdc", "cve"])
+    def test_act_pdfs_lists_every_bin(self, tmp_path, fig2, act):
+        # every bin of each SF's grid, in order, whether or not its pdf rounds to 0
+        out = tmp_path / "pdfs"
+        assert run(["act-plan", "--act", act, "--bins", 200, "--out", out]) == 0
+        m = build_model(fig2.phy, "thevenin")
+        edges = np.linspace(m.v_limit_on, m.v_limit_off, 201)
+        centers = [format(c, ".10g") for c in 0.5 * (edges[:-1] + edges[1:])]
+        sf = column(out / "act_pdfs.csv", "sf", as_float=False)
+        volts = column(out / "act_pdfs.csv", "voltage_V", as_float=False)
+        assert sf == [str(s) for s in (7, 8, 9, 10, 11, 12) for _ in centers]
+        assert volts == centers * 6
 
     def test_coverage_zero_density(self, tmp_path):
         cfgfile = tmp_path / "nolambda.ini"

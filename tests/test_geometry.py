@@ -152,9 +152,9 @@ class TestCoverageProfile:
         prof = coverage_profile(fig2.phy, ud, ring_availability, points_per_ring=4)
         assert np.allclose(prof.overall, prof.energy_avail * prof.conn_lower)
         assert np.allclose(prof.conn_lower, prof.snr_success * prof.sir_success)
-        for r in range(6):
-            expected = collision_fraction(ring_availability[r], ud, AIRTIMES_S[r])
-            assert prof.collision_p[r] == pytest.approx(expected, rel=1e-12)
+        tau = [collision_fraction(ring_availability[r], ud, AIRTIMES_S[r]) for r in range(6)]
+        for d, r, sir in zip(prof.distances, prof.ring, prof.sir_success):
+            assert sir == sir_success(d, tau[r], fig2.phy)
 
     def test_points_per_ring_checked_before_any_quadrature(self, fig2, ud, monkeypatch):
         calls = []
@@ -203,11 +203,19 @@ class TestSampleNetwork:
         assert sample_network(fig2.phy, seed=7, n_devices=123).n_devices == 123
 
     def test_poisson_mean_too_large(self, fig2):
-        # numpy's Poisson sampler rejects a mean near 2**63; the bound is the CLI's size bound
+        # numpy's Poisson sampler rejects a mean near 2**63; the bound is that of an explicit count
         cfg = dataclasses.replace(fig2.phy, density=1e24)
         with pytest.raises(ConfigError, match="below 2\\*\\*59"):
             sample_network(cfg, seed=0)
         assert sample_network(cfg, seed=0, n_devices=3).n_devices == 3
+
+    @pytest.mark.parametrize("n_devices", [2**59, 10**20], ids=["2**59", "10**20"])
+    def test_explicit_count_too_large(self, fig2, monkeypatch, n_devices):
+        # 2**59 radii could at best fail to allocate, 2**60 is numpy's ValueError:
+        # the count is refused before a generator is made
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a network was drawn"))
+        with pytest.raises(ConfigError, match="below 2\\*\\*59"):
+            sample_network(fig2.phy, seed=0, n_devices=n_devices)
 
     def test_empty_limit(self, fig2):
         cfg = dataclasses.replace(fig2.phy, density=1e-300)

@@ -70,11 +70,11 @@ GOLDEN = {
         "coverage.csv": "c1b789054cb36acde1d5fced10a42f4715bf0526f13f3e9c35e040de4e9cc5b8",
     },
     "act-plan --act cdc": {
-        "act_pdfs.csv": "1961ac99df05a5435a5957fe3c6dfa84b2f68c65e97166277f54f8f9efdfbcfd",
+        "act_pdfs.csv": "235a2287969928371c16c23c3a77485852ff451699b5256d41b427e064e5a454",
         "act_plan.csv": "f38943d674536de52c2552bf8c4dca04f84dcfd9e3ecee42c52ccd7872cf54ac",
     },
     "act-plan --act cve": {
-        "act_pdfs.csv": "ba45042bcc1290e90dfd42e077b498356e00749e1af28cc62325273e1167295c",
+        "act_pdfs.csv": "7d2eaf19986cbc8a22074d50b18d1f51e041ac7deb3a4de5374aaf78d2a59a55",
         "act_plan.csv": "6b925392b3973770a9460dffdbab80022f8992679f78e2085670fd929318eecf",
     },
 }

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.sparse import linalg as sparse_linalg
+from test_capacitor import cycle_voltages
 from test_golden_markov import (
     closed_classes,
     outside_band,
@@ -20,7 +21,7 @@ from test_golden_markov import (
 )
 
 from loraeh import markov
-from loraeh.capacitor import build_model, cycle_voltages, estimate_mean_voltage
+from loraeh.capacitor import build_model, estimate_mean_voltage
 from loraeh.errors import NumericalError
 from loraeh.markov import (
     DENSE_BINS,
