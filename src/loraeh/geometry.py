@@ -55,42 +55,6 @@ def sir_success(d: float, p: float, cfg: PhyConfig) -> float:
     return float(np.exp(-2.0 * np.pi * p * cfg.density * _ring_integral(d_eff, ring, cfg)))
 
 
-def connection_prob(
-    d: float,
-    p: float,
-    cfg: PhyConfig,
-    n_samples: int = 100000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(lower, upper) bounds on the joint SNR-and-SIR success probability.
-
-    The lower bound multiplies the two marginal successes (independence
-    bound). The upper value Monte Carlo-estimates the exact joint probability
-    P[|h|^2 >= max(noise term, interference term)] by sampling same-ring
-    interferer sets, since no closed form exists for the max coupling.
-    """
-    lower = snr_success(d, cfg) * sir_success(d, p, cfg)
-    ring = ring_index(d, cfg)
-    d_eff = max(d, MIN_DISTANCE_M)
-    gain = path_gain(d_eff, cfg)
-    noise_term = cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gain)
-    lo, hi = cfg.ring_radii[ring], cfg.ring_radii[ring + 1]
-    area = np.pi * (hi**2 - lo**2)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(p * cfg.density * area, size=n_samples)
-    total = int(counts.sum())
-    radii = np.sqrt(rng.uniform(lo**2, hi**2, size=total))
-    fades = rng.exponential(1.0, size=total)
-    power = cfg.p_tx * fades * (cfg.wavelength / (4.0 * np.pi * np.maximum(radii, MIN_DISTANCE_M))) ** cfg.eta
-    sample_ids = np.repeat(np.arange(n_samples), counts)
-    interference = np.bincount(sample_ids, weights=power, minlength=n_samples)
-    sir_term = cfg.sir_threshold * interference / (cfg.p_tx * gain)
-    upper = float(np.mean(np.exp(-np.maximum(noise_term, sir_term))))
-    # the exact joint probability dominates the product bound; project the
-    # sampled estimate onto that feasible region
-    return lower, max(upper, lower)
-
-
 @dataclass(frozen=True)
 class CoverageProfile:
     """Distance-resolved uplink success decomposition."""
@@ -115,7 +79,7 @@ def coverage_profile(
     energy_avail holds the six per-ring probabilities of being energy-capable
     (from the steady-state chain); the co-SF transmitting fraction is
     energy_avail times the expected duty figure E[tau/(nu+tau)]
-    (collision_fraction's "expected" variant).
+    (collision_fraction).
     """
     energy_avail = np.asarray(energy_avail, dtype=float)
     if energy_avail.shape != (N_RINGS,):

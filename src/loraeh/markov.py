@@ -184,15 +184,15 @@ LEAF = 16  # side of _kernel_sum's blocks kept cell by cell
 MAX_HAZARD = 4.0  # largest |hazard| on the ellipse around a far-field block of _kernel_sum
 
 
-def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
+def _arnoldi(pt, n: int) -> np.ndarray:
     """The eigenvector of P^T for its eigenvalue of largest real part, by Arnoldi with thick restarts.
 
     From the uniform law, a basis of up to 20 vectors is built by classical
     Gram-Schmidt, with a second pass where the first drops |w| below 0.717 of
     its value (Daniel, Gragg, Kaufman & Stewart 1976); if the second drops it
-    again, w lies in the span, which is then invariant. Each full basis is
-    restarted on the 8 Ritz vectors of largest real part, conjugate pairs
-    kept whole as their real and imaginary parts: with Q their orthonormal
+    again, w lies in the span, which P^T then maps into itself. Each full
+    basis is restarted on the 8 Ritz vectors of largest real part, conjugate
+    pairs kept whole as their real and imaginary parts: with Q their orthonormal
     basis, the basis becomes Q^T V and its Rayleigh quotient Q^T H Q, and the
     next vector carries over (Stewart, "A Krylov-Schur algorithm for large
     eigenproblems", 2001). The solve stops on ARPACK's rule for tol = 0, the
@@ -201,7 +201,7 @@ def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
     1997): the basis times the last right singular vector of H - [I; 0].
     On a stochastic matrix that eigenvalue is 1 alone, also on a periodic
     chain, and the uniform start has a component along its eigenvector.
-    NumericalError if the solve has not stopped once max_iter products are
+    NumericalError if the solve has not stopped once MAX_ITER products are
     spent.
     """
     m = min(n, 20)
@@ -223,7 +223,7 @@ def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
                 c += d
                 norm2, w2 = w2, w @ w
             h[: j + 1, j] = c
-            if w2 <= 0.514 * norm2:  # w is in the span: the basis spans an invariant subspace
+            if w2 <= 0.514 * norm2:  # w is in the span: P^T maps the basis's span into itself
                 m = j + 1
                 break
             h[j + 1, j] = math.sqrt(w2)
@@ -233,7 +233,7 @@ def _arnoldi(pt, n: int, max_iter: int) -> np.ndarray:
         estimate = abs(h[m, :m] @ y[:, order[0]])
         if estimate <= np.finfo(float).eps * abs(theta[order[0]]):
             return np.linalg.svd(h[: m + 1, :m] - np.eye(m + 1, m))[2][-1] @ v[:m]
-        if products >= max_iter:
+        if products >= MAX_ITER:
             raise NumericalError(
                 f"the Arnoldi solve for the stationary law did not converge in {products} products: "
                 f"its Ritz estimate is {estimate:.1e}"
@@ -291,14 +291,15 @@ def _gth(p: np.ndarray, first: np.ndarray, after: np.ndarray, recurrent: np.ndar
     return u
 
 
-def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> StationaryDistribution:
+def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     """Left fixed point u = u P of the chain, L1-normalized.
 
     The law is unique only when P has one closed class (a set of bins that
     no transition leaves), read from the band ends (_recurrent_bins); more
     than one raises NumericalError. Grids of up to DENSE_BINS bins read P
     as P^T applied to the identity and solve it by GTH elimination (_gth).
-    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi).
+    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi),
+    which raises NumericalError once it has spent MAX_ITER products.
     Bins outside the closed class are transient and get exactly 0.
     """
     n, pt = tm.n_bins, tm.transpose
@@ -306,7 +307,7 @@ def stationary_distribution(tm: TransitionMatrix, max_iter: int = MAX_ITER) -> S
     if n <= DENSE_BINS:
         u = _gth(pt(np.eye(n)).T, tm.first, tm.after, recurrent)
     else:
-        u = _arnoldi(pt, n, max_iter)
+        u = _arnoldi(pt, n)
     return _law(u, recurrent, pt, tm.bin_edges)
 
 

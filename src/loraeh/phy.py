@@ -249,29 +249,12 @@ def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
     return scheme.quad(lambda t: scheme.pdf(t) * airtime / (t + airtime), DUTY_REL_TOL)
 
 
-def collision_fraction(
-    energy_avail: float,
-    scheme: ChargingScheme,
-    airtime: float,
-    variant: str = "expected",
-) -> float:
-    """Fraction of co-SF devices modeled as concurrently transmitting.
-
-    variant "expected": energy_avail * E[tau/(nu+tau)] (duty_cycle).
-    variant "simple":   energy_avail * tau/(E[nu]+tau) (long-run transmit-time
-                        fraction of an always-available device).
-    variant "overlap":  2*energy_avail*tau / (E[nu] + energy_avail*tau), the
-                        intensity consistent with any-overlap collision counting
-                        in the event simulator (window 2*tau per transmission).
-    """
+def collision_fraction(energy_avail: float, scheme: ChargingScheme, airtime: float) -> float:
+    """Fraction of co-SF devices modeled as concurrently transmitting: the
+    energy availability times the expected duty figure E[tau/(nu+tau)]
+    (duty_cycle), the intensity of the paper's co-SF outage."""
     if not 0.0 <= energy_avail <= 1.0:
         raise ValueError("energy_avail must lie in [0, 1]")
     if not airtime >= 0:
         raise ValueError("airtime must be non-negative")
-    if variant == "expected":
-        return energy_avail * duty_cycle(scheme, airtime)
-    if variant == "simple":
-        return energy_avail * (airtime / (scheme.mean() + airtime))
-    if variant == "overlap":
-        return 2.0 * energy_avail * airtime / (scheme.mean() + energy_avail * airtime)
-    raise ValueError(f"unknown collision variant {variant!r}")
+    return energy_avail * duty_cycle(scheme, airtime)

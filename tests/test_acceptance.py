@@ -199,7 +199,7 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
             if report.attempts[r] < 100:
                 continue
             tau = AIRTIMES_S[r]
-            p_model = collision_fraction(report.energy_avail[r], ud, tau, variant="expected")
+            p_model = collision_fraction(report.energy_avail[r], ud, tau)
             second_moment, _ = integrate.quad(lambda x: ud.pdf(x) * (tau / (x + tau)) ** 2, 0, ud.b)
             duty_sd = math.sqrt(max(second_moment - (p_model / max(report.energy_avail[r], 1e-12)) ** 2, 0.0))
             sigma = report.energy_avail[r] * duty_sd / math.sqrt(report.cycles[r])
@@ -215,12 +215,15 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
             if report.cycles[r] == 0 or report.n_devices[r] == 0:
                 continue
             dists = net.distances[net.ring == r]
-            p_exact = collision_fraction(avail_markov[r], ud, AIRTIMES_S[r], variant="expected")
+            p_exact = collision_fraction(avail_markov[r], ud, AIRTIMES_S[r])
             lower = avail_markov[r] * np.mean(
                 [snr_success(d, cfg500) * sir_success(d, p_exact, cfg500) for d in dists]
             )
             ceiling = report.energy_avail[r] * np.mean([snr_success(d, cfg500) for d in dists])
-            p_overlap = collision_fraction(avail_markov[r], ud, AIRTIMES_S[r], variant="overlap")
+            # the intensity of any-overlap collision counting: each packet of
+            # airtime tau collides within a window of 2 tau
+            e, tau = avail_markov[r], AIRTIMES_S[r]
+            p_overlap = 2.0 * e * tau / (ud.mean() + e * tau)
             q_mid = avail_markov[r] * snr_success(mids[r], cfg500) * sir_success(mids[r], p_overlap, cfg500)
             q_hat = report.overall_rate[r]
             slack = max(3 * report.ci_half_width[r], 0.005)

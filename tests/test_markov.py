@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -228,9 +229,9 @@ class TestStationary:
         outage = steady_cache(label, airtime, n_bins=DENSE_BINS).outage(fig2.phy.v_operating)
         assert outage > 0.0 and abs(outage - exact) <= 1e-12 * exact
 
-    def test_arnoldi_nonconvergence_raises(self, fig2):
+    def test_arnoldi_nonconvergence_raises(self, fig2, monkeypatch):
         # the same kind of chain on a grid above DENSE_BINS: the Arnoldi solve
-        # runs out of products, and gives up within one basis of max_iter
+        # runs out of products, and gives up within one basis of MAX_ITER
         tm = TestChainProperties.chain(fig2, ChargingScheme.weibull(1.31, 9.03), 1.0, 0.365, 400)
         assert tm.n_bins > DENSE_BINS
         products = 0
@@ -240,8 +241,9 @@ class TestStationary:
             products += 1
             return tm.transpose(x)
 
+        monkeypatch.setattr(markov, "MAX_ITER", 3000)
         with pytest.raises(NumericalError, match=r"did not converge in \d+ products") as info:
-            stationary_distribution(dataclasses.replace(tm, transpose=counting), max_iter=3000)
+            stationary_distribution(dataclasses.replace(tm, transpose=counting))
         assert f"in {products} products" in str(info.value)
         assert 3000 <= products <= 3000 + 20
 
@@ -400,7 +402,8 @@ class TestChainProperties:
     def test_stationary_law_and_outage(self, fig2, scheme, capacitance, airtime, n_bins):
         tm = self.chain(fig2, scheme, capacitance, airtime, n_bins)
         try:
-            sd = stationary_distribution(tm, max_iter=3000)
+            with mock.patch.object(markov, "MAX_ITER", 3000):
+                sd = stationary_distribution(tm)
         except NumericalError as exc:
             # on a grid too coarse for one cycle's change of voltage the chain
             # can have several closed classes. Above DENSE_BINS its one closed
@@ -427,7 +430,8 @@ class TestChainProperties:
         outages = []
         for airtime in airtimes:
             try:
-                sd = stationary_distribution(self.chain(fig2, scheme, capacitance, airtime, n_bins), max_iter=3000)
+                with mock.patch.object(markov, "MAX_ITER", 3000):
+                    sd = stationary_distribution(self.chain(fig2, scheme, capacitance, airtime, n_bins))
             except NumericalError as exc:  # as in test_stationary_law_and_outage
                 assert n_bins > DENSE_BINS or str(exc).startswith("the chain has")
                 return
@@ -490,7 +494,8 @@ class TestMatrixFree:
         m = build_model(dataclasses.replace(fig2.phy, capacitance=capacitance), "thevenin")
         tm = build_transition_matrix(scheme, airtime, m, n_bins)
         try:
-            u = stationary_distribution(tm, max_iter=3000).probabilities
+            with mock.patch.object(markov, "MAX_ITER", 3000):
+                u = stationary_distribution(tm).probabilities
         except NumericalError:  # several closed classes, or a gap too small to solve (TestChainProperties)
             return
         op = sparse_linalg.LinearOperator((n_bins, n_bins), matvec=tm.transpose, dtype=float)

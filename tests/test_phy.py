@@ -220,7 +220,6 @@ class TestDutyCycle:
     def test_expectation_bounds_the_mean_figure(self, scheme, airtime):
         # tau / (nu + tau) is convex in nu, so by Jensen E[tau / (nu + tau)] >= tau / (E[nu] + tau)
         figure = airtime / (scheme.mean() + airtime)
-        assert collision_fraction(1.0, scheme, airtime, variant="simple") == figure
         try:
             duty = duty_cycle(scheme, airtime)
         except NumericalError:  # the quadrature may fail to converge; nothing else may go wrong
@@ -269,19 +268,12 @@ class TestCollisionFraction:
         for e in rng.uniform(0, 1, 25):
             assert 0.0 <= collision_fraction(e, ud, 0.204) <= cap
 
-    def test_variants(self, ud):
-        simple = collision_fraction(1.0, ud, 0.204, variant="simple")
-        assert simple == pytest.approx(0.204 / 50.204, rel=1e-12)
-        overlap = collision_fraction(0.9, ud, 0.204, variant="overlap")
-        assert overlap == pytest.approx(2 * 0.9 * 0.204 / (50 + 0.9 * 0.204), rel=1e-12)
-        with pytest.raises(ValueError):
-            collision_fraction(0.5, ud, 0.204, variant="bogus")
+    def test_range_checks(self, ud):
         with pytest.raises(ValueError):
             collision_fraction(1.5, ud, 0.204)
-        for variant in ("expected", "simple", "overlap"):
-            assert collision_fraction(0.5, ud, 0.0, variant=variant) == 0.0
-            with pytest.raises(ValueError):
-                collision_fraction(0.5, ud, -0.204, variant=variant)
+        assert collision_fraction(0.5, ud, 0.0) == 0.0
+        with pytest.raises(ValueError):
+            collision_fraction(0.5, ud, -0.204)
 
 
 class TestPhyConfig:
