@@ -184,31 +184,37 @@ LEAF = 16  # side of _kernel_sum's blocks kept cell by cell
 MAX_HAZARD = 4.0  # largest |hazard| on the ellipse around a far-field block of _kernel_sum
 
 
-def _arnoldi(pt, n: int) -> np.ndarray:
+def _arnoldi(pt, recurrent: np.ndarray) -> np.ndarray:
     """The eigenvector of P^T for its eigenvalue of largest real part, by Arnoldi with thick restarts.
 
-    From the uniform law, a basis of up to 20 vectors is built by classical
-    Gram-Schmidt, with a second pass where the first drops |w| below 0.717 of
-    its value (Daniel, Gragg, Kaufman & Stewart 1976); if the second drops it
-    again, w lies in the span, which P^T then maps into itself. Each full
-    basis is restarted on the 8 Ritz vectors of largest real part, conjugate
-    pairs kept whole as their real and imaginary parts: with Q their orthonormal
-    basis, the basis becomes Q^T V and its Rayleigh quotient Q^T H Q, and the
-    next vector carries over (Stewart, "A Krylov-Schur algorithm for large
-    eigenproblems", 2001). The solve stops on ARPACK's rule for tol = 0, the
-    Ritz estimate |h y| <= eps |theta| for the Ritz value of largest real
-    part, and returns the refined Ritz vector for the eigenvalue 1 (Jia
-    1997): the basis times the last right singular vector of H - [I; 0].
-    On a stochastic matrix that eigenvalue is 1 alone, also on a periodic
-    chain, and the uniform start has a component along its eigenvector.
-    NumericalError if the solve has not stopped once MAX_ITER products are
-    spent.
+    It starts from the law one cycle after the uniform law on the closed
+    class (the mask recurrent). No transition leaves the class, so the basis
+    stays on it and no transient bin's slow escape enters the solve; and the
+    step, a product with a law, gives the start a law's small tails, which
+    the basis then need not cancel to rounding. A basis of up to 20 vectors
+    is built by classical Gram-Schmidt, with a second pass where the first
+    drops |w| below 0.717 of its value (Daniel, Gragg, Kaufman & Stewart
+    1976); if the second drops it again, w lies in the span, which P^T then
+    maps into itself. Each full basis is restarted on the 8 Ritz vectors of
+    largest real part, conjugate pairs kept whole as their real and
+    imaginary parts: with Q their orthonormal basis, the basis becomes Q^T V
+    and its Rayleigh quotient Q^T H Q, and the next vector carries over
+    (Stewart, "A Krylov-Schur algorithm for large eigenproblems", 2001).
+    The solve stops on ARPACK's rule for tol = 0, the Ritz estimate |h y| <=
+    eps |theta| for the Ritz value of largest real part, and returns the
+    refined Ritz vector for the eigenvalue 1 (Jia 1997): the basis times the
+    last right singular vector of H - [I; 0]. On a stochastic matrix that
+    eigenvalue is 1 alone, also on a periodic chain, and the start, a law,
+    has a component along its eigenvector. NumericalError if the solve has
+    not stopped once MAX_ITER products, the start's included, are spent.
     """
+    n = recurrent.size
     m = min(n, 20)
     v = np.empty((m + 1, n))
     h = np.zeros((m + 1, m))  # the Krylov relation: P^T v[i] is the sum of h[r, i] v[r] over r = 0..m
-    v[0] = 1.0 / math.sqrt(n)
-    k = products = 0
+    start = pt(recurrent / np.count_nonzero(recurrent))
+    v[0] = start / math.sqrt(start @ start)
+    k, products = 0, 1
     while True:
         for j in range(k, m):
             w = pt(v[j])
@@ -298,16 +304,17 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     no transition leaves), read from the band ends (_recurrent_bins); more
     than one raises NumericalError. Grids of up to DENSE_BINS bins read P
     as P^T applied to the identity and solve it by GTH elimination (_gth).
-    Finer ones take the eigenvector of P^T for the eigenvalue 1 (_arnoldi),
-    which raises NumericalError once it has spent MAX_ITER products.
-    Bins outside the closed class are transient and get exactly 0.
+    Finer ones take the eigenvector of P^T for the eigenvalue 1 from a start
+    on the closed class (_arnoldi), which raises NumericalError once it has
+    spent MAX_ITER products. Bins outside the closed class are transient and
+    get exactly 0.
     """
     n, pt = tm.n_bins, tm.transpose
     recurrent = _recurrent_bins(tm.first, tm.after)
     if n <= DENSE_BINS:
         u = _gth(pt(np.eye(n)).T, tm.first, tm.after, recurrent)
     else:
-        u = _arnoldi(pt, n)
+        u = _arnoldi(pt, recurrent)
     return _law(u, recurrent, pt, tm.bin_edges)
 
 

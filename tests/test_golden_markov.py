@@ -60,21 +60,21 @@ GOLDEN = {
     "steady-state": {
         "convergence.csv": "e950e4d1bf26e9c1836584fa5b58befcb3722124f1cfd3e8f1ac4597f958015b",
         "outage_summary.csv": "ea83e30e6ff762d93e73e5458a42f1362a8519ee088eed487acd5a6873436e0b",
-        "steady_ud.csv": "1104f2482dadd3bd8bb9a884c416e143214ea419ad355b7fb981d450f4976678",
-        "steady_wd.csv": "c2c5c18a0000a3df4c4ecf25fe74d9ba6102e13a33dde806a85e9e13821c0ac9",
+        "steady_ud.csv": "c7d86308f6ff7f0eee8f111ee42b22c604c294b72f7239a0755a25ba3a8e944e",
+        "steady_wd.csv": "73a9dc921a672eeae791e753d9bd40adcd2915d0d97ae0571303a17c9ed263ee",
     },
     "outage-sweep": {
-        "outage_sweep.csv": "d81bb605019037eb6e601664ca2cab1d3b2c127b17bac7b829667c2051c3cb30",
+        "outage_sweep.csv": "05d89a57de658873827b39add3700c00b25d0211c1a3b018ce96f37afc96952f",
     },
     "coverage": {
         "coverage.csv": "c1b789054cb36acde1d5fced10a42f4715bf0526f13f3e9c35e040de4e9cc5b8",
     },
     "act-plan --act cdc": {
-        "act_pdfs.csv": "235a2287969928371c16c23c3a77485852ff451699b5256d41b427e064e5a454",
+        "act_pdfs.csv": "951c8ed838cbf4d3770632060403b0200d24c055b762e4f47d5b111e7b820478",
         "act_plan.csv": "f38943d674536de52c2552bf8c4dca04f84dcfd9e3ecee42c52ccd7872cf54ac",
     },
     "act-plan --act cve": {
-        "act_pdfs.csv": "7d2eaf19986cbc8a22074d50b18d1f51e041ac7deb3a4de5374aaf78d2a59a55",
+        "act_pdfs.csv": "f4f29e147485a35341f6effaf47f17d21a66e6a8b7a114cb740a10425a50598c",
         "act_plan.csv": "6b925392b3973770a9460dffdbab80022f8992679f78e2085670fd929318eecf",
     },
 }
