@@ -61,7 +61,7 @@ def _write_csv(path: str, columns: dict) -> None:
             fh.write((template * rows) % tuple(cells))
 
 
-def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str], timings: dict):
+def _write_manifest(path: str, args: argparse.Namespace, run: RunConfig, outputs: list[str], timings: dict):
     manifest = {
         "tool": "loraeh",
         "version": __version__,
@@ -74,7 +74,7 @@ def _write_manifest(args: argparse.Namespace, run: RunConfig, outputs: list[str]
         "timings": timings,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -313,10 +313,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
         start = time.perf_counter()
-        for name, columns in tables.items():
-            _write_csv(os.path.join(args.out, name), columns)
-        timings["write_s"] = time.perf_counter() - start
-        _write_manifest(args, run, list(tables), timings)
+        try:
+            for name, columns in tables.items():
+                path = os.path.join(args.out, name)
+                _write_csv(path, columns)
+            timings["write_s"] = time.perf_counter() - start
+            path = os.path.join(args.out, "manifest.json")
+            _write_manifest(path, args, run, list(tables), timings)
+        except OSError as exc:  # a directory in an output's place, a full disk, ...
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return 0
     except (ConfigError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ Sections and keys (all optional, defaults below):
                sir_threshold_db, noise_dbm (blank = thermal floor + noise figure),
                noise_figure_db
   [deployment] radius_km, density_per_km2, path_loss_exponent, wavelength_cm,
-               ring_radii_km (comma list of 7, blank = equal-width rings)
+               ring_radii_km (comma list of 7 from 0, blank = equal-width rings)
   [scheme]     kind (uniform|weibull), a_s, b_s, k, w_s
 """
 

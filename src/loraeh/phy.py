@@ -139,7 +139,7 @@ class PhyConfig:
     sir_threshold: float  # co-SF capture threshold, linear
     radius: float  # deployment disk radius [m]
     density: float  # device intensity [1/m^2]
-    ring_radii: tuple[float, ...]  # l0..l6 [m], nondecreasing, l6 = radius
+    ring_radii: tuple[float, ...]  # l0..l6 [m], nondecreasing, l0 = 0 (the gateway), l6 = radius
 
     def __post_init__(self):
         for f in fields(self):
@@ -172,8 +172,8 @@ class PhyConfig:
         if len(self.ring_radii) != N_RINGS + 1:
             raise ConfigError(f"ring_radii needs {N_RINGS + 1} values, got {len(self.ring_radii)}")
         r = np.asarray(self.ring_radii)
-        if r[0] < 0 or np.any(np.diff(r) < 0):
-            raise ConfigError("ring radii must be nondecreasing with l0 >= 0")
+        if r[0] != 0 or np.any(np.diff(r) < 0):
+            raise ConfigError("ring radii must be nondecreasing from l0 = 0, the gateway")
         if not math.isclose(r[-1], self.radius, rel_tol=1e-12):
             raise ConfigError("outermost ring radius must equal the deployment radius")
 

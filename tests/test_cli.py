@@ -422,6 +422,14 @@ class TestExitCodes:
         assert "config error: --out" in err and "Traceback" not in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("name", ["outage_sweep.csv", "manifest.json"])
+    def test_output_cannot_be_written(self, tmp_path, capsys, name):
+        # a directory stands where one output goes: one config error line, not a traceback
+        (tmp_path / "d" / name).mkdir(parents=True)
+        assert run(["outage-sweep", "--bins", 50, "--out", tmp_path / "d"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {tmp_path / 'd' / name}: ") and err.count("\n") == 1
+
     def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # the Weibull solve fails after the uniform one succeeded: no CSV and no manifest
         solve = markov.steady_state
@@ -458,6 +466,9 @@ class TestExitCodes:
             pytest.param("[radio]\nsir_threshold_db = nan\n", COVERAGE, id="sir-nan"),
             pytest.param("[deployment]\nradius_km = 0\n", COVERAGE, id="radius-0"),
             pytest.param("[deployment]\nring_radii_km = 0,1,nan,3,4,5,6\n", COVERAGE, id="ring-radius-nan"),
+            # the rings start at the gateway: a device inside l0 would lie in no ring's integral
+            pytest.param("[deployment]\nring_radii_km = 1,2,3,4,5,5.5,6\n", COVERAGE, id="ring-radius-l0-coverage"),
+            pytest.param("[deployment]\nring_radii_km = 1,2,3,4,5,5.5,6\n", SIMULATE, id="ring-radius-l0-simulate"),
             pytest.param("[deployment]\npath_loss_exponent = nan\n", SIMULATE, id="eta-nan-simulate"),
             pytest.param("[radio]\nsir_threshold_db = nan\n", SIMULATE, id="sir-nan-simulate"),
             pytest.param("[radio]\ntx_power_dbm = nan\n", SIMULATE, id="tx-power-nan-simulate"),

@@ -289,6 +289,8 @@ class TestPhyConfig:
             dataclasses.replace(fig2.phy, eta=1.5)
         with pytest.raises(ConfigError):
             dataclasses.replace(fig2.phy, ring_radii=(0.0, 1.0, 2.0))
+        with pytest.raises(ConfigError, match="l0 = 0"):
+            dataclasses.replace(fig2.phy, ring_radii=(1.0, *fig2.phy.ring_radii[1:]))
         bad = list(fig2.phy.ring_radii)
         bad[2], bad[3] = bad[3], bad[2]
         with pytest.raises(ConfigError):
