@@ -12,6 +12,7 @@ large to allocate included), 2 numerical error, 3 infeasible target.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -313,15 +314,19 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out cannot be made a directory: {exc}") from exc
         start = time.perf_counter()
+        written = []  # removed if a write fails: a failed run leaves none of its outputs
         try:
             for name, columns in tables.items():
-                path = os.path.join(args.out, name)
-                _write_csv(path, columns)
+                written.append(os.path.join(args.out, name))
+                _write_csv(written[-1], columns)
             timings["write_s"] = time.perf_counter() - start
-            path = os.path.join(args.out, "manifest.json")
-            _write_manifest(path, args, run, list(tables), timings)
+            written.append(os.path.join(args.out, "manifest.json"))
+            _write_manifest(written[-1], args, run, list(tables), timings)
         except OSError as exc:  # a directory in an output's place, a full disk, ...
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            for path in written:
+                with contextlib.suppress(OSError):  # a directory in the way stays
+                    os.remove(path)
+            raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}") from exc
         return 0
     except (ConfigError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         print(f"config error: {exc}", file=sys.stderr)

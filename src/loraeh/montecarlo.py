@@ -7,11 +7,12 @@ packet ends, the cycle counts as an energy outage and the packet is neither
 decoded nor does it interfere. Completed packets are checked at the gateway
 against the SNR floor and against summed co-ring interference.
 
-Each ring tests its packets as they arrive (see _RingPass): a packet is
-tested once no later packet can fall in its window, and only the packets
-whose windows are still open are carried to the next test. So a run holds
-a bounded number of packet records, however long it simulates, and its
-outputs are the bits of one pass over the whole run.
+After every block of cycles, each ring tests that block's packets (see
+_RingPass): a packet is tested once no later packet can fall in its window,
+and only the packets whose windows are still open are carried to the next
+block. So a run holds one block's packet records and the carried ones,
+however long it simulates, and its outputs are the bits of one pass over the
+whole run.
 
 Determinism: every device owns two PCG64 streams (charging times and fading),
 spawned from one SeedSequence of the seed in device order, so results are
@@ -164,13 +165,13 @@ def _energy_phase(nu_gens, h_gens, v0, scheme, m, cfg, airtimes, passes, duratio
         counted = active & (start > warmup)
         for total, mask in zip(counts.values(), (counted, counted & ~charged[:steps], counted & done)):
             total += mask.sum(axis=0)
-        # added in cycle order per device, as a running sum would
+        # added in cycle order per device, as a running sum would; with one
+        # device, duty.sum(axis=0) would add pairwise and move the last bits
         duty = np.add(nu[:steps], airtimes)
         np.divide(airtimes, duty, out=duty)
         np.putmask(duty, ~counted, 0.0)
         duty[0] += duty_sum
-        np.add.accumulate(duty, axis=0, out=duty)
-        duty_sum = duty[-1].copy()
+        duty_sum = np.add.accumulate(duty, axis=0, out=duty)[-1].copy()
         # Every completed packet interferes, counted or not. Each device draws
         # this block's fading gains from its own stream in packet order, into
         # the spent charging times: u[d, j] is the gain of device d's packet
@@ -187,13 +188,11 @@ def _energy_phase(nu_gens, h_gens, v0, scheme, m, cfg, airtimes, passes, duratio
         running = t_hist[0].min() < duration
         for c, ring in passes:
             flat = np.flatnonzero(done[:, c])  # the ring's packets, cycle-major
-            if flat.size:
-                cyc, dev = np.divmod(flat, c.stop - c.start)
-                # a flat index into the ring's rows of u gathers about twice as fast as u[c][dev, cyc]
-                ring.add(dev.astype(np.int32), start[:, c].ravel()[flat], u[c].ravel()[dev * _BLOCK + cyc])
+            cyc, dev = np.divmod(flat, c.stop - c.start)
+            # a flat index into the ring's rows of u gathers about twice as fast as u[c][dev, cyc]
+            new = dev.astype(np.int32), start[:, c].ravel()[flat], u[c].ravel()[dev * _BLOCK + cyc]
             # a later packet starts at or after its device's clock
-            if not running or ring.waiting > _BLOCK * (c.stop - c.start):
-                ring.flush(t_hist[0, c].min() if running else np.inf)
+            ring.flush(new, t_hist[0, c].min() if running else np.inf)
 
     # a counted cycle is a skip, an abort or a completed packet
     counts["energy_aborts"] = counts["cycles"] - counts["energy_skips"] - counts["attempts"]
@@ -281,37 +280,31 @@ class _RingPass:
     in its window: every later packet starts at or after the ring's earliest
     device clock t_min, so `start + tau <= t_min` suffices.
 
-    Each flush sorts its pool: the carried records (already sorted) first,
-    then the new ones in arrival order. It tests the final prefix, and carries
-    the running sums up to its first kept record, the final records that
-    later windows still reach back to, and the records not yet final.
+    The simulator flushes each ring after every block, with that block's
+    records. A flush sorts its pool: the carried records (already sorted)
+    first, then the new ones in arrival order. It tests the final prefix, and
+    carries the running sums up to its first kept record, the final records
+    that later windows still reach back to, and the records not yet final.
     """
 
-    def __init__(self, snr_floor, gains, tau, cfg, overlap, warmup):
+    def __init__(self, snr_floor, gains, tau, cfg, overlap, warmup, tallies):
         self.snr_floor, self.gains, self.tau = snr_floor, gains, tau
         self.cfg, self.overlap, self.warmup = cfg, overlap, warmup
-        self.snr_fails, self.successes = np.zeros((2, gains.size), dtype=np.int64)
-        self.blocks = []  # new records, one (device, start, fading gain) tuple per block
-        self.waiting = 0  # records in self.blocks
+        self.snr_fails, self.successes = tallies  # the ring's columns, added into
         self.carried = (np.empty(0, dtype=np.int32), np.empty(0), np.empty(0))
         self.tested = 0  # leading carried records, tested before
         self.sums = (0.0, 0.0)  # running sums of p and p * start before the first carried record
 
-    def add(self, dev, start, h2):
-        self.blocks.append((dev, start, h2))
-        self.waiting += dev.size
-
-    def flush(self, t_min):
-        """Test every record no packet starting at or after t_min can reach."""
-        dev, start, h2 = (np.concatenate(f) for f in zip(self.carried, *self.blocks))
-        self.blocks.clear()
-        self.waiting = 0
+    def flush(self, new, t_min):
+        """Take one block's (device, start, fading gain) records and test every
+        record no packet starting at or after t_min can reach."""
+        dev, start, h2 = (np.concatenate(f) for f in zip(self.carried, new))
         order, s = _stable_order(start)
         dev, h2 = dev[order], h2[order]
         tau, cfg = self.tau, self.cfg
         end = s + tau
         final = np.searchsorted(end, t_min, "right")  # window ends at or before t_min
-        if final == self.tested:  # nothing new to test: keep waiting
+        if final == self.tested:  # nothing new to test: carry the sorted pool
             self.carried = dev, s, h2
             return
         # the window of a final record holds only records that start by t_min,
@@ -406,8 +399,9 @@ def run_simulation(
     v = np.array([g.uniform(v_init_lo, m.v_limit_off) for g in nu_gens])
     with np.errstate(divide="ignore"):  # a path gain that underflows to 0 fails every SNR test
         snr_floor = cfg.noise * SNR_THRESHOLDS[rings[perm]] / (cfg.p_tx * gains)
+    tallies = np.zeros((2, n), dtype=np.int64)  # snr_fails and successes
     passes = [
-        (c, _RingPass(snr_floor[c], gains[c], AIRTIMES_S[ring], cfg, overlap, warmup))
+        (c, _RingPass(snr_floor[c], gains[c], AIRTIMES_S[ring], cfg, overlap, warmup, tallies[:, c]))
         for ring, c in enumerate(ring_cols)
         if c.stop > c.start
     ]
@@ -415,9 +409,7 @@ def run_simulation(
         counters, traces = _energy_phase(
             nu_gens, h_gens, v, scheme, m, cfg, AIRTIMES_S[rings[perm]], passes, duration, warmup, collect_traces
         )
-    counters["snr_fails"], counters["successes"] = np.zeros((2, n), dtype=np.int64)
-    for c, ring in passes:
-        counters["snr_fails"][c], counters["successes"][c] = ring.snr_fails, ring.successes
+    counters["snr_fails"], counters["successes"] = tallies
 
     counters["sir_fails"] = counters["attempts"] - counters["successes"] - counters["snr_fails"]
     # per ring, a sum over its columns, in device index order: another order moves duty_mean's last bits

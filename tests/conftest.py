@@ -1,7 +1,13 @@
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import loraeh
 from loraeh.capacitor import build_model
 from loraeh.config import load_config
 from loraeh.markov import steady_state
@@ -11,6 +17,22 @@ from loraeh.markov import steady_state
 # example database is written.
 settings.register_profile("loraeh", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("loraeh")
+
+# Hypothesis also draws literal constants from every non-test module loaded,
+# so a property test's examples would depend on which other tests ran first.
+# Loading every module any test loads, up front, makes them the same for any
+# selection. perfbench's are imported without writing bytecode there.
+for module in pkgutil.iter_modules(loraeh.__path__):
+    importlib.import_module(f"loraeh.{module.name}")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    for name in ("run", "tracing", "workloads"):
+        importlib.import_module(name)
+finally:
+    sys.dont_write_bytecode = dont_write
+    sys.path.remove(str(PERFBENCH))
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,11 @@ import importlib
 import inspect
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from loraeh.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 JOBS = [
     ["capacitor-trace", "--cycles", "5"],
@@ -29,16 +27,8 @@ JOBS = [
 
 @pytest.fixture(scope="module")
 def bench():
-    """perfbench's run and tracing modules, imported without writing bytecode there."""
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import run
-        import tracing
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(PERFBENCH))
-    return run, tracing
+    """perfbench's run and tracing modules, which conftest.py loads."""
+    return sys.modules["run"], sys.modules["tracing"]
 
 
 def _bindings():

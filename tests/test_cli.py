@@ -424,11 +424,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["outage_sweep.csv", "manifest.json"])
     def test_output_cannot_be_written(self, tmp_path, capsys, name):
-        # a directory stands where one output goes: one config error line, not a traceback
+        # a directory stands where one output goes: one config error line, not a
+        # traceback, and none of the outputs written before it is left behind
         (tmp_path / "d" / name).mkdir(parents=True)
         assert run(["outage-sweep", "--bins", 50, "--out", tmp_path / "d"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {tmp_path / 'd' / name}: ") and err.count("\n") == 1
+        assert [p.name for p in (tmp_path / "d").iterdir()] == [name]
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # the Weibull solve fails after the uniform one succeeded: no CSV and no manifest

@@ -274,9 +274,9 @@ def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2, overl
 
 @pytest.mark.parametrize("overlap", ["full", "fractional"])
 def test_matches_reference_with_tied_starts_across_flushes(fig2, monkeypatch, overlap):
-    """At 7-cycle blocks the ring is tested in three flushes, and each carries
-    the last cycle's records, runs of tied starts among them, into the next
-    one, whose sort must keep their order; the output is still the reference's."""
+    """At 7-cycle blocks the ring is flushed after every block, and each flush
+    carries the last cycle's records, runs of tied starts among them, into the
+    next one, whose sort must keep their order; the output is still the reference's."""
     monkeypatch.setattr(montecarlo, "_BLOCK", 7)
     assert_tied_starts_match(fig2.phy, overlap, [0])
 

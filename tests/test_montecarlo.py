@@ -150,17 +150,19 @@ class TestDeterminism:
 class TestBlockSize:
     @pytest.mark.parametrize("overlap", ["full", "fractional"])
     @pytest.mark.parametrize(
-        "scheme, duration",
+        "scheme, duration, n_devices",
         [
-            (ChargingScheme.uniform(0.0, 100.0), 3e4),
-            (ChargingScheme.weibull(0.5, 50.0), 3e4),
-            (ChargingScheme.uniform(0.5, 1.5), 3e3),  # about 3000 cycles a device: many blocks of 256
+            (ChargingScheme.uniform(0.0, 100.0), 3e4, 40),
+            (ChargingScheme.weibull(0.5, 50.0), 3e4, 40),
+            (ChargingScheme.uniform(0.5, 1.5), 3e3, 40),  # about 3000 cycles a device: many blocks of 256
+            # a (block x 1) column is where numpy's sum would add pairwise, not in cycle order
+            (ChargingScheme.uniform(0.0, 20.0), 2e4, 1),
         ],
-        ids=["ud", "wd-half", "fast"],
+        ids=["ud", "wd-half", "fast", "one-device"],
     )
-    def test_output_does_not_depend_on_the_block_size(self, fig2, monkeypatch, scheme, duration, overlap):
+    def test_output_does_not_depend_on_the_block_size(self, fig2, monkeypatch, scheme, duration, n_devices, overlap):
         # each device's stream is consumed in cycle order, so no block size moves a bit
-        net = sample_network(fig2.phy, seed=21, n_devices=40)
+        net = sample_network(fig2.phy, seed=21, n_devices=n_devices)
         m = build_model(fig2.phy)
 
         def outputs(block):
@@ -357,8 +359,9 @@ class TestRingPass:
     @pytest.mark.parametrize("overlap", ["full", "fractional"])
     def test_ties_split_by_a_flush_keep_record_order(self, fig2, monkeypatch, overlap):
         """A run of equal starts split between carried and new records is tested
-        carried first, so a flush at t_min and one at inf over the rest take the
-        same tallies and running-sum inputs, bit for bit, as one flush at inf."""
+        carried first, so flushing the first block at t_min and the second at
+        inf takes the same tallies and running-sum inputs, bit for bit, as one
+        flush of both blocks at inf."""
         seen = []
         running_sum = montecarlo._running_sum
         monkeypatch.setattr(
@@ -377,13 +380,13 @@ class TestRingPass:
         gains = np.array([1.0, 0.5, 0.25, 0.125])
 
         def ring_pass(t_min):
-            ring = montecarlo._RingPass(np.full(4, 0.2), gains, 1.0, fig2.phy, overlap, 0.0)
-            ring.add(*records[0])
+            ring = montecarlo._RingPass(np.full(4, 0.2), gains, 1.0, fig2.phy, overlap, 0.0, np.zeros((2, 4), int))
             if t_min < math.inf:
-                ring.flush(t_min)
+                ring.flush(records[0], t_min)
                 assert ring.tested > 0 and 3.0 in ring.carried[1]  # ties of the second block's records
-            ring.add(*records[1])
-            ring.flush(math.inf)
+                ring.flush(records[1], math.inf)
+            else:
+                ring.flush(tuple(map(np.concatenate, zip(*records))), math.inf)
             return ring
 
         one = ring_pass(math.inf)
