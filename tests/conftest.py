@@ -62,10 +62,10 @@ def steady_cache(fig2, model, ud, wd):
     cache = {}
     schemes = {"ud": ud, "wd": wd}
 
-    def get(label, airtime, n_bins=2000, m=None):
-        key = (label, airtime, n_bins, id(m) if m is not None else None)
+    def get(label, airtime, n_bins=2000):
+        key = (label, airtime, n_bins)
         if key not in cache:
-            cache[key] = steady_state(schemes[label], airtime, m or model, n_bins=n_bins)
+            cache[key] = steady_state(schemes[label], airtime, model, n_bins=n_bins)
         return cache[key]
 
     return get

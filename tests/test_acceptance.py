@@ -12,8 +12,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from oracles import cycle_voltages
 from scipy import integrate
-from test_capacitor import cycle_voltages
 
 from loraeh.capacitor import build_model
 from loraeh.cli import main as cli_main

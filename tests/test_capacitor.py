@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import cycle_map, cycle_voltages
 
 from loraeh.capacitor import (
-    CapacitorModel,
     build_model,
     estimate_mean_voltage,
     simulate_trajectory,
@@ -14,27 +14,6 @@ from loraeh.capacitor import (
 from loraeh.errors import NumericalError
 from loraeh.markov import DecayFactorDistribution
 from loraeh.phy import ChargingScheme
-
-
-def cycle_voltages(
-    v0,
-    scheme: ChargingScheme,
-    airtime: float,
-    n_cycles: int,
-    m: CapacitorModel,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """End-of-cycle voltages for one or many parallel chains (rows: chains), one
-    affine map v' = v_after_full + retention * decay * (v - v_limit_off) a cycle:
-    the per-cycle oracle of the chain and of the simulator's voltages."""
-    v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
-    out = np.empty((n_cycles, v.size))
-    v_after_full, retention = m.v_after_full(airtime), m.retention(airtime)
-    for j in range(n_cycles):
-        decay = np.exp(-scheme.sample(rng, v.size) / m.tau_off)
-        v = v_after_full + retention * decay * (v - m.v_limit_off)
-        out[j] = v
-    return out
 
 
 class TestBuildModel:
@@ -113,11 +92,6 @@ class TestSteps:
             gap = abs(cycle_map(model, 0.204, v1, decay) - cycle_map(model, 0.204, v2, decay))
             assert abs(gap - model.retention(0.204) * decay * abs(v1 - v2)) < 1e-12
             assert gap < abs(v1 - v2)
-
-
-def cycle_map(m, airtime, v, decay):
-    """End-of-cycle voltage from start voltage v and charge-phase decay factor."""
-    return m.v_after_full(airtime) + m.retention(airtime) * decay * (v - m.v_limit_off)
 
 
 class TestCycleMap:

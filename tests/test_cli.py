@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_capacitor import cycle_voltages
+from oracles import cycle_voltages
 
 import loraeh
 from loraeh import markov

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from oracles import connection_prob, quad_sir
+from scipy import stats
 
 from loraeh import phy
 from loraeh.errors import ConfigError
@@ -15,47 +17,7 @@ from loraeh.geometry import (
     sir_success,
     snr_success,
 )
-from loraeh.phy import AIRTIMES_S, SNR_THRESHOLDS, collision_fraction, ring_index
-
-
-def quad_sir(d, p, cfg):
-    """Independent oracle: adaptive quadrature of the annulus interference integral."""
-    ring = int(np.searchsorted(cfg.ring_radii, d, side="left")) - 1
-    ring = max(ring, 0)
-    a_const = cfg.sir_threshold * d**cfg.eta
-    f = lambda r: (a_const / (r**cfg.eta + a_const)) * r
-    val, _ = integrate.quad(f, cfg.ring_radii[ring], cfg.ring_radii[ring + 1], epsabs=1e-13, epsrel=1e-12, limit=500)
-    return math.exp(-2 * math.pi * p * cfg.density * val)
-
-
-def connection_prob(d, p, cfg, n_samples=100000, seed=0):
-    """(lower, upper) bounds on the joint SNR-and-SIR success probability.
-
-    The lower bound multiplies the two marginal successes (independence
-    bound). The upper value Monte Carlo-estimates the exact joint probability
-    P[|h|^2 >= max(noise term, interference term)] by sampling same-ring
-    interferer sets, since no closed form exists for the max coupling.
-    """
-    lower = snr_success(d, cfg) * sir_success(d, p, cfg)
-    ring = ring_index(d, cfg)
-    d_eff = max(d, MIN_DISTANCE_M)
-    gain = path_gain(d_eff, cfg)
-    noise_term = cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gain)
-    lo, hi = cfg.ring_radii[ring], cfg.ring_radii[ring + 1]
-    area = np.pi * (hi**2 - lo**2)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(p * cfg.density * area, size=n_samples)
-    total = int(counts.sum())
-    radii = np.sqrt(rng.uniform(lo**2, hi**2, size=total))
-    fades = rng.exponential(1.0, size=total)
-    power = cfg.p_tx * fades * (cfg.wavelength / (4.0 * np.pi * np.maximum(radii, MIN_DISTANCE_M))) ** cfg.eta
-    sample_ids = np.repeat(np.arange(n_samples), counts)
-    interference = np.bincount(sample_ids, weights=power, minlength=n_samples)
-    sir_term = cfg.sir_threshold * interference / (cfg.p_tx * gain)
-    upper = float(np.mean(np.exp(-np.maximum(noise_term, sir_term))))
-    # the exact joint probability dominates the product bound; project the
-    # sampled estimate onto that feasible region
-    return lower, max(upper, lower)
+from loraeh.phy import AIRTIMES_S, SNR_THRESHOLDS, collision_fraction
 
 
 class TestPathGain:
@@ -64,9 +26,8 @@ class TestPathGain:
         assert path_gain(2000.0, cfg) == pytest.approx(path_gain(1000.0, cfg) / 4.0, rel=1e-12)
 
     def test_high_precision_value(self, fig2):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        expected = float((mp.mpf("0.345") / (4 * mp.pi * 1000)) ** mp.mpf("2.75"))
+        with mpmath.workdps(50):
+            expected = float((mpmath.mpf("0.345") / (4 * mpmath.pi * 1000)) ** mpmath.mpf("2.75"))
         assert path_gain(1000.0, fig2.phy) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decreasing(self, fig2):

@@ -1,12 +1,12 @@
 """Golden outputs of the network path: sample_network, run_simulation, simulate.
 
 The digests were recorded from the per-cycle simulator that
-`reference_simulation` reproduces (one numpy step per cycle for every counter
-and record). Any restructuring of the network path must reproduce them bit for
-bit. They depend on numpy's vectorized exp, log1p and power kernels, so on
-another platform the comparison with `reference_simulation` is the check that
-still holds. `python tests/test_golden.py` prints the digests of the current
-code in the layout of GOLDEN.
+`reference_simulation` (`oracles.py`) reproduces. Any restructuring of the
+network path must reproduce them bit for bit. They depend on numpy's
+vectorized exp, log1p and power kernels, so on another platform the
+comparison with `reference_simulation` is the check that still holds.
+`python tests/test_golden.py` prints the digests of the current code in the
+layout of GOLDEN.
 """
 
 import dataclasses
@@ -14,14 +14,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import reference_simulation
 
 from loraeh import montecarlo
 from loraeh.capacitor import build_model
 from loraeh.cli import main
 from loraeh.config import load_config
-from loraeh.geometry import NetworkRealization, path_gain, sample_network
+from loraeh.geometry import NetworkRealization, sample_network
 from loraeh.montecarlo import _WALK, run_simulation
-from loraeh.phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, ring_index
+from loraeh.phy import AIRTIMES_S, ChargingScheme, ring_index
 
 WEIBULL_HALF = "[scheme]\nk = 0.5\n"
 # mean charging time 1 s: in 1e4 s one device crosses many of the simulator's
@@ -135,85 +136,6 @@ def networks_digest():
         for arr in (net.distances, net.ring.astype(np.int64)):
             h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
-
-
-def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
-    """Per-device counters and duty sums, traces, the device and start time of
-    each packet of the per-cycle simulator, in (cycle, device index) order,
-    and per ring the running sum of its received powers in start order."""
-    n, chunk = net.n_devices, 2048
-    m = build_model(cfg, "thevenin")
-    airtimes = AIRTIMES_S[net.ring]
-    gains = np.array([path_gain(d, cfg) for d in net.distances])
-    retention = np.exp(-airtimes / m.tau_on)
-    streams = np.random.SeedSequence(seed).spawn(2 * n)
-    nu_gens = [np.random.Generator(np.random.PCG64(streams[2 * i])) for i in range(n)]
-    h_gens = [np.random.Generator(np.random.PCG64(streams[2 * i + 1])) for i in range(n)]
-    v = np.array([g.uniform(min(cfg.v_operating, m.v_limit_off), m.v_limit_off) for g in nu_gens])
-    t = np.zeros(n)
-    out = {k: np.zeros(n, dtype=np.int64) for k in ("cycles", "energy_skips", "energy_aborts", "attempts")}
-    out["duty_sum"] = np.zeros(n)
-    records, traces = [], [[] for _ in range(n)]
-    while (t < duration).any():
-        nu_chunk = np.stack([g.uniform(0.0, 1.0, chunk) for g in nu_gens])
-        if scheme.kind == "uniform":
-            nu_chunk = scheme.a + (scheme.b - scheme.a) * nu_chunk
-        else:
-            nu_chunk = scheme.w * (-np.log1p(-nu_chunk)) ** (1.0 / scheme.k)
-        for j in range(chunk):
-            active = t < duration
-            if not active.any():
-                break
-            nu = nu_chunk[:, j]
-            w = m.v_limit_off + (v - m.v_limit_off) * np.exp(-nu / m.tau_off)
-            attempt = (w >= cfg.v_operating) & active
-            v_next = np.where(attempt, m.v_limit_on + (w - m.v_limit_on) * retention, w)
-            done = attempt & (v_next >= cfg.v_operating)
-            start = t + nu
-            counted = active & (start > warmup)
-            out["cycles"] += counted
-            out["energy_skips"] += counted & ~attempt
-            out["energy_aborts"] += counted & attempt & ~done
-            out["attempts"] += counted & done
-            out["duty_sum"] += np.where(counted, airtimes / (nu + airtimes), 0.0)
-            records += [(d, start[d], counted[d]) for d in np.flatnonzero(done)]
-            for d in np.flatnonzero(active):
-                traces[d].append(v_next[d])
-            v = np.where(active, v_next, v)
-            t = np.where(active, t + nu + np.where(attempt, airtimes, 0.0), t)
-
-    dev = np.array([r[0] for r in records], dtype=np.int64)
-    start = np.array([r[1] for r in records])
-    counted = np.array([r[2] for r in records], dtype=bool)
-    h2 = np.empty(dev.size)
-    order = np.lexsort((start, dev))
-    counts = np.bincount(dev, minlength=n)
-    h2[order] = np.concatenate([np.empty(0)] + [g.exponential(1.0, k) for g, k in zip(h_gens, counts)])
-    success = np.zeros(dev.size, dtype=bool)
-    snr_fail = np.zeros(dev.size, dtype=bool)
-    running_sums = {}
-    for ring in range(N_RINGS):
-        idx = np.flatnonzero(net.ring[dev] == ring)
-        sub = idx[np.argsort(start[idx], kind="stable")]
-        s = start[sub]
-        pw = cfg.p_tx * h2[sub] * gains[dev[sub]]
-        tau = AIRTIMES_S[ring]
-        lo = np.searchsorted(s, s - tau, side="right")
-        hi = np.searchsorted(s, s + tau, side="left")
-        cp = running_sums[ring] = np.concatenate([[0.0], np.cumsum(pw)])
-        if overlap == "full":
-            interference = cp[hi] - cp[lo] - pw
-        else:
-            csp = np.concatenate([[0.0], np.cumsum(pw * s)])
-            sum_l, sum_ls = cp[:-1] - cp[lo], csp[:-1] - csp[lo]
-            sum_r, sum_rs = cp[hi] - cp[1:], csp[hi] - csp[1:]
-            interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
-        ok_snr = h2[sub] >= cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gains[dev[sub]])
-        success[sub] = ok_snr & (pw >= cfg.sir_threshold * interference)
-        snr_fail[sub] = ~ok_snr
-    out["successes"] = np.bincount(dev[counted & success], minlength=n)
-    out["snr_fails"] = np.bincount(dev[counted & snr_fail], minlength=n)
-    return out, [np.array(tr) for tr in traces], dev, start, running_sums
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,11 @@
 """Golden outputs of the analytic path: transition matrix, stationary law, CSVs.
 
-`reference_transition_matrix` and `reference_stationary` are a dense builder
-and solver: the same per-cell mass formula is evaluated on every cell of the
-grid, and the stationary law solves u (I - P) = 0, sum(u) = 1 by dense LU on
-the one closed class and is 0 on every other bin. `closed_classes` counts
-the closed classes of a matrix from its graph. They are the only oracle of
-the chain: its bands must hold every nonzero cell, its product with P^T must
-match the dense one, and its solve (GTH elimination up to 300 bins, Arnoldi
-above) must land on the same stationary vector up to rounding for the
-uniform, exponential and other Weibull chains, at every grid size, or raise
-where the chain has several closed classes. The CSV digests were
+Against the dense matrix, the dense solve and the closed-class count of
+`oracles.py`, the chain's bands must hold every nonzero cell, its product
+with P^T must match the dense one, and its solve (GTH elimination up to 300
+bins, Arnoldi above) must land on the same stationary vector up to rounding
+for the uniform, exponential and other Weibull chains, at every grid size,
+or raise where the chain has several closed classes. The CSV digests were
 recorded at the default configuration; like those of `test_golden.py` they
 depend on numpy's vectorized log, exp and power kernels, and through the
 Arnoldi solve's Gram-Schmidt and its small eigenproblems on numpy's BLAS and
@@ -29,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse import csgraph
+from oracles import closed_classes, outside_band, reference_stationary, reference_transition_matrix, rows
 
 from loraeh.capacitor import build_model
 from loraeh.cli import main
@@ -78,56 +73,6 @@ GOLDEN = {
         "act_plan.csv": "6b925392b3973770a9460dffdbab80022f8992679f78e2085670fd929318eecf",
     },
 }
-
-
-def reference_transition_matrix(scheme, airtime, m, n_bins):
-    """Dense Ulam matrix: every cell is the decay law's mass between the cell's two mapped edges."""
-    edges = np.linspace(m.v_limit_on, m.v_limit_off, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    log_d = np.log(m.retention(airtime) * (m.v_limit_off - centers))
-    with np.errstate(divide="ignore"):
-        log_n = np.log(np.maximum(m.v_after_full(airtime) - edges, 0.0))
-    surv = scheme.survival(m.tau_off * (log_d[:, None] - log_n[None, :]))
-    raw = surv[:, :-1] - surv[:, 1:]
-    return raw / raw.sum(axis=1, keepdims=True)
-
-
-def reference_stationary(mat):
-    """The stationary law of a matrix with one closed class: on the class, (I - P^T) u = 0 with its
-    last row replaced by sum(u) = 1, by dense LU; 0 on the transient bins."""
-    count, closed = closed_classes(mat)
-    assert count == 1
-    k = np.count_nonzero(closed)
-    a = np.eye(k) - mat[np.ix_(closed, closed)].T
-    a[-1] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    u = np.zeros(mat.shape[0])
-    u[closed] = np.linalg.solve(a, b)
-    return u
-
-
-def closed_classes(mat):
-    """(count, mask of the one closed class or None) of a matrix, from its graph: a
-    strongly connected class is closed when no stored transition leaves it."""
-    mat = sparse.csr_array(mat)
-    n_classes, labels = csgraph.connected_components(mat, directed=True, connection="strong")
-    src = np.repeat(labels, np.diff(mat.indptr))
-    leaves = np.zeros(n_classes, dtype=bool)
-    leaves[src[src != labels[mat.indices]]] = True
-    closed = np.flatnonzero(~leaves)
-    return closed.size, (labels == closed[0] if closed.size == 1 else None)
-
-
-def rows(tm):
-    """P as a dense array: row i is P^T applied to the i-th unit vector."""
-    return np.array([tm.transpose(e) for e in np.eye(tm.n_bins)])
-
-
-def outside_band(tm):
-    """Mask of the cells of P outside each row's band [first - 1, after)."""
-    cols = np.arange(tm.n_bins)
-    return (cols < np.maximum(tm.first - 1, 0)[:, None]) | (cols >= tm.after[:, None])
 
 
 @pytest.mark.parametrize("scheme, capacitance, airtime, n_bins", DENSE_CASES)

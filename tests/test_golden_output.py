@@ -1,13 +1,12 @@
 """Golden outputs of the capacitor trace and of the CSV writer.
 
-`reference_trajectory` is the per-sample loop that the array trajectory
-replaced: one `step_charge`/`step_discharge` call and one scheme draw per
-cycle, and a `linspace` per phase. `reference_write_csv` is the writer that
-formatted each cell on its own. The trace digests were recorded from that loop
-and writer; like those of `test_golden.py` they depend on numpy's vectorized
-exp kernel, so on another platform the comparison with `reference_trajectory`
-is the check that still holds. `python tests/test_golden_output.py` prints the
-digests of the current code in the layout of GOLDEN.
+The trace digests were recorded from the per-sample loop of
+`reference_trajectory` and the per-cell writer of `reference_write_csv`
+(`oracles.py`); like those of `test_golden.py` they depend on numpy's
+vectorized exp kernel, so on another platform the comparison with
+`reference_trajectory` is the check that still holds.
+`python tests/test_golden_output.py` prints the digests of the current code
+in the layout of GOLDEN.
 """
 
 import csv
@@ -19,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from oracles import reference_trajectory, reference_write_csv
 
-from loraeh.capacitor import build_model, simulate_trajectory, step_charge, step_discharge
+from loraeh.capacitor import build_model, simulate_trajectory
 from loraeh import cli
 from loraeh.cli import _write_csv, build_parser, cmd_capacitor_trace, main
 from loraeh.config import load_config
@@ -59,53 +59,6 @@ GOLDEN = {
     'slow-mixing-c1000-r4-s1': ('8fa68c6dcc947c9253eb1b0287467c8b482534c429491445b4267ad0748894b2', '0c339ff47c0980b39380f2c86221d99907aff9b331ccd12e9d1466765f5351bc'),
     'slow-mixing-c1000-r6-s3': ('e89e634b002d87c9c98d13e159069f2c941fa02d5fde5d647a7b6c3db38540da', '9bf4829be3e96f0968c940e9513781494a96eb9fd8a4aaf56475d3265bdcd66b'),
 }
-
-
-def reference_trajectory(v0, scheme, airtime, n_cycles, m, seed=0, samples_per_phase=20):
-    """The per-sample loop: (times, voltages, phases, cycle_index) arrays."""
-    rng = np.random.default_rng(seed)
-    times = [0.0]
-    volts = [float(v0)]
-    phases = ["charge"]
-    cyc = [0]
-    t = 0.0
-    v = float(v0)
-    for j in range(n_cycles):
-        nu = float(scheme.sample(rng))
-        for frac in np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase):
-            times.append(t + frac * nu)
-            volts.append(float(step_charge(v, frac * nu, m)))
-            phases.append("charge")
-            cyc.append(j)
-        v = float(step_charge(v, nu, m))
-        t += nu
-        for frac in np.linspace(1.0 / samples_per_phase, 1.0, samples_per_phase):
-            times.append(t + frac * airtime)
-            volts.append(float(step_discharge(v, frac * airtime, m)))
-            phases.append("tx")
-            cyc.append(j)
-        v = float(step_discharge(v, airtime, m))
-        t += airtime
-    return np.asarray(times), np.asarray(volts), np.asarray(phases), np.asarray(cyc)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float | np.floating):
-        return format(float(x), ".10g")
-    return str(x)
-
-
-def reference_write_csv(path, header, rows):
-    """The writer that formatted each cell of each row on its own."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def trace_digests(case, workdir):

@@ -1,7 +1,7 @@
 """Import hygiene: no module of the package imports another module's private
-name, no module of the package or the tests imports a name it never reads,
-and a CLI run loads scipy only where a chain needs the kernel sum's block
-sparse matrices."""
+name, no test file imports a test module or conftest, no module of the
+package or the tests imports a name it never reads, and a CLI run loads
+scipy only where a chain needs the kernel sum's block sparse matrices."""
 
 import ast
 import json
@@ -30,6 +30,32 @@ def test_no_module_imports_a_private_name():
         f"{path.name}:{line}: {name} from {module}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line, module, name in private_imports(path)
+    ]
+    assert not found
+
+
+def imported_test_modules(path):
+    """(line, module) of every import that takes a test module or conftest."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.startswith("test_") or module == "conftest":
+                yield node.lineno, module
+
+
+def test_no_test_file_imports_another():
+    # shared references live in oracles.py, which holds no tests
+    tests = Path(__file__).resolve().parent
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in sorted(tests.glob("*.py"))
+        for line, module in imported_test_modules(path)
     ]
     assert not found
 

@@ -5,21 +5,22 @@ import tracemalloc
 from functools import partial
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
-from scipy.sparse import linalg as sparse_linalg
-from test_capacitor import cycle_voltages
-from test_golden_markov import (
+from oracles import (
+    band_chain,
     closed_classes,
+    cycle_voltages,
+    gth_40_digits,
     outside_band,
     reference_stationary,
     reference_transition_matrix,
     rows,
 )
+from scipy import integrate
+from scipy.sparse import linalg as sparse_linalg
 
 from loraeh import markov
 from loraeh.capacitor import build_model, estimate_mean_voltage
@@ -27,7 +28,6 @@ from loraeh.errors import NumericalError
 from loraeh.markov import (
     DENSE_BINS,
     DecayFactorDistribution,
-    TransitionMatrix,
     build_transition_matrix,
     stationary_distribution,
     stationary_pdf,
@@ -73,37 +73,6 @@ class TestDecayFactorDistribution:
         draws = np.exp(-scheme.sample(rng, 2_000_000) / model.tau_off)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(d.mean() - draws.mean()) < 3 * se
-
-
-def band_chain(mat):
-    """The TransitionMatrix of a small dense matrix whose rows are each nonzero on one band."""
-    nonzero = np.asarray(mat) != 0.0
-    n = nonzero.shape[0]
-    first = nonzero.argmax(axis=1) + 1
-    after = n - nonzero[:, ::-1].argmax(axis=1)
-    pt = np.asarray(mat, dtype=float).T.__matmul__
-    return TransitionMatrix(bin_edges=np.linspace(0, 1, n + 1), first=first, after=after, transpose=pt)
-
-
-def gth_40_digits(mat):
-    """The stationary law of an irreducible stochastic matrix, as mpmath numbers: GTH elimination
-    (Grassmann, Taksar & Heyman 1985) at 40 digits, skipping the zero cells."""
-    k = mat.shape[0]
-    with mpmath.workdps(40):
-        a = [[mpmath.mpf(x) for x in row] for row in mat.tolist()]
-        for i in range(k - 1, 0, -1):
-            cols = [c for c in range(i) if a[i][c]]
-            total = mpmath.fsum(a[i][c] for c in cols)
-            for r in range(i):
-                if a[r][i]:
-                    a[r][i] /= total
-                    for c in cols:
-                        a[r][c] += a[r][i] * a[i][c]
-        law = [mpmath.mpf(1)]
-        for i in range(1, k):
-            law.append(mpmath.fsum(law[r] * a[r][i] for r in range(i) if a[r][i]))
-        total = mpmath.fsum(law)
-        return [x / total for x in law]
 
 
 # the near-reducible chains of TestStationary: one closed class whose 8 to 37 bins are

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import weibull_expectation
 from scipy import integrate
 
 from loraeh import phy
@@ -225,16 +226,6 @@ class TestDutyCycle:
         except NumericalError:  # the quadrature may fail to converge; nothing else may go wrong
             return
         assert figure * (1.0 - 1e-7) <= duty <= 1.0
-
-
-def weibull_expectation(k, w, g, knee):
-    """E[g(nu)] for nu ~ Weibull(k, w) by mpmath, as the integral of exp(-u) g(w u^(1/k)) over u > 0.
-
-    g turns over near nu = knee, at u = (knee / w)^k; the quadrature is split there.
-    """
-    with mpmath.workdps(30):
-        points = sorted({0, (knee / w) ** k, 1}) + [mpmath.inf]
-        return float(mpmath.quad(lambda u: mpmath.exp(-u) * g(w * u ** (mpmath.mpf(1) / k)), points))
 
 
 class TestWeibullQuadrature:
