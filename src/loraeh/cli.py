@@ -223,7 +223,6 @@ def cmd_simulate(args, run: RunConfig, model: CapacitorModel) -> dict:
         run.scheme,
         duration=args.duration,
         seed=args.seed,
-        overlap=args.overlap,
         warmup=args.warmup,
     )
     tables = {
@@ -292,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="event-driven network simulation report")
     p.add_argument("--duration", type=float, default=1e5, help="simulated seconds")
     p.add_argument("--devices", type=int, default=None, help="pin the device count (default: Poisson)")
-    p.add_argument("--overlap", choices=["full", "fractional"], default="full")
     p.add_argument("--warmup", type=float, default=None)
     p.add_argument("--per-device", action="store_true")
     p.set_defaults(func=cmd_simulate)

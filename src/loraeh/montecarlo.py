@@ -5,7 +5,9 @@ transmissions. A transmission only starts if the capacitor is at or above the
 operating threshold; if the voltage falls below the threshold before the
 packet ends, the cycle counts as an energy outage and the packet is neither
 decoded nor does it interfere. Completed packets are checked at the gateway
-against the SNR floor and against summed co-ring interference.
+against the SNR floor and against summed co-ring interference: every
+completed packet of the same ring that starts within one airtime tau of a
+packet's start counts against it at its full received power.
 
 After every block of cycles, each ring tests that block's packets (see
 _RingPass): a packet is tested once no later packet can fall in its window,
@@ -274,26 +276,27 @@ class _RingPass:
     """The SNR and SIR tests of one ring's packets, run as the packets arrive.
 
     A packet is tested in the order of its ring's records sorted by start,
-    ties in record order (block, cycle, device), with its interference a
-    difference of running sums over that order, so the bits are those of one
-    pass over the whole run. A record is final once no later packet can fall
+    ties in record order (block, cycle, device). Its interference, the
+    received power of every other packet that starts within tau of it, is a
+    difference of the running sum over that order, so the bits are those of
+    one pass over the whole run. A record is final once no later packet can fall
     in its window: every later packet starts at or after the ring's earliest
     device clock t_min, so `start + tau <= t_min` suffices.
 
     The simulator flushes each ring after every block, with that block's
     records. A flush sorts its pool: the carried records (already sorted)
     first, then the new ones in arrival order. It tests the final prefix, and
-    carries the running sums up to its first kept record, the final records
+    carries the running sum up to its first kept record, the final records
     that later windows still reach back to, and the records not yet final.
     """
 
-    def __init__(self, snr_floor, gains, tau, cfg, overlap, warmup, tallies):
+    def __init__(self, snr_floor, gains, tau, cfg, warmup, tallies):
         self.snr_floor, self.gains, self.tau = snr_floor, gains, tau
-        self.cfg, self.overlap, self.warmup = cfg, overlap, warmup
+        self.cfg, self.warmup = cfg, warmup
         self.snr_fails, self.successes = tallies  # the ring's columns, added into
         self.carried = (np.empty(0, dtype=np.int32), np.empty(0), np.empty(0))
         self.tested = 0  # leading carried records, tested before
-        self.sums = (0.0, 0.0)  # running sums of p and p * start before the first carried record
+        self.sum = 0.0  # running sum of p before the first carried record
 
     def flush(self, new, t_min):
         """Take one block's (device, start, fading gain) records and test every
@@ -315,20 +318,10 @@ class _RingPass:
         p *= self.gains[dev[:m]]
         lo = _window_edge(s[:m], s[:m] - tau, "right")[rows]
         hi = _window_edge(s[:m], end[:m], "left")[rows]
-        cp = _running_sum(self.sums[0], p)
-        sr = s[rows]
-        if self.overlap == "full":
-            interference = cp[hi] - cp[lo] - p[rows]
-            csp = None
-        else:
-            csp = _running_sum(self.sums[1], p * s[:m])
-            sum_l = cp[rows] - cp[lo]
-            sum_ls = csp[rows] - csp[lo]
-            sum_r = cp[hi] - cp[self.tested + 1 : final + 1]
-            sum_rs = csp[hi] - csp[self.tested + 1 : final + 1]
-            interference = (sum_l - (sr * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - sr * sum_r) / tau)
+        cp = _running_sum(self.sum, p)
+        interference = cp[hi] - cp[lo] - p[rows]
         d = dev[rows]
-        counted = sr > self.warmup
+        counted = s[rows] > self.warmup
         ok = h2[rows] >= self.snr_floor[d]
         self.snr_fails += np.bincount(d[counted & ~ok], minlength=self.gains.size)
         ok &= p[rows] >= cfg.sir_threshold * interference
@@ -337,7 +330,7 @@ class _RingPass:
         # reaches a record that starts at or before after - tau
         after = min(s[final], t_min) if final < s.size else t_min
         keep = np.searchsorted(s[:final], after - tau, "right")
-        self.sums = cp[keep], (0.0 if csp is None else csp[keep])
+        self.sum = cp[keep]
         self.carried = tuple(x[keep:].copy() for x in (dev, s, h2))  # copies: the pool goes
         self.tested = final - keep
 
@@ -349,21 +342,18 @@ def run_simulation(
     scheme: ChargingScheme,
     duration: float,
     seed: int = 0,
-    overlap: str = "full",
     warmup: float | None = None,
     collect_traces: bool = False,
 ) -> SimReport:
     """Simulate the sampled network for `duration` seconds of model time.
 
-    overlap "full" charges an interferer's whole received power to any packet
-    it overlaps; "fractional" scales it by the overlapped fraction of the
-    victim packet. Statistics start after the warm-up (default 100 mean
-    charging times, capped at half the duration).
+    A packet collides with every completed packet of its ring that starts
+    within one airtime of its start, each at its whole received power.
+    Statistics start after the warm-up (default 100 mean charging times,
+    capped at half the duration).
     """
     if not (math.isfinite(duration) and duration > 0):
         raise ConfigError(f"simulated duration must be finite and positive, got {duration}")
-    if overlap not in ("full", "fractional"):
-        raise ValueError(f"unknown overlap mode {overlap!r}")
     if warmup is None:
         warmup = min(100.0 * scheme.mean(), 0.5 * duration)
     if not (math.isfinite(warmup) and warmup >= 0):
@@ -401,7 +391,7 @@ def run_simulation(
         snr_floor = cfg.noise * SNR_THRESHOLDS[rings[perm]] / (cfg.p_tx * gains)
     tallies = np.zeros((2, n), dtype=np.int64)  # snr_fails and successes
     passes = [
-        (c, _RingPass(snr_floor[c], gains[c], AIRTIMES_S[ring], cfg, overlap, warmup, tallies[:, c]))
+        (c, _RingPass(snr_floor[c], gains[c], AIRTIMES_S[ring], cfg, warmup, tallies[:, c]))
         for ring, c in enumerate(ring_cols)
         if c.stop > c.start
     ]

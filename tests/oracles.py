@@ -209,7 +209,7 @@ def connection_prob(d, p, cfg, n_samples=100000, seed=0):
     return lower, max(upper, lower)
 
 
-def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
+def reference_simulation(net, cfg, scheme, duration, seed, warmup):
     """Checks `run_simulation` bit for bit by the per-cycle simulator, one numpy step per cycle for
     every counter and record: per-device counters and duty sums, traces, the device and start time
     of each packet, in (cycle, device index) order, and per ring the running sum of its received
@@ -275,13 +275,7 @@ def reference_simulation(net, cfg, scheme, duration, seed, overlap, warmup):
         lo = np.searchsorted(s, s - tau, side="right")
         hi = np.searchsorted(s, s + tau, side="left")
         cp = running_sums[ring] = np.concatenate([[0.0], np.cumsum(pw)])
-        if overlap == "full":
-            interference = cp[hi] - cp[lo] - pw
-        else:
-            csp = np.concatenate([[0.0], np.cumsum(pw * s)])
-            sum_l, sum_ls = cp[:-1] - cp[lo], csp[:-1] - csp[lo]
-            sum_r, sum_rs = cp[hi] - cp[1:], csp[hi] - csp[1:]
-            interference = (sum_l - (s * sum_l - sum_ls) / tau) + (sum_r - (sum_rs - s * sum_r) / tau)
+        interference = cp[hi] - cp[lo] - pw
         ok_snr = h2[sub] >= cfg.noise * SNR_THRESHOLDS[ring] / (cfg.p_tx * gains[dev[sub]])
         success[sub] = ok_snr & (pw >= cfg.sir_threshold * interference)
         snr_fail[sub] = ~ok_snr

@@ -37,7 +37,7 @@ RUNS = [
     *(["act-plan", "--act", act, "--scheme", scheme, "--bins", "600"] for act in ("cdc", "cve") for scheme in ("ud", "wd")),
     ["simulate", "--scheme", "ud"],
     ["simulate", "--scheme", "wd"],
-    ["simulate", "--overlap", "fractional", "--per-device", "--devices", "50", "--warmup", "100"],
+    ["simulate", "--per-device", "--devices", "50", "--warmup", "100"],
 ]
 HELP = [["--help"], ["steady-state", "--help"]]
 

@@ -191,7 +191,7 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
         lam500 = 500.0 / (math.pi * cfg.radius**2)
         cfg500 = dataclasses.replace(cfg, density=lam500)
         net = sample_network(cfg500, seed=2026, n_devices=500)
-        report = run_simulation(net, cfg500, build_model(cfg500), ud, duration=1.0e6, seed=2026, overlap="full")
+        report = run_simulation(net, cfg500, build_model(cfg500), ud, duration=1.0e6, seed=2026)
 
         # (b) collision fraction: product structure within 3 sigma of the duty quadrature
         p_hat = report.energy_avail * report.duty_mean

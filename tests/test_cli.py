@@ -69,8 +69,8 @@ class TestRoundTrips:
         [
             (["steady-state", "--bins", 100, "--ring", 6], {"bins": 100, "ring": 6, "mode": None}),
             (
-                [*SIMULATE_SMALL, "--overlap", "fractional", "--warmup", 10],
-                {"devices": 5, "duration": 1e3, "overlap": "fractional", "warmup": 10.0, "per_device": False},
+                [*SIMULATE_SMALL, "--warmup", 10],
+                {"devices": 5, "duration": 1e3, "warmup": 10.0, "per_device": False},
             ),
         ],
         ids=["steady-state", "simulate"],
@@ -304,7 +304,7 @@ class TestExitCodes:
         [
             ["steady-state", "--ring", 9],
             ["steady-state", "--bins", "abc"],
-            ["simulate", "--overlap", "none"],
+            ["act-plan", "--act", "none"],
         ],
         ids=lambda a: " ".join(map(str, a)),
     )
@@ -314,6 +314,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: loraeh") and "error: argument" in err and "Traceback" not in err
         assert not (tmp_path / "u").exists()
+
+    def test_simulate_has_one_collision_rule(self, tmp_path, capsys):
+        # the any-overlap, full-power rule takes no flag, so naming one is a usage error
+        assert run(["simulate", "--overlap", "full", "--out", tmp_path / "u"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: loraeh") and "error: unrecognized arguments: --overlap full" in err
+        assert "Traceback" not in err and not (tmp_path / "u").exists()
 
     @pytest.mark.parametrize(
         "act, flag, value",

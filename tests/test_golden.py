@@ -32,14 +32,8 @@ FAST_CHARGE = "[scheme]\nb_s = 2\n"
 # name -> (config text or None, CLI arguments)
 SIM_CASES = {
     "ud-full-pinned": (None, ["--devices", 60, "--duration", 3e4, "--seed", 5]),
-    "ud-fractional-pinned": (None, ["--devices", 60, "--duration", 3e4, "--seed", 5, "--overlap", "fractional"]),
     "wd-full-pinned": (WEIBULL_HALF, ["--scheme", "wd", "--devices", 60, "--duration", 3e4, "--seed", 6]),
-    "wd-fractional-pinned": (
-        WEIBULL_HALF,
-        ["--scheme", "wd", "--devices", 60, "--duration", 3e4, "--seed", 6, "--overlap", "fractional"],
-    ),
     "ud-full-poisson": (None, ["--duration", 6e3, "--seed", 7]),
-    "wd-fractional-poisson": (WEIBULL_HALF, ["--scheme", "wd", "--duration", 6e3, "--seed", 8, "--overlap", "fractional"]),
     "ud-full-chunks": (FAST_CHARGE, ["--devices", 25, "--duration", 1e4, "--seed", 9]),
 }
 
@@ -48,25 +42,13 @@ GOLDEN = {
         "88fbe140c963feb4bf6d1035a43702eb53b4b1ebccf75c968445fd60e4a9ec6f",
         "8680ca0cf1b38f80bb00b6e05c1940987d1bf823bc83d7e54b5dd4b80584a016",
     ),
-    "ud-fractional-pinned": (
-        "07dd63538cbb0542d54e6e281c042b5527f7b2ab59c49c254ddd6022e4761117",
-        "67b6f127c5aed164b8568bf1cfd7f10b0ea3fc1c2707246a841a1e8e97a2df85",
-    ),
     "wd-full-pinned": (
         "2b142c0e8a3a877627fa6a2b079ba70ea39b9411a9e81431e374d4f9f8f4aecf",
         "fe43adc9761ba6ca0ff38717485d470ed58c89e054f31f42af8f184bc2545a39",
     ),
-    "wd-fractional-pinned": (
-        "7320d3d1a9549331d87afc349f37f9282684aba3280973bf8b9f3648b1012ba8",
-        "c86b6b50e646364d6dc9de7ed1ffeaa1a0de18bc8bee7a9af44a21f01036ad7e",
-    ),
     "ud-full-poisson": (
         "c0fca0b97fb5a0b490ada81147acb3aa383da6c0f956213a8cf8c90e9da2a9be",
         "afacf6cd59b187bffbd06a09c15f7c35d31fe1fb53cfe6538760e50d7a2b2715",
-    ),
-    "wd-fractional-poisson": (
-        "3b4abe2892da4370329ad05f50d6cc950e611497bc1e7eff82d0060c400ec4b4",
-        "cbda3edc30eade06555dda54399e9fdcbc2dea89676287804850149746e8f404",
     ),
     "ud-full-chunks": (
         "92e6c7806c8c0d43cd0a65a249ba06f4dba1e1f69f497dec4556c73d95e58ac4",
@@ -139,31 +121,31 @@ def networks_digest():
 
 
 @pytest.mark.parametrize(
-    "scheme, overlap, n_devices, duration, warmup",
+    "scheme, n_devices, duration, warmup",
     [
-        (ChargingScheme.uniform(0.0, 100.0), "full", 40, 3e4, None),
-        (ChargingScheme.uniform(0.0, 2.0), "fractional", 15, 5e3, 0.0),
-        (ChargingScheme.weibull(0.5, 50.0), "fractional", 40, 3e4, None),
-        (ChargingScheme.weibull(2.0, 1.0), "full", 15, 5e3, 200.0),
+        (ChargingScheme.uniform(0.0, 100.0), 40, 3e4, None),
+        (ChargingScheme.uniform(0.0, 2.0), 15, 5e3, 0.0),
+        (ChargingScheme.weibull(0.5, 50.0), 40, 3e4, None),
+        (ChargingScheme.weibull(2.0, 1.0), 15, 5e3, 200.0),
     ],
     ids=["ud", "ud-chunks", "wd-half", "wd-two-chunks"],
 )
-def test_matches_per_cycle_reference(fig2, scheme, overlap, n_devices, duration, warmup):
+def test_matches_per_cycle_reference(fig2, scheme, n_devices, duration, warmup):
     net = sample_network(fig2.phy, seed=n_devices, n_devices=n_devices)
-    assert_matches_reference(net, fig2.phy, scheme, duration, overlap, warmup)
+    assert_matches_reference(net, fig2.phy, scheme, duration, warmup)
 
 
-def assert_matches_reference(net, cfg, scheme, duration, overlap, warmup):
+def assert_matches_reference(net, cfg, scheme, duration, warmup):
     m = build_model(cfg)
-    rep = run_simulation(net, cfg, m, scheme, duration, seed=3, overlap=overlap, warmup=warmup, collect_traces=True)
-    want, traces, dev, start, running_sums = reference_simulation(net, cfg, scheme, duration, 3, overlap, rep.warmup)
+    rep = run_simulation(net, cfg, m, scheme, duration, seed=3, warmup=warmup, collect_traces=True)
+    want, traces, dev, start, running_sums = reference_simulation(net, cfg, scheme, duration, 3, rep.warmup)
     for name, arr in want.items():
         assert np.array_equal(getattr(rep.devices, name), arr), name
     assert all(np.array_equal(a, b) for a, b in zip(rep.traces, traces))
     return rep, dev, start, running_sums
 
 
-def assert_tied_starts_match(cfg, overlap, ring_cycle):
+def assert_tied_starts_match(cfg, ring_cycle):
     """60 devices, device i in ring ring_cycle[i % len(ring_cycle)], whose packets
     tie in start time, match the per-cycle reference."""
     radii = cfg.ring_radii
@@ -174,33 +156,30 @@ def assert_tied_starts_match(cfg, overlap, ring_cycle):
     net = NetworkRealization(d, rings)
     # about 1.4e5 distinct doubles in the support, so start times collide
     scheme = ChargingScheme.uniform(50.0, 50.0 + 1e-9)
-    rep, dev, start, running_sums = assert_matches_reference(net, cfg, scheme, 2e3, overlap, 0.0)
+    rep, dev, start, running_sums = assert_matches_reference(net, cfg, scheme, 2e3, 0.0)
     assert np.unique(start).size < start.size
     return rep, running_sums
 
 
-@pytest.mark.parametrize("overlap", ["full", "fractional"])
-def test_matches_reference_with_tied_starts(fig2, overlap):
+def test_matches_reference_with_tied_starts(fig2):
     """A ring whose packets tie in start time still matches the per-cycle reference."""
-    assert_tied_starts_match(fig2.phy, overlap, [0])
+    assert_tied_starts_match(fig2.phy, [0])
 
 
-@pytest.mark.parametrize("overlap", ["full", "fractional"])
-def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2, overlap):
+def test_matches_reference_with_tied_starts_across_interleaved_rings(fig2):
     """Devices alternate between rings 1, 3 and 4 in index order, with ring 2
     empty between them, so the simulator's grouping of devices by ring is far
     from the index order."""
-    rep, _ = assert_tied_starts_match(fig2.phy, overlap, [1, 3, 4])
+    rep, _ = assert_tied_starts_match(fig2.phy, [1, 3, 4])
     assert rep.n_devices[2] == 0 and (rep.attempts[[1, 3, 4]] > 0).all()
 
 
-@pytest.mark.parametrize("overlap", ["full", "fractional"])
-def test_matches_reference_with_tied_starts_across_flushes(fig2, monkeypatch, overlap):
+def test_matches_reference_with_tied_starts_across_flushes(fig2, monkeypatch):
     """At 7-cycle blocks the ring is flushed after every block, and each flush
     carries the last cycle's records, runs of tied starts among them, into the
     next one, whose sort must keep their order; the output is still the reference's."""
     monkeypatch.setattr(montecarlo, "_BLOCK", 7)
-    assert_tied_starts_match(fig2.phy, overlap, [0])
+    assert_tied_starts_match(fig2.phy, [0])
 
 
 def test_record_order_within_a_ring(fig2, monkeypatch):
@@ -212,7 +191,7 @@ def test_record_order_within_a_ring(fig2, monkeypatch):
     running_sum = montecarlo._running_sum
     monkeypatch.setattr(montecarlo, "_running_sum", lambda total, x: seen.append(running_sum(total, x)) or seen[-1])
     monkeypatch.setattr(montecarlo, "_BLOCK", 7)
-    _, running_sums = assert_tied_starts_match(fig2.phy, "full", [1, 3, 4])
+    _, running_sums = assert_tied_starts_match(fig2.phy, [1, 3, 4])
     want = {ring: running_sums[ring] for ring in (1, 3, 4)}
     covered = {ring: np.zeros(cp.size, dtype=bool) for ring, cp in want.items()}
     flushes = dict.fromkeys(want, 0)
@@ -231,8 +210,7 @@ def test_record_order_within_a_ring(fig2, monkeypatch):
     assert sum(flushes.values()) > len(flushes)  # a ring is tested in several flushes
 
 
-@pytest.mark.parametrize("overlap", ["full", "fractional"])
-def test_matches_reference_with_heavy_overlap(fig2, overlap):
+def test_matches_reference_with_heavy_overlap(fig2):
     """300 devices in one ring, each packet overlapping dozens of others."""
     ring, n = 3, 300
     radii = fig2.phy.ring_radii
@@ -242,7 +220,7 @@ def test_matches_reference_with_heavy_overlap(fig2, overlap):
     cfg = dataclasses.replace(fig2.phy, r_load_on=10 * fig2.phy.r_load_on, sir_threshold=0.03)
     rings = ring_index(d, cfg)
     net = NetworkRealization(d, rings)
-    rep, _, start, _ = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, overlap, 0.0)
+    rep, _, start, _ = assert_matches_reference(net, cfg, ChargingScheme.uniform(0.0, 4.0), 300.0, 0.0)
     assert rep.successes[ring] > 1000 and rep.sir_fails[ring] > 1000
     s = np.sort(start)
     window = np.arange(s.size) - np.searchsorted(s, s - AIRTIMES_S[ring], "right")

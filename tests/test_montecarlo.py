@@ -111,14 +111,13 @@ class TestAccounting:
             st.builds(lambda a, width: ChargingScheme.uniform(a, a + width), st.floats(1.0, 60.0), st.floats(1e-9, 120.0)),
             st.builds(ChargingScheme.weibull, st.floats(0.4, 3.0), st.floats(1.0, 80.0)),
         ),
-        overlap=st.sampled_from(["full", "fractional"]),
         warmup_share=st.floats(0.0, 0.5),
     )
-    def test_conservation(self, fig2, n_devices, seed, scheme, overlap, warmup_share):
+    def test_conservation(self, fig2, n_devices, seed, scheme, warmup_share):
         duration = 4e3
         net = sample_network(fig2.phy, seed=seed, n_devices=n_devices)
         m = build_model(fig2.phy)
-        rep = run_simulation(net, fig2.phy, m, scheme, duration, seed=seed, overlap=overlap, warmup=warmup_share * duration)
+        rep = run_simulation(net, fig2.phy, m, scheme, duration, seed=seed, warmup=warmup_share * duration)
         dv = rep.devices
         for c in (dv, rep):
             assert np.array_equal(c.cycles, c.energy_skips + c.energy_aborts + c.attempts)
@@ -148,7 +147,6 @@ class TestDeterminism:
 
 
 class TestBlockSize:
-    @pytest.mark.parametrize("overlap", ["full", "fractional"])
     @pytest.mark.parametrize(
         "scheme, duration, n_devices",
         [
@@ -160,14 +158,14 @@ class TestBlockSize:
         ],
         ids=["ud", "wd-half", "fast", "one-device"],
     )
-    def test_output_does_not_depend_on_the_block_size(self, fig2, monkeypatch, scheme, duration, n_devices, overlap):
+    def test_output_does_not_depend_on_the_block_size(self, fig2, monkeypatch, scheme, duration, n_devices):
         # each device's stream is consumed in cycle order, so no block size moves a bit
         net = sample_network(fig2.phy, seed=21, n_devices=n_devices)
         m = build_model(fig2.phy)
 
         def outputs(block):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            rep = run_simulation(net, fig2.phy, m, scheme, duration=duration, seed=21, overlap=overlap, collect_traces=True)
+            rep = run_simulation(net, fig2.phy, m, scheme, duration=duration, seed=21, collect_traces=True)
             stats = {f.name: getattr(rep.devices, f.name).tobytes() for f in dataclasses.fields(DeviceStats)}
             return stats, [tr.tobytes() for tr in rep.traces]
 
@@ -267,13 +265,6 @@ class TestEnergyBookkeeping:
 
 
 class TestInterference:
-    def test_fractional_weighting_never_exceeds_full(self, fig2, ud):
-        net = sample_network(fig2.phy, seed=14, n_devices=300)
-        full = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=14, overlap="full")
-        frac = run_simulation(net, fig2.phy, build_model(fig2.phy), ud, duration=5e4, seed=14, overlap="fractional")
-        assert np.array_equal(full.attempts, frac.attempts)  # energy side identical
-        assert np.all(frac.successes >= full.successes)
-
     def test_denser_network_more_interference(self, fig2, ud):
         rates = []
         for n in (100, 250, 500):
@@ -356,8 +347,7 @@ class TestStableOrder:
 
 
 class TestRingPass:
-    @pytest.mark.parametrize("overlap", ["full", "fractional"])
-    def test_ties_split_by_a_flush_keep_record_order(self, fig2, monkeypatch, overlap):
+    def test_ties_split_by_a_flush_keep_record_order(self, fig2, monkeypatch):
         """A run of equal starts split between carried and new records is tested
         carried first, so flushing the first block at t_min and the second at
         inf takes the same tallies and running-sum inputs, bit for bit, as one
@@ -380,7 +370,7 @@ class TestRingPass:
         gains = np.array([1.0, 0.5, 0.25, 0.125])
 
         def ring_pass(t_min):
-            ring = montecarlo._RingPass(np.full(4, 0.2), gains, 1.0, fig2.phy, overlap, 0.0, np.zeros((2, 4), int))
+            ring = montecarlo._RingPass(np.full(4, 0.2), gains, 1.0, fig2.phy, 0.0, np.zeros((2, 4), int))
             if t_min < math.inf:
                 ring.flush(records[0], t_min)
                 assert ring.tested > 0 and 3.0 in ring.carried[1]  # ties of the second block's records
@@ -396,9 +386,8 @@ class TestRingPass:
         assert np.array_equal(split.snr_fails, one.snr_fails) and np.array_equal(split.successes, one.successes)
         sent = np.bincount(np.concatenate([dev for dev, _ in blocks]))
         assert one.snr_fails.any() and one.successes.any() and (one.snr_fails + one.successes < sent).any()
-        per_flush = len(whole)  # running sums per flush: p, and p * start if fractional
-        assert len(seen) == 2 * per_flush
+        ((_, want),) = whole  # one running sum per flush
+        assert len(seen) == 2
         for k, (total, x) in enumerate(seen):
-            _, want = whole[k % per_flush]
-            at = 0 if k < per_flush else want.size - x.size  # the first flush starts at 0, the last ends at the end
+            at = 0 if k == 0 else want.size - x.size  # the first flush starts at 0, the last ends at the end
             assert total == running_sum(0.0, want)[at] and np.array_equal(x, want[at : at + x.size])
