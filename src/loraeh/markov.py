@@ -48,13 +48,13 @@ class DecayFactorDistribution:
     tau_charge: float  # charge time constant [s]
 
     def mean(self) -> float:
-        """E[X]; closed form for uniform and exponential schemes, quadrature otherwise."""
+        """E[X]; closed form for uniform and exponential schemes, `ChargingScheme.expectation` otherwise."""
         s, tau = self.scheme, self.tau_charge
         if s.kind == "uniform":
             return -tau / (s.b - s.a) * math.exp(-s.a / tau) * math.expm1(-(s.b - s.a) / tau)
         if s.kind == "weibull" and s.k == 1.0:
             return tau / (s.w + tau)
-        return s.quad(lambda t: s.pdf(t) * math.exp(-t / tau), 1e-9)
+        return s.expectation(lambda t: math.exp(-t / tau), 1e-9)
 
 
 @dataclass(frozen=True)

@@ -69,22 +69,6 @@ class ChargingScheme:
     def weibull(cls, k: float, w: float) -> "ChargingScheme":
         return cls("weibull", k=k, w=w)
 
-    def pdf(self, x):
-        """Density at x (scalar or array); zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            out = np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.where(x > 0, x, 1.0) / self.w
-                val = (self.k / self.w) * r ** (self.k - 1.0) * np.exp(-(r**self.k))
-            if self.k == 1.0:
-                at_zero = 1.0 / self.w
-            else:
-                at_zero = 0.0 if self.k > 1.0 else np.inf
-            out = np.where(x > 0, val, np.where(x == 0, at_zero, 0.0))
-        return out if out.ndim else float(out)
-
     def survival(self, x):
         """P[nu > x]."""
         x = np.asarray(x, dtype=float)
@@ -102,12 +86,21 @@ class ChargingScheme:
             return 0.5 * (self.a + self.b)
         return self.w * math.gamma(1.0 + 1.0 / self.k)
 
-    def quad(self, f, rel_tol: float) -> float:
-        """Integral of f over (0, inf) for a Weibull law (uniform expectations have closed forms);
-        NumericalError unless its error estimate is within rel_tol."""
+    def expectation(self, g, rel_tol: float) -> float:
+        """E[g(nu)] for a Weibull law (uniform expectations have closed forms);
+        NumericalError unless its error estimate is within rel_tol.
+
+        nu = w u^(1/k) with u a unit exponential, so in s = ln u the expectation is
+        the integral of exp(s - e^s) g(w e^(s/k)): smooth for every shape, and no
+        density. It is split at s = 0 and ends at u = 746, past which e^-u
+        underflows; s/k is capped where e^(s/k) would overflow.
+        """
         from scipy import integrate  # loaded on first use: only the analytic subcommands integrate
 
-        pts = (0.0, self.w, math.inf)  # split at the scale: small k has a spike at 0 and a long tail
+        def f(s):
+            return math.exp(s - math.exp(s)) * g(self.w * math.exp(min(s / self.k, 709.0)))
+
+        pts = (-math.inf, 0.0, math.log(746.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)  # err is judged below
             parts = [integrate.quad(f, *ab, epsabs=0.0, epsrel=rel_tol / 100, limit=500) for ab in zip(pts, pts[1:])]
@@ -200,15 +193,17 @@ def ring_index(d, cfg: PhyConfig):
 DUTY_REL_TOL = 1e-8  # relative error bound of the duty-cycle quadrature
 
 
-def _exp1(x: float) -> float:
-    """The exponential integral E1(x) for x > 0, to about 1e-14 relative.
+def _exponential_duty(x: float) -> float:
+    """x e^x E1(x) for x > 0, the duty figure E[tau / (nu + tau)] of an exponential
+    law of scale w at x = tau / w, to about 1e-14 relative.
 
-    For x <= 1 the series -gamma - ln x - sum over k >= 1 of (-x)^k / (k k!)
-    (Abramowitz & Stegun 5.1.11). For x > 1 the continued fraction e^-x (1/(x+
-    1/(1+ 1/(x+ 2/(1+ 2/(x+ ...)))))) (A&S 5.1.22), partial numerators 1, 1,
-    1, 2, 2, 3, 3, ..., evaluated by Lentz's method until a factor is within
-    eps of 1; its even contraction takes half the steps but builds up twice
-    the rounding error near x = 1.
+    For x <= 1, E1 by the series -gamma - ln x - sum over k >= 1 of (-x)^k / (k k!)
+    (Abramowitz & Stegun 5.1.11). For x > 1, e^x E1(x) by the continued fraction
+    1/(x+ 1/(1+ 1/(x+ 2/(1+ 2/(x+ ...))))) (A&S 5.1.22 without its factor e^-x),
+    partial numerators 1, 1, 1, 2, 2, 3, 3, ..., evaluated by Lentz's method until
+    a factor is within eps of 1; its even contraction takes half the steps but
+    builds up twice the rounding error near x = 1. No factor e^x is formed there,
+    so nothing overflows at any x.
     """
     if x <= 1.0:
         total, term, k = 0.0, 1.0, 0
@@ -216,9 +211,9 @@ def _exp1(x: float) -> float:
             k += 1
             term *= -x / k
             total += term / k
-        return -np.euler_gamma - math.log(x) - total
+        return x * math.exp(x) * (-np.euler_gamma - math.log(x) - total)
     c, d = math.inf, 1.0 / x  # after the first partial fraction 1/x
-    value, j = d, 1
+    value, j = 1.0, 1  # x times the fraction so far
     while True:
         j += 1
         a, b = j // 2, (x if j % 2 else 1.0)
@@ -226,16 +221,16 @@ def _exp1(x: float) -> float:
         c = b + a / c
         value *= c * d
         if abs(c * d - 1.0) <= np.finfo(float).eps:
-            return value * math.exp(-x)
+            return value
 
 
 def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
     """E[tau / (nu + tau)], the expected fraction of a cycle spent transmitting.
 
     Closed form for a uniform scheme, tau/(b - a) * ln(1 + (b - a)/(a + tau)),
-    and for an exponential one, x e^x E1(x) with x = tau/w; quadrature against
-    the pdf for other Weibull shapes and where e^x overflows. The ETSI-style
-    figure tau / (E[nu] + tau) needs only the mean.
+    and for an exponential one, x e^x E1(x) with x = tau/w; other Weibull shapes
+    take `ChargingScheme.expectation`. The ETSI-style figure tau / (E[nu] + tau)
+    needs only the mean.
     """
     if not airtime > 0:
         if airtime == 0:
@@ -243,10 +238,9 @@ def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
         raise ValueError(f"airtime must be positive, got {airtime}")
     if scheme.kind == "uniform":
         return airtime / (scheme.b - scheme.a) * math.log1p((scheme.b - scheme.a) / (scheme.a + airtime))
-    x = airtime / scheme.w
-    if scheme.k == 1.0 and x < 700.0:
-        return x * math.exp(x) * _exp1(x)
-    return scheme.quad(lambda t: scheme.pdf(t) * airtime / (t + airtime), DUTY_REL_TOL)
+    if scheme.k == 1.0:
+        return _exponential_duty(airtime / scheme.w)
+    return scheme.expectation(lambda t: airtime / (t + airtime), DUTY_REL_TOL)
 
 
 def collision_fraction(energy_avail: float, scheme: ChargingScheme, airtime: float) -> float:

@@ -7,7 +7,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import integrate, sparse
+from scipy import integrate, sparse, stats
 from scipy.sparse import csgraph
 
 from loraeh.capacitor import CapacitorModel, build_model, step_charge, step_discharge
@@ -151,14 +151,23 @@ def gth_40_digits(mat):
         return [x / total for x in law]
 
 
+def charging_law(scheme: ChargingScheme):
+    """Checks `ChargingScheme.survival`, `mean` and the charging-time expectations by scipy.stats: the frozen law of nu,
+    whose density the tests integrate."""
+    if scheme.kind == "uniform":
+        return stats.uniform(loc=scheme.a, scale=scheme.b - scheme.a)
+    return stats.weibull_min(scheme.k, scale=scheme.w)
+
+
 def weibull_expectation(k, w, g, knee):
     """Checks `duty_cycle` and `DecayFactorDistribution.mean` by mpmath: E[g(nu)] for nu ~ Weibull(k, w),
     as the integral of exp(-u) g(w u^(1/k)) over u > 0.
 
-    g turns over near nu = knee, at u = (knee / w)^k; the quadrature is split there.
+    g turns over near nu = knee, at u = (knee / w)^k; the quadrature is split there, but
+    at u = 64 at most: past that e^-u holds no mass the rule would resolve.
     """
     with mpmath.workdps(30):
-        points = sorted({0, (knee / w) ** k, 1}) + [mpmath.inf]
+        points = sorted({0, min((knee / w) ** k, 64), 1}) + [mpmath.inf]
         return float(mpmath.quad(lambda u: mpmath.exp(-u) * g(w * u ** (mpmath.mpf(1) / k)), points))
 
 

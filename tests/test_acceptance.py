@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-from oracles import cycle_voltages
+from oracles import charging_law, cycle_voltages
 from scipy import integrate
 
 from loraeh.capacitor import build_model
@@ -195,12 +195,13 @@ def test_criterion_7_network_simulator_sanity(fig2, ud, steady_cache):
 
         # (b) collision fraction: product structure within 3 sigma of the duty quadrature
         p_hat = report.energy_avail * report.duty_mean
+        ud_pdf = charging_law(ud).pdf
         for r in range(6):
             if report.attempts[r] < 100:
                 continue
             tau = AIRTIMES_S[r]
             p_model = collision_fraction(report.energy_avail[r], ud, tau)
-            second_moment, _ = integrate.quad(lambda x: ud.pdf(x) * (tau / (x + tau)) ** 2, 0, ud.b)
+            second_moment, _ = integrate.quad(lambda x: ud_pdf(x) * (tau / (x + tau)) ** 2, 0, ud.b)
             duty_sd = math.sqrt(max(second_moment - (p_model / max(report.energy_avail[r], 1e-12)) ** 2, 0.0))
             sigma = report.energy_avail[r] * duty_sd / math.sqrt(report.cycles[r])
             gap = abs(p_hat[r] - p_model)

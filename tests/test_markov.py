@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     band_chain,
+    charging_law,
     closed_classes,
     cycle_voltages,
     gth_40_digits,
@@ -42,9 +43,9 @@ def decay_support(scheme, tau):
     return math.exp(-hi / tau), math.exp(-lo / tau)
 
 
-def decay_pdf(scheme, tau, x):
-    """Density of X = exp(-nu/tau) at x in (0, 1]: tau/x * f_nu(-tau*ln x)."""
-    return tau / x * scheme.pdf(-tau * math.log(x))
+def decay_pdf(law, tau, x):
+    """Density of X = exp(-nu/tau) at x in (0, 1]: tau/x * f_nu(-tau*ln x), f_nu the pdf of nu's law."""
+    return tau / x * law.pdf(-tau * math.log(x))
 
 
 class TestDecayFactorDistribution:
@@ -52,7 +53,7 @@ class TestDecayFactorDistribution:
         # the density of X by change of variables integrates to 1 over its support
         for scheme in (ud, wd, ChargingScheme.weibull(2.0, 30.0)):
             lo, hi = decay_support(scheme, model.tau_off)
-            density = partial(decay_pdf, scheme, model.tau_off)
+            density = partial(decay_pdf, charging_law(scheme), model.tau_off)
             total, _ = integrate.quad(density, max(lo, 1e-12), hi, epsabs=1e-11, epsrel=1e-11, limit=400)
             assert abs(total - 1.0) < 1e-8
 
