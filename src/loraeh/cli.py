@@ -29,7 +29,6 @@ from .geometry import MAX_COVERAGE_POINTS, coverage_profile, sample_network
 from .montecarlo import COUNTERS, run_simulation
 from .phy import AIRTIMES_S, N_RINGS, SFS
 
-ENV_CONFIG = "LORAEH_CONFIG"
 _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 # a chain takes up to about 4 KiB per bin (Weibull k = 0.5 at 40 mF), and steady-state also
 # solves at twice --bins: at 2**17 its largest solve stays near 1 GiB
@@ -90,13 +89,12 @@ def _load(args: argparse.Namespace) -> RunConfig:
     if N_RINGS * getattr(args, "points_per_ring", 1) > MAX_COVERAGE_POINTS:  # refused before any chain is solved
         points = f"{N_RINGS} x {args.points_per_ring} distances"
         raise ConfigError(f"{points} are above the bound of {MAX_COVERAGE_POINTS:.0e}")
-    path = args.config or os.environ.get(ENV_CONFIG) or None
-    overrides = {}
+    overrides = {}  # flag values, which win over the file's
     if args.mode:
-        overrides["capacitor.mode"] = args.mode
+        overrides["capacitor"] = {"mode": args.mode}
     if args.scheme:
-        overrides["scheme.kind"] = args.scheme  # load_config reads ud/wd as uniform/weibull
-    return load_config(path, overrides)
+        overrides["scheme"] = {"kind": args.scheme}  # load_config reads ud/wd as uniform/weibull
+    return load_config(args.config or None, overrides)  # an empty --config reads the defaults too
 
 
 def _scheme_pair(run: RunConfig):
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared by later `main` calls."""
     parser = argparse.ArgumentParser(prog="loraeh", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"config file (INI); falls back to ${ENV_CONFIG}")
+    common.add_argument("--config", help="config file (INI); the built-in defaults when absent")
     common.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")

@@ -4,9 +4,8 @@ Sections and keys (all optional, defaults below):
 
   [harvester]  voltage_v, power_w
   [capacitor]  capacitance_f, r_off_ohm, r_on_ohm, v_operating_v, v_initial_v, mode
-  [radio]      tx_power_dbm, overhead_power_dbm (accepted, unused), bandwidth_hz,
-               sir_threshold_db, noise_dbm (blank = thermal floor + noise figure),
-               noise_figure_db
+  [radio]      tx_power_dbm, bandwidth_hz, sir_threshold_db,
+               noise_dbm (blank = thermal floor + noise figure), noise_figure_db
   [deployment] radius_km, density_per_km2, path_loss_exponent, wavelength_cm,
                ring_radii_km (comma list of 7 from 0, blank = equal-width rings)
   [scheme]     kind (uniform|weibull), a_s, b_s, k, w_s
@@ -33,7 +32,6 @@ DEFAULTS = {
     },
     "radio": {
         "tx_power_dbm": "13",
-        "overhead_power_dbm": "6",
         "bandwidth_hz": "125e3",
         "sir_threshold_db": "1",
         "noise_dbm": "",
@@ -85,8 +83,7 @@ def _getfloat(parser, section, key):
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an INI file (defaults when path is None).
 
-    overrides maps "section.key" to replacement string values; flag overrides
-    win over file values.
+    overrides, {section: {key: value}} as DEFAULTS, is read after the file and checked alike; its values win.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
@@ -98,20 +95,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:  # its message spans lines: file, line number, text
             raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
+    parser.read_dict(overrides or {})
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    for dotted, value in (overrides or {}).items():
-        try:
-            section, key = dotted.split(".", 1)
-        except ValueError as exc:
-            raise ConfigError(f"override {dotted!r} must look like section.key") from exc
-        if section not in DEFAULTS or key not in DEFAULTS[section]:
-            raise ConfigError(f"unknown override {dotted!r}")
-        parser.set(section, key, str(value))
 
     radius_m = _getfloat(parser, "deployment", "radius_km") * 1e3
     rings_raw = parser.get("deployment", "ring_radii_km").strip()
@@ -126,7 +116,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     bandwidth = _getfloat(parser, "radio", "bandwidth_hz")
     if not (math.isfinite(bandwidth) and bandwidth > 0):  # checked also where noise_dbm sets the floor
         raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth}")
-    _getfloat(parser, "radio", "overhead_power_dbm")  # accepted and checked for compatibility; no model reads it
     if parser.get("radio", "noise_dbm").strip():
         noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
     else:

@@ -13,9 +13,17 @@ import numpy as np
 
 from .errors import ConfigError
 from .hypergeom import hyp2f1_special
-from .phy import AIRTIMES_S, N_RINGS, SNR_THRESHOLDS, ChargingScheme, PhyConfig, collision_fraction, ring_index
+from .phy import (
+    AIRTIMES_S,
+    MIN_DISTANCE_M,
+    N_RINGS,
+    SNR_THRESHOLDS,
+    ChargingScheme,
+    PhyConfig,
+    collision_fraction,
+    ring_index,
+)
 
-MIN_DISTANCE_M = 1.0  # clamp to avoid the path-gain singularity at the gateway
 MAX_COVERAGE_POINTS = 10**5  # distances the CLI lets coverage_profile evaluate, at about 0.1 ms each
 
 

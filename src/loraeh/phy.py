@@ -27,6 +27,7 @@ SNR_THRESHOLDS_DB = np.array([-6.0, -9.0, -12.0, -15.0, -17.5, -20.0])
 # last bit, and these floats decide individual packets' SNR tests
 SNR_THRESHOLDS = np.array([10.0 ** (db / 10.0) for db in SNR_THRESHOLDS_DB.tolist()])
 N_RINGS = len(SFS)
+MIN_DISTANCE_M = 1.0  # clamp to avoid the path-gain singularity at the gateway
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,9 @@ class PhyConfig:
             value = getattr(self, f.name)
             if not all(map(math.isfinite, np.atleast_1d(value))):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.radius <= 0 or self.wavelength <= 0:
-            raise ConfigError(f"radius and wavelength must be positive, got {self.radius} m and {self.wavelength} m")
+        if self.radius < MIN_DISTANCE_M or self.wavelength <= 0:  # no device lies nearer than MIN_DISTANCE_M
+            got = f"got {self.radius} m and {self.wavelength} m"
+            raise ConfigError(f"radius must be at least {MIN_DISTANCE_M} m and wavelength positive, {got}")
         if self.p_harvest <= 0 or self.v_harvest <= 0:
             raise ConfigError("harvester voltage and power must be positive")
         if not math.isfinite(self.v_harvest * self.v_harvest / self.p_harvest):
@@ -237,7 +239,9 @@ def duty_cycle(scheme: ChargingScheme, airtime: float) -> float:
             return 0.0
         raise ValueError(f"airtime must be positive, got {airtime}")
     if scheme.kind == "uniform":
-        return airtime / (scheme.b - scheme.a) * math.log1p((scheme.b - scheme.a) / (scheme.a + airtime))
+        width, start = float(scheme.b - scheme.a), float(scheme.a + airtime)
+        ratio = width / start  # inf past the float range, where ln(1 + ratio) = ln(width) - ln(start)
+        return airtime / width * (math.log1p(ratio) if ratio < math.inf else math.log(width) - math.log(start))
     if scheme.k == 1.0:
         return _exponential_duty(airtime / scheme.w)
     return scheme.expectation(lambda t: airtime / (t + airtime), DUTY_REL_TOL)

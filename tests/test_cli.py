@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cycle_voltages
 
@@ -228,6 +228,18 @@ class TestDeterminism:
             assert names and names == sorted(p.name for p in (tmp_path / b).glob("*.csv"))
             for name in names:
                 assert filecmp.cmp(tmp_path / a / name, tmp_path / b / name, shallow=False), name
+
+    def test_the_environment_is_not_read(self, tmp_path, monkeypatch):
+        # settings reach a run through --config and the flags only
+        args = ["steady-state", "--bins", 100]
+        monkeypatch.delenv("LORAEH_CONFIG", raising=False)
+        assert run(args + ["--out", tmp_path / "a"]) == 0
+        monkeypatch.setenv("LORAEH_CONFIG", str(Path(__file__).resolve().parents[1] / "perfbench" / "slow_mixing.ini"))
+        assert run(args + ["--out", tmp_path / "b"]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "b").glob("*.csv"))
+        for name in names:
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
     def test_seed_only_affects_stochastic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -489,6 +501,9 @@ class TestExitCodes:
             pytest.param("[radio]\nnoise_dbm = nan\n", SIMULATE, id="noise-nan-simulate"),
             pytest.param("[deployment]\nwavelength_cm = 0\n", SIMULATE, id="wavelength-0-simulate"),
             pytest.param("[deployment]\nradius_km = 0\n", SIMULATE, id="radius-0-simulate"),
+            # devices are placed no nearer than 1 m to the gateway, so the disk must reach that far
+            pytest.param("[deployment]\nradius_km = 0.0005\n", SIMULATE_SMALL, id="radius-below-1-m-simulate"),
+            pytest.param("[deployment]\nradius_km = 1e-300\n", SIMULATE_SMALL, id="radius-1e-300-simulate"),
             pytest.param("[scheme]\nb_s = inf\n", SIMULATE, id="scheme-b-inf"),
             # an explicit warm-up, so the scheme check and not the warm-up check rejects it
             pytest.param("[scheme]\nkind = weibull\nk = nan\n", SIMULATE + ["--warmup", 100], id="scheme-k-nan"),
@@ -704,6 +719,8 @@ class TestFuzz:
         ),
         bins=st.integers(20, 200),
     )
+    # (b - a) / (a + tau) overflowed the uniform duty figure, and the coverage run ended in a traceback
+    @example(ini="[scheme]\nb_s = 1e308\n", command=["coverage", "--points-per-ring", 2], bins=20)
     def test_random_config_ends_in_a_documented_exit(self, ini, command, bins):
         # an exception out of main would be a traceback on the command line
         with tempfile.TemporaryDirectory() as tmp:

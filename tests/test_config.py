@@ -25,8 +25,11 @@ def test_file_and_overrides(tmp_path):
     run = load_config(str(path))
     assert run.phy.capacitance == 0.04
     assert run.scheme.kind == "weibull"
-    run = load_config(str(path), overrides={"capacitor.capacitance_f": "0.02"})
+    run = load_config(str(path), overrides={"capacitor": {"capacitance_f": "0.02"}, "scheme": {"kind": "wd"}})
     assert run.phy.capacitance == 0.02
+    assert run.scheme.kind == "weibull"
+    with pytest.raises(ConfigError, match="unknown key 'capacitance' in section"):
+        load_config(str(path), overrides={"capacitor": {"capacitance": "0.02"}})
 
 
 def test_ring_radii_override(tmp_path):
@@ -66,11 +69,9 @@ def test_scheme_pair(fig2):
     assert fig2.schemes["uniform"].b == 100.0
 
 
-def test_overhead_power_key_still_accepted(tmp_path):
-    # no model reads it, but older config files carry it
+def test_overhead_power_key_is_refused(tmp_path):
+    # no model reads the radio's overhead power, so a file that sets it is refused like any unknown key
     path = tmp_path / "run.ini"
     path.write_text("[radio]\noverhead_power_dbm = 10\n")
-    assert load_config(str(path)).raw["radio"]["overhead_power_dbm"] == "10"
-    path.write_text("[radio]\noverhead_power_dbm = loud\n")
-    with pytest.raises(ConfigError, match="overhead_power_dbm"):
+    with pytest.raises(ConfigError, match=r"unknown key 'overhead_power_dbm' in section \[radio\]"):
         load_config(str(path))

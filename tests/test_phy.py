@@ -187,6 +187,14 @@ class TestDutyCycle:
                 exact = weibull_expectation(1.0, scheme.w, lambda x: tau / (x + tau), tau)
             assert duty_cycle(scheme, tau) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("b", [1e307, 1e308])
+    def test_uniform_width_past_the_float_range(self, b):
+        # (b - a) / (a + tau) overflows here, so ln(1 + (b - a) / (a + tau)) is taken as ln(b - a) - ln(a + tau)
+        for tau in AIRTIMES_S.tolist():
+            with mpmath.workdps(30):
+                exact = float(tau / mpmath.mpf(b) * mpmath.log1p(mpmath.mpf(b) / tau))
+            assert duty_cycle(ChargingScheme.uniform(0.0, b), tau) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     @given(
         scheme=st.one_of(
             st.builds(
