@@ -92,7 +92,7 @@ def _load(args: argparse.Namespace) -> RunConfig:
     overrides = {}  # flag values, which win over the file's
     if args.mode:
         overrides["capacitor"] = {"mode": args.mode}
-    if args.scheme:
+    if getattr(args, "scheme", None):
         overrides["scheme"] = {"kind": args.scheme}  # load_config reads ud/wd as uniform/weibull
     return load_config(args.config or None, overrides)  # an empty --config reads the defaults too
 
@@ -258,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")
-    common.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
     bins = argparse.ArgumentParser(add_help=False)
     bins.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    scheme = argparse.ArgumentParser(add_help=False)  # for the subcommands that run one scheme, not both
+    scheme.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
     ring = argparse.ArgumentParser(add_help=False)
     ring.add_argument("--ring", type=int, default=4, choices=range(1, 7), help="SF ring for the airtime")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,17 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("outage-sweep", parents=[common, bins], help="energy outage per spreading factor")
     p.set_defaults(func=cmd_outage_sweep)
 
-    p = sub.add_parser("coverage", parents=[common, bins], help="distance-resolved uplink success columns")
+    p = sub.add_parser("coverage", parents=[common, bins, scheme], help="distance-resolved uplink success columns")
     p.add_argument("--points-per-ring", type=int, default=40)
     p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("act-plan", parents=[common, bins], help="adaptive charging-time plan per SF")
+    p = sub.add_parser("act-plan", parents=[common, bins, scheme], help="adaptive charging-time plan per SF")
     p.add_argument("--act", choices=["cdc", "cve"], required=True)
     p.add_argument("--theta", type=float, default=150.0, help="duty multiplier for cdc")
     p.add_argument("--vartheta", type=float, default=1.0, help="mean-voltage multiplier for cve")
     p.set_defaults(func=cmd_act_plan)
 
-    p = sub.add_parser("simulate", parents=[common], help="event-driven network simulation report")
+    p = sub.add_parser("simulate", parents=[common, scheme], help="event-driven network simulation report")
     p.add_argument("--duration", type=float, default=1e5, help="simulated seconds")
     p.add_argument("--devices", type=int, default=None, help="pin the device count (default: Poisson)")
     p.add_argument("--warmup", type=float, default=None)

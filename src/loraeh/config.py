@@ -4,8 +4,8 @@ Sections and keys (all optional, defaults below):
 
   [harvester]  voltage_v, power_w
   [capacitor]  capacitance_f, r_off_ohm, r_on_ohm, v_operating_v, v_initial_v, mode
-  [radio]      tx_power_dbm, bandwidth_hz, sir_threshold_db,
-               noise_dbm (blank = thermal floor + noise figure), noise_figure_db
+  [radio]      tx_power_dbm, sir_threshold_db, noise_figure_db (noise floor:
+               -174 dBm/Hz over phy.BANDWIDTH_HZ, 125 kHz, plus this figure)
   [deployment] radius_km, density_per_km2, path_loss_exponent, wavelength_cm,
                ring_radii_km (comma list of 7 from 0, blank = equal-width rings)
   [scheme]     kind (uniform|weibull), a_s, b_s, k, w_s
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .phy import ChargingScheme, N_RINGS, PhyConfig
+from .phy import BANDWIDTH_HZ, ChargingScheme, N_RINGS, PhyConfig
 
 DEFAULTS = {
     "harvester": {"voltage_v": "3.3", "power_w": "1e-3"},
@@ -32,9 +32,7 @@ DEFAULTS = {
     },
     "radio": {
         "tx_power_dbm": "13",
-        "bandwidth_hz": "125e3",
         "sir_threshold_db": "1",
-        "noise_dbm": "",
         "noise_figure_db": "6",
     },
     "deployment": {
@@ -113,15 +111,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     else:
         radii = tuple(n * radius_m / N_RINGS for n in range(N_RINGS + 1))
 
-    bandwidth = _getfloat(parser, "radio", "bandwidth_hz")
-    if not (math.isfinite(bandwidth) and bandwidth > 0):  # checked also where noise_dbm sets the floor
-        raise ConfigError(f"bandwidth must be finite and positive, got {bandwidth}")
-    if parser.get("radio", "noise_dbm").strip():
-        noise_w = _dbm_to_w(_getfloat(parser, "radio", "noise_dbm"))
-    else:
-        # -174 dBm/Hz thermal floor plus the receiver noise figure
-        noise_w = _dbm_to_w(-174.0 + 10.0 * math.log10(bandwidth) + _getfloat(parser, "radio", "noise_figure_db"))
-
     phy = PhyConfig(
         v_harvest=_getfloat(parser, "harvester", "voltage_v"),
         p_harvest=_getfloat(parser, "harvester", "power_w"),
@@ -132,7 +121,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         p_tx=_dbm_to_w(_getfloat(parser, "radio", "tx_power_dbm")),
         eta=_getfloat(parser, "deployment", "path_loss_exponent"),
         wavelength=_getfloat(parser, "deployment", "wavelength_cm") * 1e-2,
-        noise=noise_w,
+        # -174 dBm/Hz thermal floor over the link table's bandwidth plus the receiver noise figure
+        noise=_dbm_to_w(-174.0 + 10.0 * math.log10(BANDWIDTH_HZ) + _getfloat(parser, "radio", "noise_figure_db")),
         sir_threshold=_from_db(_getfloat(parser, "radio", "sir_threshold_db")),
         radius=radius_m,
         density=_getfloat(parser, "deployment", "density_per_km2") * 1e-6,

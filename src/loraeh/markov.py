@@ -22,7 +22,9 @@ the band ends; a grid too coarse for one cycle's change of voltage can split
 the chain into several, and the solve then raises NumericalError. Up to
 DENSE_BINS bins GTH elimination on the closed class finds the law, every
 entry to working relative accuracy; above it Arnoldi with thick restarts,
-in numpy. Only the kernel sum loads scipy, for its block sparse matrices.
+in numpy. Two paths load scipy, when they run: the kernel sum, for its block
+sparse matrices, and `DecayFactorDistribution.mean` for Weibull k != 1, whose
+`ChargingScheme.expectation` integrates with `scipy.integrate`.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ from .errors import ConfigError, NumericalError
 # The 25-byte-payload link table, one entry per ring (SF7..SF12), at BW = 125 kHz.
 # Airtime = payload bits / bitrate, with bitrates 5.47, 3.13, 1.76, 0.98, 0.54
 # and 0.29 kbps; the SNR floors are the published demodulation limits in dB
-# (negative: below the noise).
+# (negative: below the noise). Both hold at this bandwidth only, so it is no
+# setting: the noise floor is the thermal floor over it plus the noise figure.
+BANDWIDTH_HZ = 125e3
 SFS = np.array([7, 8, 9, 10, 11, 12])
 AIRTIMES_S = np.array([0.0366, 0.064, 0.113, 0.204, 0.372, 0.682])
 SNR_THRESHOLDS_DB = np.array([-6.0, -9.0, -12.0, -15.0, -17.5, -20.0])

@@ -29,7 +29,7 @@ SLOW_MIXING = Path(__file__).resolve().parents[1] / "perfbench" / "slow_mixing.i
 RUNS = [
     ["capacitor-trace"],
     ["steady-state"],
-    ["steady-state", "--scheme", "wd", "--mode", "literal"],
+    ["steady-state", "--mode", "literal"],
     ["steady-state", "--bins", "200"],
     ["outage-sweep"],
     ["coverage", "--scheme", "ud"],

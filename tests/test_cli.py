@@ -215,7 +215,7 @@ class TestDeterminism:
 
     def test_parser_reuse_keeps_no_state(self, tmp_path):
         # main builds its parser once; a second subcommand must not see the first one's options
-        first = ["outage-sweep", "--bins", 200, "--mode", "literal", "--scheme", "wd"]
+        first = ["coverage", "--bins", 200, "--points-per-ring", 2, "--mode", "literal", "--scheme", "wd"]
         second = ["steady-state", "--bins", 200]
         assert run(first + ["--out", tmp_path / "a1"]) == 0
         assert run(second + ["--out", tmp_path / "a2"]) == 0
@@ -326,6 +326,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: loraeh") and "error: argument" in err and "Traceback" not in err
         assert not (tmp_path / "u").exists()
+
+    @pytest.mark.parametrize("command", ["capacitor-trace", "steady-state", "outage-sweep"])
+    def test_scheme_only_where_one_scheme_is_run(self, tmp_path, capsys, command):
+        # these write both families, so a --scheme they would ignore is a usage error
+        assert run([command, "--scheme", "wd", "--out", tmp_path / "u"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: loraeh") and "error: unrecognized arguments: --scheme wd" in err
+        assert "Traceback" not in err and not (tmp_path / "u").exists()
+
+    @pytest.mark.parametrize("key, value", [("bandwidth_hz", "125e3"), ("noise_dbm", "-120")])
+    def test_dropped_radio_key_is_refused(self, tmp_path, capsys, key, value):
+        # the link table holds at 125 kHz only, and noise_figure_db alone sets the noise floor
+        cfg = tmp_path / "radio.ini"
+        cfg.write_text(f"[radio]\n{key} = {value}\n")
+        assert run([*STEADY, "--config", cfg, "--out", tmp_path / "r"]) == 1
+        assert capsys.readouterr().err == f"config error: unknown key {key!r} in section [radio]\n"
+        assert not (tmp_path / "r").exists()
 
     def test_simulate_has_one_collision_rule(self, tmp_path, capsys):
         # the any-overlap, full-power rule takes no flag, so naming one is a usage error
@@ -479,10 +496,6 @@ class TestExitCodes:
             pytest.param("[deployment]\ndensity_per_km2 = -1\n", SIMULATE_SMALL, id="density-simulate"),
             pytest.param("[deployment]\ndensity_per_km2 = -1\n", COVERAGE, id="density-coverage"),
             pytest.param("[deployment]\ndensity_per_km2 = nan\n", COVERAGE, id="density-nan"),
-            pytest.param("[radio]\nbandwidth_hz = 0\n", STEADY, id="bandwidth-0"),
-            pytest.param("[radio]\nbandwidth_hz = 0\nnoise_dbm = -120\n", STEADY, id="bandwidth-0-noise"),
-            pytest.param("[radio]\nbandwidth_hz = inf\nnoise_dbm = -120\n", STEADY, id="bandwidth-inf"),
-            pytest.param("[radio]\nnoise_dbm = oops\n", STEADY, id="noise"),
             # non-finite or non-positive physics and scheme values
             pytest.param("[deployment]\nwavelength_cm = -34.5\n", COVERAGE, id="wavelength-negative"),
             pytest.param("[deployment]\nwavelength_cm = nan\n", COVERAGE, id="wavelength-nan"),
@@ -498,7 +511,6 @@ class TestExitCodes:
             pytest.param("[deployment]\npath_loss_exponent = nan\n", SIMULATE, id="eta-nan-simulate"),
             pytest.param("[radio]\nsir_threshold_db = nan\n", SIMULATE, id="sir-nan-simulate"),
             pytest.param("[radio]\ntx_power_dbm = nan\n", SIMULATE, id="tx-power-nan-simulate"),
-            pytest.param("[radio]\nnoise_dbm = nan\n", SIMULATE, id="noise-nan-simulate"),
             pytest.param("[deployment]\nwavelength_cm = 0\n", SIMULATE, id="wavelength-0-simulate"),
             pytest.param("[deployment]\nradius_km = 0\n", SIMULATE, id="radius-0-simulate"),
             # devices are placed no nearer than 1 m to the gateway, so the disk must reach that far
@@ -678,7 +690,6 @@ def cli_process(*argv):
 
 BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "oops", "")
 TEXT_VALUES = {
-    ("radio", "noise_dbm"): ("", "-120", "200"),
     ("deployment", "ring_radii_km"): ("", "0,1,2,3,4,5,6", "0,1,2", "0,2,1,3,4,5,6"),
     ("capacitor", "mode"): ("thevenin", "literal", "norton"),
     ("scheme", "kind"): ("uniform", "weibull", "ud", "wd", "gamma"),

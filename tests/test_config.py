@@ -39,10 +39,17 @@ def test_ring_radii_override(tmp_path):
     assert run.phy.ring_radii == (0.0, 500.0, 1000.0, 2000.0, 2500.0, 3000.0, 4000.0)
 
 
-def test_noise_override(tmp_path):
+def test_default_noise_is_the_thermal_floor_plus_6_db(fig2):
+    # -174 dBm/Hz over 125 kHz plus the 6 dB figure, to the bit
+    assert fig2.phy.noise == 1.9811164905763875e-15
+
+
+@pytest.mark.parametrize("figure_db, change_db", [(3, -3.0), (9, 3.0)])
+def test_noise_figure_moves_the_floor_db_for_db(tmp_path, fig2, figure_db, change_db):
     path = tmp_path / "run.ini"
-    path.write_text("[radio]\nnoise_dbm = -120\n")
-    assert load_config(str(path)).phy.noise == pytest.approx(1e-15, rel=1e-12)
+    path.write_text(f"[radio]\nnoise_figure_db = {figure_db}\n")
+    noise = load_config(str(path)).phy.noise
+    assert 10.0 * math.log10(noise / fig2.phy.noise) == pytest.approx(change_db, abs=1e-12)
 
 
 def test_diagnostics(tmp_path):
