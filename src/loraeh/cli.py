@@ -5,6 +5,10 @@ configuration, the seed and every parsed flag. Given the same config and seed
 the CSV bytes are identical across runs; only the manifest's timestamp and
 timings differ.
 
+Each setting has one home. The config file holds the physics, both charging
+laws and the capacitor reduction ([capacitor] mode); the flags hold the run's
+sizes and seed, and `--scheme` picks the law where a subcommand runs one.
+
 Exit codes: 0 ok, 1 config error (a flag argparse rejects and a size too
 large to allocate included), 2 numerical error, 3 infeasible target.
 """
@@ -33,6 +37,7 @@ _BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
 # a chain takes up to about 4 KiB per bin (Weibull k = 0.5 at 40 mF), and steady-state also
 # solves at twice --bins: at 2**17 its largest solve stays near 1 GiB
 _MAX_BINS = 2**17
+_MULTIPLIERS = {"cdc": ("theta", 150.0), "cve": ("vartheta", 1.0)}  # each ACT plan's flag and its default
 
 
 def _spec(cls: type) -> str:
@@ -89,17 +94,13 @@ def _load(args: argparse.Namespace) -> RunConfig:
     if N_RINGS * getattr(args, "points_per_ring", 1) > MAX_COVERAGE_POINTS:  # refused before any chain is solved
         points = f"{N_RINGS} x {args.points_per_ring} distances"
         raise ConfigError(f"{points} are above the bound of {MAX_COVERAGE_POINTS:.0e}")
-    overrides = {}  # flag values, which win over the file's
-    if args.mode:
-        overrides["capacitor"] = {"mode": args.mode}
-    if getattr(args, "scheme", None):
-        overrides["scheme"] = {"kind": args.scheme}  # load_config reads ud/wd as uniform/weibull
-    return load_config(args.config or None, overrides)  # an empty --config reads the defaults too
-
-
-def _scheme_pair(run: RunConfig):
-    """(label, scheme) pairs for the uniform/weibull outputs."""
-    return [("ud", run.schemes["uniform"]), ("wd", run.schemes["weibull"])]
+    if getattr(args, "act", None):  # a plan reads its own multiplier; the other plan's is refused, not ignored
+        for act, (flag, default) in _MULTIPLIERS.items():
+            if act != args.act and getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} is read by --act {act} only")
+            if act == args.act and getattr(args, flag) is None:
+                setattr(args, flag, default)  # the manifest records the multiplier the plan used
+    return load_config(args.config or None)  # an empty --config reads the defaults too
 
 
 # Each cmd_* computes its subcommand's outputs as {csv name: {header: column}},
@@ -111,7 +112,7 @@ def _scheme_pair(run: RunConfig):
 def cmd_capacitor_trace(args, run: RunConfig, model: CapacitorModel) -> dict:
     airtime = AIRTIMES_S[args.ring - 1]
     tables = {}
-    for label, scheme in _scheme_pair(run):
+    for label, scheme in run.schemes.items():
         traj = simulate_trajectory(
             run.v_initial, scheme, airtime, args.cycles, model, seed=args.seed, samples_per_phase=args.samples_per_phase
         )
@@ -133,7 +134,7 @@ def cmd_steady_state(args, run: RunConfig, model: CapacitorModel) -> dict:
     tables = {}
     summary = {"scheme": [], "bins": [], "mean_V": [], "std_V": [], "outage": []}
     conv = {"scheme": [], "bins": [], "outage": []}
-    for label, scheme in _scheme_pair(run):
+    for label, scheme in run.schemes.items():
         sd = markov.steady_state(scheme, airtime, model, n_bins=args.bins)
         centers, dens = markov.stationary_pdf(sd)
         tables[f"steady_{label}.csv"] = {"voltage_V": centers, "pdf": dens, "cdf": np.cumsum(sd.probabilities)}
@@ -154,7 +155,7 @@ def cmd_outage_sweep(args, run: RunConfig, model: CapacitorModel) -> dict:
     from . import markov
 
     columns = {"sf": SFS, "airtime_s": AIRTIMES_S}
-    for label, scheme in _scheme_pair(run):
+    for label, scheme in run.schemes.items():
         columns[f"outage_{label}"] = [
             markov.steady_state(scheme, airtime, model, n_bins=args.bins).outage(run.phy.v_operating)
             for airtime in AIRTIMES_S
@@ -167,9 +168,9 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
 
     avail = np.empty(N_RINGS)
     for r, airtime in enumerate(AIRTIMES_S):
-        sd = markov.steady_state(run.scheme, airtime, model, n_bins=args.bins)
+        sd = markov.steady_state(run.schemes[args.scheme], airtime, model, n_bins=args.bins)
         avail[r] = sd.availability(run.phy.v_operating)
-    profile = coverage_profile(run.phy, run.scheme, avail, points_per_ring=args.points_per_ring)
+    profile = coverage_profile(run.phy, run.schemes[args.scheme], avail, points_per_ring=args.points_per_ring)
     columns = {
         "distance_km": profile.distances / 1e3,
         "sf": SFS[profile.ring],
@@ -185,10 +186,11 @@ def cmd_coverage(args, run: RunConfig, model: CapacitorModel) -> dict:
 def cmd_act_plan(args, run: RunConfig, model: CapacitorModel) -> dict:
     from . import act, markov
 
+    kind = run.schemes[args.scheme].kind
     if args.act == "cdc":
-        plan = act.plan_cdc(args.theta, run.scheme.kind, run.phy, model, n_bins=args.bins)
+        plan = act.plan_cdc(args.theta, kind, run.phy, model, n_bins=args.bins)
     else:
-        plan = act.plan_cve(args.vartheta, run.scheme.kind, run.phy, model, n_bins=args.bins)
+        plan = act.plan_cve(args.vartheta, kind, run.phy, model, n_bins=args.bins)
     if not plan.etsi_ok.all():
         print(f"warning: duty cycle above the 1% ETSI cap for SF {SFS[~plan.etsi_ok].tolist()}", file=sys.stderr)
     params = [(s.a, s.b) if s.kind == "uniform" else (s.k, s.w) for s in plan.schemes]
@@ -218,7 +220,7 @@ def cmd_simulate(args, run: RunConfig, model: CapacitorModel) -> dict:
         net,
         run.phy,
         model,
-        run.scheme,
+        run.schemes[args.scheme],
         duration=args.duration,
         seed=args.seed,
         warmup=args.warmup,
@@ -257,11 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (INI); the built-in defaults when absent")
     common.add_argument("--seed", type=int, default=0, help="random seed, a non-negative integer")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--mode", choices=["thevenin", "literal"], help="capacitor model override")
     bins = argparse.ArgumentParser(add_help=False)
     bins.add_argument("--bins", type=int, default=DEFAULT_BINS)
     scheme = argparse.ArgumentParser(add_help=False)  # for the subcommands that run one scheme, not both
-    scheme.add_argument("--scheme", choices=["ud", "wd"], help="charging scheme override")
+    scheme.add_argument("--scheme", choices=["ud", "wd"], default="ud", help="charging scheme: uniform or Weibull")
     ring = argparse.ArgumentParser(add_help=False)
     ring.add_argument("--ring", type=int, default=4, choices=range(1, 7), help="SF ring for the airtime")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("act-plan", parents=[common, bins, scheme], help="adaptive charging-time plan per SF")
     p.add_argument("--act", choices=["cdc", "cve"], required=True)
-    p.add_argument("--theta", type=float, default=150.0, help="duty multiplier for cdc")
-    p.add_argument("--vartheta", type=float, default=1.0, help="mean-voltage multiplier for cve")
+    p.add_argument("--theta", type=float, help="duty multiplier for cdc (default 150)")
+    p.add_argument("--vartheta", type=float, help="mean-voltage multiplier for cve (default 1)")
     p.set_defaults(func=cmd_act_plan)
 
     p = sub.add_parser("simulate", parents=[common, scheme], help="event-driven network simulation report")

@@ -8,7 +8,8 @@ Sections and keys (all optional, defaults below):
                -174 dBm/Hz over phy.BANDWIDTH_HZ, 125 kHz, plus this figure)
   [deployment] radius_km, density_per_km2, path_loss_exponent, wavelength_cm,
                ring_radii_km (comma list of 7 from 0, blank = equal-width rings)
-  [scheme]     kind (uniform|weibull), a_s, b_s, k, w_s
+  [scheme]     a_s, b_s (uniform law), k, w_s (Weibull law); both laws are built,
+               and the CLI's --scheme picks one where a run uses one
 """
 
 from __future__ import annotations
@@ -42,17 +43,16 @@ DEFAULTS = {
         "wavelength_cm": "34.5",
         "ring_radii_km": "",
     },
-    "scheme": {"kind": "uniform", "a_s": "0", "b_s": "100", "k": "1", "w_s": "50"},
+    "scheme": {"a_s": "0", "b_s": "100", "k": "1", "w_s": "50"},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration: physics, charging scheme, capacitor model mode."""
+    """Resolved configuration: physics, both charging schemes, capacitor model mode."""
 
     phy: PhyConfig
-    scheme: ChargingScheme  # the family [scheme] kind names
-    schemes: dict  # {"uniform": ..., "weibull": ...}, both built from [scheme] and checked
+    schemes: dict  # {"ud": uniform, "wd": Weibull}, both built from [scheme] and checked
     mode: str  # "thevenin" | "literal"
     v_initial: float  # trajectory start voltage [V]
     raw: dict  # resolved key/value snapshot (manifest)
@@ -78,11 +78,8 @@ def _getfloat(parser, section, key):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a number") from exc
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an INI file (defaults when path is None).
-
-    overrides, {section: {key: value}} as DEFAULTS, is read after the file and checked alike; its values win.
-    """
+def load_config(path: str | None = None) -> RunConfig:
+    """Build a RunConfig from an INI file (defaults when path is None)."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
@@ -93,7 +90,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:  # its message spans lines: file, line number, text
             raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
-    parser.read_dict(overrides or {})
     for section in parser.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -129,14 +125,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         ring_radii=radii,
     )
 
-    kind = parser.get("scheme", "kind").strip().lower()
-    kind = {"ud": "uniform", "wd": "weibull"}.get(kind, kind)
-    if kind not in ("uniform", "weibull"):
-        raise ConfigError(f"[scheme] kind must be uniform or weibull, got {kind!r}")
-    # both families are built, so a bad key of the one kind does not name is still rejected
+    # both families are built, so a bad key of the one a run does not use is still rejected
     schemes = {
-        "uniform": ChargingScheme.uniform(_getfloat(parser, "scheme", "a_s"), _getfloat(parser, "scheme", "b_s")),
-        "weibull": ChargingScheme.weibull(_getfloat(parser, "scheme", "k"), _getfloat(parser, "scheme", "w_s")),
+        "ud": ChargingScheme.uniform(_getfloat(parser, "scheme", "a_s"), _getfloat(parser, "scheme", "b_s")),
+        "wd": ChargingScheme.weibull(_getfloat(parser, "scheme", "k"), _getfloat(parser, "scheme", "w_s")),
     }
 
     mode = parser.get("capacitor", "mode").strip().lower()
@@ -147,5 +139,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         raise ConfigError("[capacitor] v_initial_v must be finite")
 
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    raw["scheme"]["kind"] = kind
-    return RunConfig(phy=phy, scheme=schemes[kind], schemes=schemes, mode=mode, v_initial=v_init, raw=raw)
+    return RunConfig(phy=phy, schemes=schemes, mode=mode, v_initial=v_init, raw=raw)

@@ -48,24 +48,23 @@ def model(fig2):
 
 @pytest.fixture(scope="session")
 def ud(fig2):
-    return fig2.schemes["uniform"]
+    return fig2.schemes["ud"]
 
 
 @pytest.fixture(scope="session")
 def wd(fig2):
-    return fig2.schemes["weibull"]
+    return fig2.schemes["wd"]
 
 
 @pytest.fixture(scope="session")
-def steady_cache(fig2, model, ud, wd):
+def steady_cache(fig2, model):
     """Memoized steady-state solves shared across test modules."""
     cache = {}
-    schemes = {"ud": ud, "wd": wd}
 
     def get(label, airtime, n_bins=2000):
         key = (label, airtime, n_bins)
         if key not in cache:
-            cache[key] = steady_state(schemes[label], airtime, model, n_bins=n_bins)
+            cache[key] = steady_state(fig2.schemes[label], airtime, model, n_bins=n_bins)
         return cache[key]
 
     return get

@@ -6,7 +6,9 @@ Run from the repository root:
 
 It makes 30 in-process `loraeh.cli.main` runs under `sys.settrace`: 14
 subcommand runs at the default config, the same 14 at
-perfbench/slow_mixing.ini, and two `--help`. It counts the statements inside
+perfbench/slow_mixing.ini, and two `--help`. One run of each 14 reads a
+temporary file that adds `[capacitor] mode = literal` to the pass's keys,
+since no flag selects the literal reduction. It counts the statements inside
 function bodies, other than definitions, imports, docstrings and `except`
 clauses; a compound statement counts by its header. Module and class bodies
 run at import and are not counted. A statement ran if a line event fell on
@@ -15,6 +17,7 @@ module's unreached statements and the totals.
 """
 
 import ast
+import configparser
 import contextlib
 import io
 import sys
@@ -29,7 +32,6 @@ SLOW_MIXING = Path(__file__).resolve().parents[1] / "perfbench" / "slow_mixing.i
 RUNS = [
     ["capacitor-trace"],
     ["steady-state"],
-    ["steady-state", "--mode", "literal"],
     ["steady-state", "--bins", "200"],
     ["outage-sweep"],
     ["coverage", "--scheme", "ud"],
@@ -89,7 +91,17 @@ def trace_runs():
         return local if frame.f_code.co_filename.startswith(root) else None
 
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = [args + config for config in ([], ["--config", str(SLOW_MIXING)]) for args in RUNS] + HELP
+        jobs = []
+        for config in ([], ["--config", str(SLOW_MIXING)]):
+            literal = configparser.ConfigParser()  # the pass's keys and mode = literal
+            literal.read(config[1:])
+            literal.read_dict({"capacitor": {"mode": "literal"}})
+            path = Path(tmp) / f"literal-{len(jobs)}.ini"
+            with open(path, "w", encoding="utf-8") as fh:
+                literal.write(fh)
+            jobs += [args + config for args in RUNS]
+            jobs.append(["steady-state", "--config", str(path)])
+        jobs += HELP
         for i, args in enumerate(jobs):
             sys.settrace(tracer)
             try:

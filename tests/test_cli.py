@@ -67,13 +67,15 @@ class TestRoundTrips:
     @pytest.mark.parametrize(
         "argv, flags",
         [
-            (["steady-state", "--bins", 100, "--ring", 6], {"bins": 100, "ring": 6, "mode": None}),
+            (["steady-state", "--bins", 100, "--ring", 6], {"bins": 100, "ring": 6}),
             (
                 [*SIMULATE_SMALL, "--warmup", 10],
-                {"devices": 5, "duration": 1e3, "warmup": 10.0, "per_device": False},
+                {"devices": 5, "duration": 1e3, "warmup": 10.0, "per_device": False, "scheme": "ud"},
             ),
+            # the plan's own multiplier at its default, and the other plan's unset
+            (["act-plan", "--act", "cve", "--bins", 50], {"act": "cve", "vartheta": 1.0, "theta": None}),
         ],
-        ids=["steady-state", "simulate"],
+        ids=["steady-state", "simulate", "act-plan"],
     )
     def test_manifest_records_every_flag(self, tmp_path, argv, flags):
         out = tmp_path / "a"
@@ -213,9 +215,17 @@ class TestDeterminism:
         for name in ("trace_ud.csv", "trace_wd.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
+    def test_coverage_runs_ud_by_default(self, tmp_path):
+        assert run([*COVERAGE, "--out", tmp_path / "a"]) == 0
+        assert run([*COVERAGE, "--scheme", "ud", "--out", tmp_path / "b"]) == 0
+        assert filecmp.cmp(tmp_path / "a" / "coverage.csv", tmp_path / "b" / "coverage.csv", shallow=False)
+        args = [json.loads((tmp_path / out / "manifest.json").read_text())["args"] for out in "ab"]
+        assert args[0].pop("out") != args[1].pop("out")
+        assert args[0] == args[1]  # the same run, as the manifests record it
+
     def test_parser_reuse_keeps_no_state(self, tmp_path):
         # main builds its parser once; a second subcommand must not see the first one's options
-        first = ["coverage", "--bins", 200, "--points-per-ring", 2, "--mode", "literal", "--scheme", "wd"]
+        first = ["coverage", "--bins", 200, "--points-per-ring", 2, "--scheme", "wd"]
         second = ["steady-state", "--bins", 200]
         assert run(first + ["--out", tmp_path / "a1"]) == 0
         assert run(second + ["--out", tmp_path / "a2"]) == 0
@@ -335,6 +345,34 @@ class TestExitCodes:
         assert err.startswith("usage: loraeh") and "error: unrecognized arguments: --scheme wd" in err
         assert "Traceback" not in err and not (tmp_path / "u").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["capacitor-trace"], STEADY, ["outage-sweep"], COVERAGE, ["act-plan", "--act", "cdc"], SIMULATE_SMALL],
+        ids=lambda a: a[0],
+    )
+    def test_mode_is_a_file_setting(self, tmp_path, capsys, command):
+        # [capacitor] mode is the reduction's one home, so no flag sets it
+        assert run([*command, "--mode", "literal", "--out", tmp_path / "u"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: loraeh") and "error: unrecognized arguments: --mode literal" in err
+        assert "Traceback" not in err and not (tmp_path / "u").exists()
+
+    def test_scheme_kind_key_is_refused(self, tmp_path, capsys):
+        # --scheme picks the law where a run uses one; the file builds both and names neither
+        cfg = tmp_path / "kind.ini"
+        cfg.write_text("[scheme]\nkind = weibull\n")
+        assert run([*STEADY, "--config", cfg, "--out", tmp_path / "k"]) == 1
+        assert capsys.readouterr().err == "config error: unknown key 'kind' in section [scheme]\n"
+        assert not (tmp_path / "k").exists()
+
+    @pytest.mark.parametrize("act, flag", [("cve", "--theta"), ("cdc", "--vartheta")])
+    def test_other_plans_multiplier_is_refused(self, tmp_path, capsys, act, flag):
+        # each plan reads one multiplier; the other one would be ignored
+        assert run(["act-plan", "--act", act, flag, 5, "--bins", 100, "--out", tmp_path / "m"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1 and flag in err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("key, value", [("bandwidth_hz", "125e3"), ("noise_dbm", "-120")])
     def test_dropped_radio_key_is_refused(self, tmp_path, capsys, key, value):
         # the link table holds at 125 kHz only, and noise_figure_db alone sets the noise floor
@@ -371,7 +409,7 @@ class TestExitCodes:
 
             monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: (1.0, 1.0))  # (value, error estimate)
         cfg = tmp_path / "k.ini"
-        cfg.write_text(f"[scheme]\nkind = weibull\nk = {k}\nw_s = 50\n")
+        cfg.write_text(f"[scheme]\nk = {k}\nw_s = 50\n")
         assert run([*COVERAGE, "--scheme", "wd", "--config", cfg, "--out", tmp_path / "c"]) == code
         err = capsys.readouterr().err
         assert not recwarn.list  # nothing reaches the warnings channel, so nothing else is printed
@@ -518,8 +556,8 @@ class TestExitCodes:
             pytest.param("[deployment]\nradius_km = 1e-300\n", SIMULATE_SMALL, id="radius-1e-300-simulate"),
             pytest.param("[scheme]\nb_s = inf\n", SIMULATE, id="scheme-b-inf"),
             # an explicit warm-up, so the scheme check and not the warm-up check rejects it
-            pytest.param("[scheme]\nkind = weibull\nk = nan\n", SIMULATE + ["--warmup", 100], id="scheme-k-nan"),
-            # the family kind does not name is checked too
+            pytest.param("[scheme]\nk = nan\n", SIMULATE + ["--scheme", "wd", "--warmup", 100], id="scheme-k-nan"),
+            # the family the run does not use is checked too
             pytest.param("[scheme]\nk = nan\n", SIMULATE_SMALL, id="other-scheme-k-nan-simulate"),
             pytest.param("[scheme]\nk = nan\n", ["act-plan", "--act", "cdc", "--bins", 100], id="other-scheme-k-nan-cdc"),
             # powers too large or too small for the physics
@@ -535,7 +573,7 @@ class TestExitCodes:
             pytest.param("[deployment]\nradius_km = 1e200\n", SIMULATE_POISSON, id="radius-overflow-simulate"),
             pytest.param("[deployment]\nradius_km = 1e200\n", COVERAGE, id="radius-overflow-coverage"),
             # the default warm-up reads the Weibull mean, w * Gamma(1 + 1/k)
-            pytest.param("[scheme]\nkind = weibull\nk = 1e-300\n", SIMULATE_POISSON, id="weibull-mean-overflow"),
+            pytest.param("[scheme]\nk = 1e-300\n", SIMULATE_POISSON + ["--scheme", "wd"], id="weibull-mean-overflow"),
             # malformed files, and harvester and capacitor values
             pytest.param("voltage_v = 3.3\n", STEADY, id="no-section-header"),
             pytest.param("[harvester]\nvoltage_v\n", STEADY, id="key-without-value"),
@@ -692,7 +730,6 @@ BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "oops", "")
 TEXT_VALUES = {
     ("deployment", "ring_radii_km"): ("", "0,1,2,3,4,5,6", "0,1,2", "0,2,1,3,4,5,6"),
     ("capacitor", "mode"): ("thevenin", "literal", "norton"),
-    ("scheme", "kind"): ("uniform", "weibull", "ud", "wd", "gamma"),
 }
 
 
@@ -729,18 +766,21 @@ class TestFuzz:
             ]
         ),
         bins=st.integers(20, 200),
+        scheme=st.sampled_from(["ud", "wd"]),
     )
     # (b - a) / (a + tau) overflowed the uniform duty figure, and the coverage run ended in a traceback
-    @example(ini="[scheme]\nb_s = 1e308\n", command=["coverage", "--points-per-ring", 2], bins=20)
-    def test_random_config_ends_in_a_documented_exit(self, ini, command, bins):
+    @example(ini="[scheme]\nb_s = 1e308\n", command=["coverage", "--points-per-ring", 2], bins=20, scheme="ud")
+    def test_random_config_ends_in_a_documented_exit(self, ini, command, bins, scheme):
         # an exception out of main would be a traceback on the command line
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "fuzz.ini"
             cfg.write_text(ini)
-            bins_arg = ["--bins", bins] if command[0] not in ("simulate", "capacitor-trace") else []
+            flags = ["--bins", bins] if command[0] not in ("simulate", "capacitor-trace") else []
+            if command[0] in ("coverage", "act-plan", "simulate"):  # the subcommands that run one scheme
+                flags += ["--scheme", scheme]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run(command + bins_arg + ["--config", cfg, "--out", Path(tmp) / "out"])
+                code = run(command + flags + ["--config", cfg, "--out", Path(tmp) / "out"])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
 

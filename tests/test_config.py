@@ -19,17 +19,13 @@ def test_default_units(fig2):
     assert phy.noise == pytest.approx(expected_noise, rel=1e-12)
 
 
-def test_file_and_overrides(tmp_path):
+def test_file_values(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[capacitor]\ncapacitance_f = 0.04\n[scheme]\nkind = weibull\n")
+    path.write_text("[capacitor]\ncapacitance_f = 0.04\nmode = literal\n[scheme]\nk = 0.5\n")
     run = load_config(str(path))
     assert run.phy.capacitance == 0.04
-    assert run.scheme.kind == "weibull"
-    run = load_config(str(path), overrides={"capacitor": {"capacitance_f": "0.02"}, "scheme": {"kind": "wd"}})
-    assert run.phy.capacitance == 0.02
-    assert run.scheme.kind == "weibull"
-    with pytest.raises(ConfigError, match="unknown key 'capacitance' in section"):
-        load_config(str(path), overrides={"capacitor": {"capacitance": "0.02"}})
+    assert run.mode == "literal"  # the file is the capacitor reduction's one home
+    assert run.schemes["wd"].k == 0.5
 
 
 def test_ring_radii_override(tmp_path):
@@ -70,10 +66,10 @@ def test_diagnostics(tmp_path):
 
 
 def test_scheme_pair(fig2):
-    other = fig2.schemes["weibull"]
+    other = fig2.schemes["wd"]
     assert other.kind == "weibull"
     assert other.w == 50.0
-    assert fig2.schemes["uniform"].b == 100.0
+    assert fig2.schemes["ud"].b == 100.0
 
 
 def test_overhead_power_key_is_refused(tmp_path):

@@ -78,7 +78,7 @@ def test_trace_csv_bytes(tmp_path, case):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-@pytest.mark.parametrize("label", ("uniform", "weibull"))
+@pytest.mark.parametrize("label", ("ud", "wd"), ids=("uniform", "weibull"))
 @pytest.mark.parametrize("n_cycles, samples_per_phase", [(0, 20), (1, 1), (7, 3), (300, 20), (500, 1)])
 def test_matches_per_sample_reference(tmp_path, config, label, n_cycles, samples_per_phase):
     path = None
@@ -104,7 +104,7 @@ def test_matches_per_sample_reference(tmp_path, config, label, n_cycles, samples
 @pytest.mark.parametrize("n_cycles, samples_per_phase", [(-1, 20), (5, 0), (5, -2)])
 def test_trajectory_rejects_bad_sizes(fig2, model, n_cycles, samples_per_phase):
     with pytest.raises(ConfigError):
-        simulate_trajectory(1.8, fig2.scheme, 0.204, n_cycles, model, samples_per_phase=samples_per_phase)
+        simulate_trajectory(1.8, fig2.schemes["ud"], 0.204, n_cycles, model, samples_per_phase=samples_per_phase)
 
 
 def test_writer_matches_per_cell_writer(tmp_path):
@@ -189,28 +189,31 @@ def test_writer_matches_per_cell_writer_on_random_tables(
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-@pytest.mark.parametrize("scheme", ["ud", "wd"])
 @pytest.mark.parametrize(
     "args",
     [
+        # these write both families and take no --scheme
         ["capacitor-trace", "--cycles", 5],
         ["steady-state", "--bins", 100],
         ["outage-sweep", "--bins", 100],
-        ["coverage", "--bins", 100, "--points-per-ring", 2],
-        # the slow-mixing chains of the plans need a finer grid
-        ["act-plan", "--act", "cdc", "--bins", 600],
-        ["act-plan", "--act", "cve", "--bins", 600],
-        ["simulate", "--devices", 10, "--duration", 2e3, "--per-device"],
+        *(
+            [*args, "--scheme", scheme]
+            for args in (
+                ["coverage", "--bins", 100, "--points-per-ring", 2],
+                # the slow-mixing chains of the plans need a finer grid
+                ["act-plan", "--act", "cdc", "--bins", 600],
+                ["act-plan", "--act", "cve", "--bins", 600],
+                ["simulate", "--devices", 10, "--duration", 2e3, "--per-device"],
+            )
+            for scheme in ("ud", "wd")
+        ),
     ],
-    ids=lambda a: " ".join(map(str, a[:3])),
+    ids=lambda a: " ".join(map(str, a[:3])) + (f"-{a[-1]}" if "--scheme" in a else ""),
 )
-def test_cli_fields_need_no_quoting(tmp_path, config, scheme, args):
+def test_cli_fields_need_no_quoting(tmp_path, config, args):
     """The writer quotes nothing, so every CSV the CLI writes, header and text
     columns included, reads the same split on commas as csv.reader reads it."""
-    # capacitor-trace, steady-state and outage-sweep write both families and take no
-    # --scheme, so their ud and wd cases run alike
-    takes_scheme = args[0] in ("coverage", "act-plan", "simulate")
-    argv = [*args, *(["--scheme", scheme] if takes_scheme else []), "--out", tmp_path / "out"]
+    argv = [*args, "--out", tmp_path / "out"]
     if CONFIGS[config] is not None:
         (tmp_path / "run.ini").write_text(CONFIGS[config])
         argv += ["--config", tmp_path / "run.ini"]
